@@ -387,20 +387,9 @@ def split_is_sufficient(
 
 def detect_structure(g: Graph) -> str | None:
     """"complete_bipartite" / "complete_split" when the part labels match the
-    edge set exactly, else None (no guessing on unlabeled graphs)."""
-    if g.parts is None:
-        return None
-    a_side, q_side = g.parts
-    if len(a_side) + len(q_side) != g.n or not a_side or not q_side:
-        return None
-    cross = {(min(u, v), max(u, v)) for u in a_side for v in q_side}
-    inner = {(min(u, v), max(u, v)) for i, u in enumerate(a_side) for v in a_side[i + 1:]}
-    edges = set(g.edges)
-    if edges == cross:
-        return "complete_bipartite"
-    if edges == cross | inner:
-        return "complete_split"
-    return None
+    edge set exactly, else None (no guessing on unlabeled graphs).  Computed
+    once per graph and cached on it (``Graph.structure``)."""
+    return g.structure
 
 
 def peel_order(g: Graph, f: Sequence[int]) -> list[int]:

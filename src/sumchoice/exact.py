@@ -92,10 +92,12 @@ def _vectors_with_sum(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ..
 
 def _part_candidates(g: Graph, k: int) -> Iterator[SizeFunction]:
     """Candidate f's for part-labeled graphs at total k, ordered by the full
-    vector; within each part the values are sorted ascending (part vertices
-    are interchangeable, and the ascending arrangement is the lex-least
-    member of its orbit)."""
+    vector.  Part vertices are interchangeable, so each part takes a sorted
+    profile laid out ascending over its vertices in increasing label order:
+    the lex-least member of its orbit, whatever the labels."""
     a_side, q_side = g.parts  # type: ignore[misc]
+    slots = sorted(a_side) + sorted(q_side)
+    where = sorted(range(g.n), key=slots.__getitem__)  # vertex -> index into fa + fq
     cap_a = g.degree(a_side[0]) + 1
     cap_q = g.degree(q_side[0]) + 1
     a, q = len(a_side), len(q_side)
@@ -106,7 +108,8 @@ def _part_candidates(g: Graph, k: int) -> Iterator[SizeFunction]:
             continue
         for fa in sorted_profiles(sa, a, cap_a):
             for fq in sorted_profiles(sq, q, cap_q):
-                found.append(fa + fq)
+                fv = fa + fq
+                found.append(tuple(fv[i] for i in where))
     yield from sorted(found)
 
 
@@ -119,6 +122,11 @@ def sum_choice_exact(
     choices colors last, so the cap never moves the optimum) and tested in
     lexicographic order for a deterministic optimal_f.  Budget exhaustion
     returns an undecided result bracketing the answer.
+
+    No candidate is skipped as dominated by a known-insufficient c: totals
+    rise and each candidate is tested once, so every earlier c has
+    sum(c) <= sum(f), and c >= f componentwise would force c == f.  The cost
+    of the search is its oracle calls.
     """
     if g.n == 0:
         return SumChoiceResult(0, (), False, (0, 0), 0)
@@ -126,20 +134,16 @@ def sum_choice_exact(
     upper = sum(greedy_sufficient_f(g))
     labeled = detect_structure(g) is not None
     used = 0
-    known_insufficient: list[SizeFunction] = []
     witnesses: dict[SizeFunction, ListAssignment] | None = {} if record_witnesses else None
     for k in range(g.n, upper + 1):
         candidates = _part_candidates(g, k) if labeled else _vectors_with_sum(k, caps)
         for f in candidates:
-            if any(all(fi <= ci for fi, ci in zip(f, c)) for c in known_insufficient):
-                continue  # dominated by a known-insufficient f
             verdict = is_sufficient(g, f, budget=budget - used)
             used += verdict.checked
             if verdict.status == "sufficient":
                 return SumChoiceResult(k, f, False, (k, k), used, witnesses)
             if verdict.status == "undecided":
                 return SumChoiceResult(None, None, True, (k, upper), used, witnesses)
-            known_insufficient.append(f)
             if witnesses is not None and verdict.witness is not None:
                 witnesses[f] = verdict.witness
     raise AssertionError("greedy sufficient f lies within the search space")

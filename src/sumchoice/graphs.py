@@ -37,6 +37,24 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
+    @cached_property
+    def structure(self) -> str | None:
+        """"complete_bipartite" / "complete_split" when the part labels match
+        the edge set exactly, else None (no guessing on unlabeled graphs)."""
+        if self.parts is None:
+            return None
+        a_side, q_side = self.parts
+        if len(a_side) + len(q_side) != self.n or not a_side or not q_side:
+            return None
+        cross = {(min(u, v), max(u, v)) for u in a_side for v in q_side}
+        inner = {(min(u, v), max(u, v)) for i, u in enumerate(a_side) for v in a_side[i + 1:]}
+        edges = set(self.edges)
+        if edges == cross:
+            return "complete_bipartite"
+        if edges == cross | inner:
+            return "complete_split"
+        return None
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -85,8 +103,8 @@ def make_graph(
     parts: tuple[Sequence[int], Sequence[int]] | None = None,
 ) -> Graph:
     """Validate and normalize into a ``Graph`` (sorted, deduplicated edges)."""
-    if n < 0:
-        raise GraphError(f"vertex count must be nonnegative, got {n}")
+    if not isinstance(n, int) or n < 0:
+        raise GraphError(f"vertex count must be a nonnegative integer, got {n!r}")
     norm: set[Edge] = set()
     for e in edges:
         u, v = int(e[0]), int(e[1])
@@ -260,10 +278,20 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(doc: dict) -> Graph:
+    if not isinstance(doc, dict):
+        raise GraphError(f"graph JSON must be an object, got {type(doc).__name__}")
+    missing = [key for key in ("n", "edges") if key not in doc]
+    if missing:
+        raise GraphError(f"graph JSON lacks {', '.join(map(repr, missing))}")
     parts = None
-    if "parts" in doc and doc["parts"] is not None:
+    if doc.get("parts") is not None:
+        if not isinstance(doc["parts"], dict) or not {"A", "Q"} <= doc["parts"].keys():
+            raise GraphError('graph JSON "parts" must be an object with "A" and "Q"')
         parts = (doc["parts"]["A"], doc["parts"]["Q"])
-    return make_graph(doc["n"], doc["edges"], parts=parts)
+    try:
+        return make_graph(doc["n"], doc["edges"], parts=parts)
+    except (TypeError, IndexError) as exc:  # wrong value types, short edges
+        raise GraphError(f"malformed graph JSON: {exc}") from None
 
 
 def load_graph(path_or_text: str) -> Graph:

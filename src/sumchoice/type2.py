@@ -330,10 +330,6 @@ def _integer_point(
     verts = r.vertices
     multi = sorted((v for v in verts if v.bit_count() >= 2), key=lambda v: (-v.bit_count(), v))
     singles = {v: v.bit_length() - 1 for v in verts if v.bit_count() == 1}
-    nbrs: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v in r.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
 
     x: dict[int, int] = {}
 

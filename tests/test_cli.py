@@ -148,3 +148,25 @@ def test_verify_tables_fast_rows(capsys):
 
 def test_verify_tables_unknown_row(capsys):
     assert main(["verify-tables", "--only", "99"]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"edges": [[0, 1]]},
+        {"n": 2},
+        [[0, 1]],
+        {"n": 2, "edges": [[0, 1]], "parts": {"A": [0]}},
+        {"n": 2, "edges": [[0, 1]], "parts": [[0], [1]]},
+        {"n": "2", "edges": [[0, 1]]},
+        {"n": 2.5, "edges": [[0, 1]]},
+        {"n": 2, "edges": [[0]]},
+    ],
+)
+def test_malformed_graph_json_exits_usage(capsys, tmp_path, doc):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    code = main(["sumchoice", "--graph", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,16 @@ from sumchoice.exact import (
     sum_choice_exact,
     sum_choice_type2_exact,
 )
-from sumchoice.graphs import degeneracy_order, generate, make_graph
+from sumchoice.graphs import (
+    complete_bipartite,
+    complete_split,
+    cycle,
+    degeneracy_order,
+    disjoint_cliques,
+    generate,
+    make_graph,
+    random_graph,
+)
 from sumchoice.acceptance import TRIANGULATIONS
 
 PROPERTY_SETTINGS = settings(
@@ -75,6 +85,55 @@ def test_record_witnesses():
     assert res.witnesses
     for f, witness in res.witnesses.items():
         assert tuple(len(L) for L in witness) == f
+
+
+def relabeled(g, perm):
+    """g with vertex v renamed perm[v]; part labels follow their vertices."""
+    parts = None if g.parts is None else tuple(tuple(perm[v] for v in side) for side in g.parts)
+    return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges], parts=parts)
+
+
+# (value, optimal_f, budget_used) of the exact search, pinned so that a change
+# to the driver cannot move the answer, the tie-break or the oracle calls.
+GOLDEN = [
+    (complete_bipartite(2, 10), 27, (3, 4) + (2,) * 10, 4681),
+    (complete_bipartite(3, 6), 21, (3, 3, 3, 2, 2, 2, 2, 2, 2), 5903),
+    (complete_bipartite(4, 4), 20, (2, 2, 2, 2, 3, 3, 3, 3), 9074),
+    (complete_split(3, 4), 20, (2, 4, 6, 2, 2, 2, 2), 8143),
+    (random_graph(6, 8, 1), 14, (1, 1, 1, 3, 3, 5), 5762),
+    (random_graph(6, 8, 7), 14, (1, 2, 1, 2, 3, 5), 4151),
+    (disjoint_cliques(3, 3, 2), 15, (1, 2, 3, 1, 2, 3, 1, 2), 1268),
+    (cycle(7), 14, (1, 2, 2, 2, 2, 2, 3), 1172),
+]
+
+
+@pytest.mark.parametrize("g, value, optimal_f, budget_used", GOLDEN)
+def test_exact_golden(g, value, optimal_f, budget_used):
+    res = sum_choice_exact(g)
+    assert (res.value, res.optimal_f, res.budget_used) == (value, optimal_f, budget_used)
+    assert res.bracket == (value, value) and not res.undecided
+
+
+def test_labeled_candidates_follow_part_labels():
+    k25 = relabeled(complete_bipartite(2, 5), [2, 3, 1, 4, 5, 0, 6])
+    assert k25.parts == ((2, 3), (1, 4, 5, 0, 6))
+    res = sum_choice_exact(k25)
+    assert res.value == closed_form(2, 5) == 15
+    assert is_sufficient(k25, res.optimal_f).status == "sufficient"
+    g34 = relabeled(complete_split(3, 4), [6, 0, 3, 1, 2, 4, 5])
+    res = sum_choice_exact(g34)
+    assert res.value == 20
+    assert is_sufficient(g34, res.optimal_f).status == "sufficient"
+
+
+@pytest.mark.parametrize("perm", [range(6), [4, 1, 0, 2, 5, 3]])
+def test_record_witnesses_labeled(perm):
+    g = relabeled(complete_bipartite(2, 4), list(perm))
+    res = sum_choice_exact(g, record_witnesses=True)
+    assert res.value == closed_form(2, 4) and res.witnesses
+    for f, witness in res.witnesses.items():
+        assert tuple(len(L) for L in witness) == f
+        assert color_from_lists(g, witness) is None
 
 
 def test_undecided_bracket():
