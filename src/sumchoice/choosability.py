@@ -2,10 +2,17 @@
 
 ``is_sufficient`` is the ground truth the rest of the package leans on.  The
 generic path enumerates list assignments up to color relabeling (each class
-is a multiset of membership patterns) and backtracks a coloring for each.
-For labeled complete bipartite / complete split graphs it switches to a
-transversal formulation: enumerate the shapes of the A-side lists, compute
-the candidate transversals, and search for Q-side lists that block them all.
+is a multiset of membership patterns, walked as submasks of the vertices
+still needing colors) and backtracks a coloring for each.  Before that it
+decides f on core-v for every vertex v of the peeled core, recursively and
+memoized within the call: f sufficient on the core implies it on core-v,
+and a failing assignment there lifts by giving v fresh colors.  Once all of
+those are sufficient, a class in which some color lies in one list L(v)
+only is colorable (color core-v, then give v that color), so only classes
+whose patterns all have two or more vertices are enumerated.  For labeled
+complete bipartite / complete split graphs it switches to a transversal
+formulation: enumerate the shapes of the A-side lists, compute the candidate
+transversals, and search for Q-side lists that block them all.
 Both paths report an explicit ``undecided`` verdict when the budget runs out.
 """
 
@@ -121,13 +128,19 @@ def color_from_lists(g: Graph, lists: Iterable[Iterable[int]]) -> ColoringWitnes
 # sum(f) colors ever occur, so the enumeration below is complete.
 
 
-def enumerate_canonical_assignments(f: Sequence[int]) -> Iterator[ListAssignment]:
+def enumerate_canonical_assignments(
+    f: Sequence[int], *, min_pattern_size: int = 1
+) -> Iterator[ListAssignment]:
     """One representative per color-relabeling class of f-assignments.
 
     Patterns are emitted in decreasing bitmask order with multiplicities
     tried high-to-low; colors are numbered in order of first appearance.
     The stream order is deterministic, and a prefix of pattern choices
     identifies an independent chunk of the stream.
+
+    Only patterns of at least ``min_pattern_size`` vertices are used, so
+    ``min_pattern_size=2`` yields, in the same order, exactly the classes in
+    which no color lies in a single list.
     """
     f = validate_sizes(f)
     n = len(f)
@@ -144,28 +157,32 @@ def enumerate_canonical_assignments(f: Sequence[int]) -> Iterator[ListAssignment
                 color += 1
         return tuple(frozenset(L) for L in lists)
 
-    def rec(pattern: int) -> Iterator[ListAssignment]:
-        if not any(rem):
+    def rec(live: int, below: int) -> Iterator[ListAssignment]:
+        # The next pattern is a submask of the vertices still needing colors
+        # (``live``), smaller than the last one, and holds the highest live
+        # vertex: every later pattern is smaller still, so none could.
+        if not live:
             yield emit()
             return
-        if pattern == 0:
-            return
-        hi = max(v for v in range(n) if rem[v] > 0)
-        if (1 << hi) > pattern:
-            return  # no remaining pattern can contain vertex hi
-        members = bits_of(pattern)
-        kmax = min(rem[v] for v in members)
-        for k in range(kmax, 0, -1):
-            for v in members:
-                rem[v] -= k
-            chunks.append((pattern, k))
-            yield from rec(pattern - 1)
-            chunks.pop()
-            for v in members:
-                rem[v] += k
-        yield from rec(pattern - 1)
+        top = 1 << (live.bit_length() - 1)
+        pattern = live
+        while pattern >= top:
+            if pattern < below and pattern.bit_count() >= min_pattern_size:
+                members = bits_of(pattern)
+                for k in range(min(rem[v] for v in members), 0, -1):
+                    done = 0
+                    for v in members:
+                        rem[v] -= k
+                        if not rem[v]:
+                            done |= 1 << v
+                    chunks.append((pattern, k))
+                    yield from rec(live & ~done, pattern)
+                    chunks.pop()
+                    for v in members:
+                        rem[v] += k
+            pattern = (pattern - 1) & live
 
-    yield from rec((1 << n) - 1)
+    yield from rec((1 << n) - 1, 1 << n)
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +458,7 @@ def is_sufficient(
     """
     f = validate_sizes(f, g.n, minimum=0)
     if any(s == 0 for s in f):
-        fresh = 0
-        lists = []
-        for v in range(g.n):
-            lists.append(frozenset(range(fresh, fresh + f[v])))
-            fresh += f[v]
-        return Verdict("insufficient", tuple(lists), 0)
+        return Verdict("insufficient", _pad_witness((), (), f), 0)
 
     structure = None if force_generic else detect_structure(g)
     if structure in ("complete_bipartite", "complete_split"):
@@ -464,25 +476,61 @@ def is_sufficient(
             per_vertex[v] = verdict.witness[len(a_side) + i]
         return Verdict(verdict.status, tuple(per_vertex[v] for v in range(g.n)), verdict.checked)
 
+    meter = _Budget(budget)
+    try:
+        witness = _generic_witness(g, f, meter, set())
+    except BudgetExceededError:
+        return Verdict("undecided", None, meter.used)
+    if witness is None:
+        return Verdict("sufficient", None, meter.used)
+    return Verdict("insufficient", witness, meter.used)
+
+
+def _generic_witness(
+    g: Graph, f: SizeFunction, meter: _Budget, settled: set[tuple]
+) -> ListAssignment | None:
+    """A failing f-assignment of g (all f >= 1), or None when f is sufficient.
+
+    Settles core-v for every vertex v of the peeled core before enumerating
+    the core's classes without a private color (see the module docstring).
+    ``settled`` holds the cores found sufficient so far in this top-level
+    call; each class ticks ``meter``.
+    """
     core = peel_order(g, f)
     if not core:
-        return Verdict("sufficient", None, 0)
+        return None
     sub = induced_subgraph(g, core)
     core_f = tuple(f[v] for v in core)
-    checked = 0
-    for L in enumerate_canonical_assignments(core_f):
-        checked += 1
-        if checked > budget:
-            return Verdict("undecided", None, checked)
-        if color_from_lists(sub, L) is None:
-            witness: dict[int, frozenset[int]] = {v: L[i] for i, v in enumerate(core)}
-            fresh = sum(core_f)
-            for v in range(g.n):
-                if v not in witness:
-                    witness[v] = frozenset(range(fresh, fresh + f[v]))
-                    fresh += f[v]
-            return Verdict("insufficient", tuple(witness[v] for v in range(g.n)), checked)
-    return Verdict("sufficient", None, checked)
+    key = (sub.n, sub.edges, core_f)
+    if key in settled:
+        return None
+    for i in range(sub.n):
+        rest = [u for u in range(sub.n) if u != i]
+        lists = _generic_witness(induced_subgraph(sub, rest), tuple(core_f[u] for u in rest), meter, settled)
+        if lists is not None:
+            return _pad_witness(_pad_witness(lists, rest, core_f), core, f)
+    for lists in enumerate_canonical_assignments(core_f, min_pattern_size=2):
+        meter.tick()
+        if color_from_lists(sub, lists) is None:
+            return _pad_witness(lists, core, f)
+    settled.add(key)
+    return None
+
+
+def _pad_witness(
+    lists: Sequence[frozenset[int]], vertices: Sequence[int], f: SizeFunction
+) -> ListAssignment:
+    """An f-assignment with ``lists[i]`` at ``vertices[i]`` and fresh colors
+    at every other vertex.  ``lists`` must use only colors below the sum of
+    f over ``vertices``; the fresh colors start there, so they meet nothing
+    and the result stays below sum(f)."""
+    out = dict(zip(vertices, lists))
+    fresh = sum(f[v] for v in vertices)
+    for v in range(len(f)):
+        if v not in out:
+            out[v] = frozenset(range(fresh, fresh + f[v]))
+            fresh += f[v]
+    return tuple(out[v] for v in range(len(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -493,5 +541,11 @@ def lists_to_json(lists: Iterable[Iterable[int]]) -> dict:
     return {"lists": [sorted(L) for L in lists]}
 
 
-def lists_from_json(doc: dict) -> ListAssignment:
-    return normalize_lists(doc["lists"])
+def lists_from_json(doc: object) -> ListAssignment:
+    """Parse a list assignment; ValueError for any other document shape."""
+    lists = doc.get("lists") if isinstance(doc, dict) else None
+    if not isinstance(lists, list) or not all(isinstance(L, list) for L in lists):
+        raise ValueError('list-assignment JSON must be {"lists": [[colors...], ...]}')
+    if any(type(c) is not int for L in lists for c in L):
+        raise ValueError("list-assignment colors must be integers")
+    return normalize_lists(lists)

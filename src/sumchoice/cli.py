@@ -53,7 +53,6 @@ def _emit(doc: dict, args: argparse.Namespace, extra: dict | None = None) -> Non
         "command": args.command,
         "seed": args.seed,
         "budget": args.budget,
-        "jobs": args.jobs,
     }
     if extra:
         config.update(extra)
@@ -103,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=int(os.environ.get("SUMCHOICE_BUDGET", DEFAULT_BUDGET)),
         help="search budget cap (env override: SUMCHOICE_BUDGET)",
     )
-    common.add_argument("--jobs", type=int, default=1, help="worker count (results are independent of it)")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def sub(name: str, **kwargs) -> argparse.ArgumentParser:

@@ -1,6 +1,8 @@
 """The sufficiency oracle: coloring search, canonical enumeration, fast paths."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,10 +14,12 @@ from sumchoice.choosability import (
     color_from_lists,
     detect_structure,
     enumerate_canonical_assignments,
+    induced_subgraph,
     is_sufficient,
     lists_from_json,
     lists_to_json,
     minimal_transversal_sets,
+    peel_order,
     split_is_sufficient,
     transversal_check,
 )
@@ -118,6 +122,38 @@ def test_enumeration_covers_every_assignment_up_to_relabeling():
     assert seen == rep_keys
 
 
+def small_size_functions():
+    """Every f with 1 to 4 vertices and entries in 1..3."""
+    for n in range(1, 5):
+        yield from itertools.product(range(1, 4), repeat=n)
+
+
+def test_enumeration_stream_is_pinned():
+    # sha256 of the stream as the original pattern-1 walk produced it.  The
+    # bipartite and split oracles return the first failing class, so their
+    # witnesses follow this order: a rewrite of the walk must keep the
+    # classes, their representatives and their order.
+    digest = hashlib.sha256()
+    for f in small_size_functions():
+        digest.update(repr(list(enumerate_canonical_assignments(f))).encode())
+    assert digest.hexdigest() == "61321f584ef82df9058d338b8be5967e7955219871fdd02377577ffedcf01de3"
+
+
+def no_private_color(lists):
+    return all(sum(c in L for L in lists) >= 2 for c in set().union(*lists))
+
+
+def test_min_pattern_size_two_drops_exactly_the_private_color_classes():
+    for f in small_size_functions():
+        full = list(enumerate_canonical_assignments(f))
+        shared = list(enumerate_canonical_assignments(f, min_pattern_size=2))
+        assert shared == [lists for lists in full if no_private_color(lists)], f
+
+
+def test_class_count_all_twos_on_six_vertices():
+    assert sum(1 for _ in enumerate_canonical_assignments((2,) * 6)) == 29_388
+
+
 # ---------------------------------------------------------------------------
 # is_sufficient
 
@@ -162,6 +198,48 @@ def test_witness_always_fails_coloring():
         if verdict.status == "insufficient":
             assert color_from_lists(g, verdict.witness) is None
             assert tuple(len(L) for L in verdict.witness) == f
+
+
+def reference_status(g, f):
+    """The generic oracle without the vertex-deletion reduction: every class
+    of the peeled core, each one colored."""
+    if any(s == 0 for s in f):
+        return "insufficient"
+    core = peel_order(g, f)
+    sub = induced_subgraph(g, core)
+    for lists in enumerate_canonical_assignments(tuple(f[v] for v in core)):
+        if color_from_lists(sub, lists) is None:
+            return "insufficient"
+    return "sufficient"
+
+
+def test_generic_oracle_matches_reference_on_random_graphs():
+    # Each graph walks f down from min(3, deg+1), one random vertex at a
+    # time, until the reference says insufficient: the walk crosses the
+    # boundary where every core-v is sufficient and only classes without a
+    # private color can fail.  Vertices at 1 are lowered only when nothing
+    # else can be, which gives f with a 0 on the edgeless graphs.  A core
+    # never has one vertex (that needs f = 0); one-vertex graphs and single
+    # edges give the nearest cases, an empty core and a one-vertex core-v.
+    tested = set()
+    for seed in range(150):
+        rng = random.Random(f"differential:{seed}")
+        n = rng.randint(1, 6)
+        g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        f = [min(3, g.degree(v) + 1) for v in range(n)]
+        while True:
+            want = reference_status(g, f)
+            verdict = is_sufficient(g, f)
+            assert verdict.status == want, (seed, g, f)
+            tested.add((want, 0 in f, len(peel_order(g, f)) if 0 not in f else None))
+            if want == "insufficient":
+                assert tuple(len(L) for L in verdict.witness) == tuple(f)
+                assert color_from_lists(g, verdict.witness) is None
+                break
+            f[rng.choice([v for v in range(n) if f[v] > 1] or range(n))] -= 1
+    assert ("insufficient", True, None) in tested
+    assert {("sufficient", False, k) for k in (0, 4, 5, 6)} <= tested
+    assert {("insufficient", False, k) for k in (2, 3, 4, 5, 6)} <= tested
 
 
 # ---------------------------------------------------------------------------

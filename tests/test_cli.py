@@ -170,3 +170,13 @@ def test_malformed_graph_json_exits_usage(capsys, tmp_path, doc):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [{}, {"lists": 3}, {"lists": [["x"]]}])
+def test_malformed_lists_json_exits_usage(capsys, tmp_path, doc):
+    path = tmp_path / "lists.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", "--graph", str(FIXTURES / "k2.json"), "--lists", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

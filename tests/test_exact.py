@@ -100,10 +100,10 @@ GOLDEN = [
     (complete_bipartite(3, 6), 21, (3, 3, 3, 2, 2, 2, 2, 2, 2), 5903),
     (complete_bipartite(4, 4), 20, (2, 2, 2, 2, 3, 3, 3, 3), 9074),
     (complete_split(3, 4), 20, (2, 4, 6, 2, 2, 2, 2), 8143),
-    (random_graph(6, 8, 1), 14, (1, 1, 1, 3, 3, 5), 5762),
-    (random_graph(6, 8, 7), 14, (1, 2, 1, 2, 3, 5), 4151),
+    (random_graph(6, 8, 1), 14, (1, 1, 1, 3, 3, 5), 2576),
+    (random_graph(6, 8, 7), 14, (1, 2, 1, 2, 3, 5), 870),
     (disjoint_cliques(3, 3, 2), 15, (1, 2, 3, 1, 2, 3, 1, 2), 1268),
-    (cycle(7), 14, (1, 2, 2, 2, 2, 2, 3), 1172),
+    (cycle(7), 14, (1, 2, 2, 2, 2, 2, 3), 971),
 ]
 
 
