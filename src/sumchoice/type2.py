@@ -6,7 +6,9 @@ conflict edges inside an atom can be dropped, and between atoms the conflict
 block can be made complete or empty.  What survives is a reduced graph R on
 atom patterns plus an atom-count vector x.  Insufficiency of a size vector f
 is then an integer-point question: some blocking R must admit x >= 0 with
-list sums covering f and pair cost sum x_I x_J over E(R) at most q.
+list sums covering f and pair cost sum x_I x_J over E(R) at most q.  Extra
+edges only raise that cost, so only the edge-minimal blocking graphs of
+each vertex set are searched (61 of the 1158 for a=3).
 
 Normalizing by sqrt(q) turns the same geometry into a real coverage problem
 whose critical simplex size is the limit of (chi_sc2 - 2q)/sqrt(q); ``beta``
@@ -17,6 +19,7 @@ which is all of a=2, is solved exactly by one descent step).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,6 +29,7 @@ from .choosability import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     ListAssignment,
+    _Budget,
     minimal_transversal_sets,
     normalize_lists,
 )
@@ -124,23 +128,29 @@ def _perm_mask(mask: int, perm: Sequence[int]) -> int:
     return out
 
 
+def _permute(
+    verts: Sequence[int], edges: Sequence[tuple[int, int]], perm: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Vertices and edges of a reduced graph with its indices renamed by
+    perm, each sorted (an edge as its smaller mask first)."""
+    pv = tuple(sorted(_perm_mask(v, perm) for v in verts))
+    pe = tuple(sorted(tuple(sorted((_perm_mask(u, perm), _perm_mask(v, perm)))) for u, v in edges))
+    return pv, pe
+
+
 def _canonical_key(
     verts: Sequence[int], edges: Sequence[tuple[int, int]], a: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    best = None
-    for perm in itertools.permutations(range(a)):
-        pv = tuple(sorted(_perm_mask(v, perm) for v in verts))
-        pe = tuple(
-            sorted(
-                (min(_perm_mask(u, perm), _perm_mask(v, perm)),
-                 max(_perm_mask(u, perm), _perm_mask(v, perm)))
-                for u, v in edges
-            )
-        )
-        key = (pv, pe)
-        if best is None or key < best:
-            best = key
-    return best
+    return min(_permute(verts, edges, perm) for perm in itertools.permutations(range(a)))
+
+
+def _in_scan_order(keys: Iterable[tuple]) -> tuple[ReducedGraph, ...]:
+    """Reduced graphs from (vertices, edges) keys, fewest vertices first,
+    then by vertices, edge count and edges."""
+    return tuple(
+        ReducedGraph(vertices=v, edges=e)
+        for v, e in sorted(keys, key=lambda k: (len(k[0]), k[0], len(k[1]), k[1]))
+    )
 
 
 def enumerate_blocking(a: int) -> tuple[ReducedGraph, ...]:
@@ -192,10 +202,7 @@ def enumerate_blocking(a: int) -> tuple[ReducedGraph, ...]:
                     if emask >> k & 1
                 )
                 seen.add(_canonical_key(verts, edges, a))
-    result = tuple(
-        ReducedGraph(vertices=v, edges=e)
-        for v, e in sorted(seen, key=lambda k: (len(k[0]), k[0], len(k[1]), k[1]))
-    )
+    result = _in_scan_order(seen)
     _BLOCKING_CACHE[a] = result
     return result
 
@@ -204,24 +211,30 @@ def blocking_orbits(a: int) -> tuple[ReducedGraph, ...]:
     """Every blocking reduced graph (orbits expanded), deterministic order."""
     if a in _ORBIT_CACHE:
         return _ORBIT_CACHE[a]
-    expanded: set = set()
-    for r in enumerate_blocking(a):
-        for perm in itertools.permutations(range(a)):
-            pv = tuple(sorted(_perm_mask(v, perm) for v in r.vertices))
-            pe = tuple(
-                sorted(
-                    (min(_perm_mask(u, perm), _perm_mask(v, perm)),
-                     max(_perm_mask(u, perm), _perm_mask(v, perm)))
-                    for u, v in r.edges
-                )
-            )
-            expanded.add((pv, pe))
-    result = tuple(
-        ReducedGraph(vertices=v, edges=e)
-        for v, e in sorted(expanded, key=lambda k: (len(k[0]), k[0], len(k[1]), k[1]))
+    result = _in_scan_order(
+        {
+            _permute(r.vertices, r.edges, perm)
+            for r in enumerate_blocking(a)
+            for perm in itertools.permutations(range(a))
+        }
     )
     _ORBIT_CACHE[a] = result
     return result
+
+
+@functools.cache
+def _minimal_blocking(a: int) -> tuple[ReducedGraph, ...]:
+    """The edge-minimal graphs of blocking_orbits(a), in its order: those
+    containing no other blocking graph on the same vertex set.  Deleting an
+    edge only lowers the pair cost, so these decide every type-II question;
+    61 of the 1158 graphs for a=3."""
+    orbits = blocking_orbits(a)
+    edge_sets: dict[tuple[int, ...], list[set[tuple[int, int]]]] = {}
+    for r in orbits:
+        edge_sets.setdefault(r.vertices, []).append(set(r.edges))
+    return tuple(
+        r for r in orbits if not any(es < set(r.edges) for es in edge_sets[r.vertices])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +329,17 @@ def _cost(r: ReducedGraph, x: Mapping[int, int]) -> int:
 
 
 def _integer_point(
-    r: ReducedGraph, f: Sequence[int], q: int, budget: list[int]
+    r: ReducedGraph, f: Sequence[int], q: int, meter: _Budget
 ) -> dict[int, int] | None:
     """Integer x >= 0 supported on V(r) with phi(x) >= f and cost <= q.
 
     Branches only over atoms of two or more indices; singleton atoms are
     forced to the residual demand afterwards.  Coordinates are capped at
     max(f): any larger coordinate alone already covers its rows, so
-    truncating it keeps phi(x) >= f and can only lower the cost.
+    truncating it keeps phi(x) >= f and can only lower the cost.  Every
+    cost coefficient is >= 0, so the partial cost never falls as a value
+    rises, and a branch stops at the first value that puts it above q.
+    Each search node ticks the meter.
     """
     a = len(f)
     cap = max(f)
@@ -346,9 +362,7 @@ def _integer_point(
         return None
 
     def rec(idx: int) -> dict[int, int] | None:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceededError("type-II witness search budget exceeded")
+        meter.tick()
         if idx == len(multi):
             return finish()
         v = multi[idx]
@@ -357,10 +371,11 @@ def _integer_point(
             partial = sum(
                 x.get(u1, 0) * x.get(u2, 0) for u1, u2 in r.edges if u1 in x and u2 in x
             )
-            if partial <= q:
-                got = rec(idx + 1)
-                if got is not None:
-                    return got
+            if partial > q:
+                break
+            got = rec(idx + 1)
+            if got is not None:
+                return got
         del x[v]
         return None
 
@@ -368,7 +383,7 @@ def _integer_point(
 
 
 def type2_insufficient(
-    f_A: Sequence[int], q: int, *, budget: int = DEFAULT_BUDGET
+    f_A: Sequence[int], q: int, *, budget: int | _Budget = DEFAULT_BUDGET
 ) -> ReducedWitness | None:
     """Reduced witness (blocking R, atom counts, cost <= q) certifying that
     the type-II function (f_A on A, 2 on Q) is insufficient on K_{a,q};
@@ -377,15 +392,23 @@ def type2_insufficient(
     Uses the downward-closed criterion phi(x) >= f: materializing the atoms
     and shrinking the A-lists to the exact sizes keeps the assignment
     insufficient, so the relaxation is still sound and complete.
+
+    Scans only the edge-minimal blocking graphs, in blocking_orbits order.
+    The witness is the one a scan of every blocking graph would return: a
+    graph with a witness and a blocking proper edge-subset on its vertex
+    set sorts after that subset, which admits the same x at no greater
+    cost, so the first graph with a witness is edge-minimal.
+
+    ``budget`` caps the search nodes; a meter shared by several calls may
+    be passed instead, and each call draws it down.
     """
     f = tuple(int(s) for s in f_A)
     if any(s < 1 for s in f):
         raise ValueError("A-list sizes must be positive")
     if q < 0:
         raise ValueError(f"need q >= 0, got {q}")
-    a = len(f)
-    meter = [budget]
-    for r in blocking_orbits(a):
+    meter = budget if isinstance(budget, _Budget) else _Budget(budget)
+    for r in _minimal_blocking(len(f)):
         x = _integer_point(r, f, q, meter)
         if x is not None:
             atoms = tuple(sorted((mask, c) for mask, c in x.items() if c > 0))
@@ -434,14 +457,25 @@ def materialize_reduced_witness(
 
 def chi_sc2_reduced(a: int, q: int, *, budget: int = DEFAULT_BUDGET) -> int:
     """Type-II sum choice number via the reduced-graph criterion: 2q plus
-    the least A-total whose size vector admits no reduced witness."""
+    the least A-total whose size vector admits no reduced witness.
+
+    One budget of search nodes covers every profile; when it runs out,
+    BudgetExceededError carries the bracket of totals still open."""
     if a < 1 or q < 1:
         raise ValueError("need a >= 1 and q >= 1")
     from .exact import sorted_profiles  # cyclic-import-free local use
 
+    meter = _Budget(budget)
     for s in range(a, a * (q + 1) + 1):
         for fa in sorted_profiles(s, a, q + 1):
-            if type2_insufficient(fa, q, budget=budget) is None:
+            try:
+                witness = type2_insufficient(fa, q, budget=meter)
+            except BudgetExceededError:
+                raise BudgetExceededError(
+                    f"type-II search for K_{{{a},{q}}} ran out of budget",
+                    bracket=(2 * q + s, 2 * q + a * (q + 1)),
+                ) from None
+            if witness is None:
                 return 2 * q + s
     raise AssertionError("f on A identically q+1 is type-II sufficient")
 
@@ -451,20 +485,13 @@ def chi_sc2_reduced(a: int, q: int, *, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def _prep_relaxations(a: int) -> list[tuple[tuple[int, ...], list[tuple[int, int]], list[list[int]], list[list[int]]]]:
-    """Blocking graphs prepped for the continuous problem: keep, per vertex
-    set, only edge-minimal blocking graphs (removing edges can only lower
-    the bilinear cost), ordered cheapest-looking first."""
-    orbits = blocking_orbits(a)
-    by_verts: dict[tuple[int, ...], list[ReducedGraph]] = {}
-    for r in orbits:
-        by_verts.setdefault(r.vertices, []).append(r)
-    keep: list[ReducedGraph] = []
-    for verts, group in by_verts.items():
-        for r in group:
-            es = set(r.edges)
-            if not any(o is not r and set(o.edges) < es for o in group):
-                keep.append(r)
-    keep.sort(key=lambda r: (len(r.edges), len(r.vertices), r.vertices, r.edges))
+    """The edge-minimal blocking graphs (removing edges can only lower the
+    bilinear cost) prepped for the continuous problem, ordered
+    cheapest-looking first."""
+    keep = sorted(
+        _minimal_blocking(a),
+        key=lambda r: (len(r.edges), len(r.vertices), r.vertices, r.edges),
+    )
     prepped = []
     for r in keep:
         verts = r.vertices

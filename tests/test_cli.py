@@ -92,6 +92,42 @@ def test_type2_cli_sufficient(capsys):
     assert code == 0 and doc["verdict"] == "sufficient"
 
 
+# `type2 --a 3` witnesses pinned from the full blocking-graph scan, which
+# the edge-minimal scan must reproduce; None marks a sufficient f.
+TYPE2_A3_GOLDEN = {
+    ("1,2,3", 3): {"R": {"vertices": ["1", "2,3"], "edges": [["1", "2,3"]]}, "x": {"1": 1, "2,3": 3}, "cost": 3},
+    ("2,3,3", 5): {
+        "R": {"vertices": ["1,2", "1,3", "2,3"], "edges": [["1,2", "1,3"], ["1,2", "2,3"], ["1,3", "2,3"]]},
+        "x": {"1,2": 1, "1,3": 1, "2,3": 2},
+        "cost": 5,
+    },
+    ("3,3,3", 7): {
+        "R": {"vertices": ["1", "2", "1,2", "3"], "edges": [["1", "2"], ["1,2", "3"]]},
+        "x": {"1": 2, "1,2": 1, "2": 2, "3": 3},
+        "cost": 7,
+    },
+    ("4,3,4", 10): {
+        "R": {"vertices": ["1", "2", "1,2", "3"], "edges": [["1", "2"], ["1,2", "3"]]},
+        "x": {"1": 3, "1,2": 1, "2": 2, "3": 4},
+        "cost": 10,
+    },
+    ("3,1,3", 5): {"R": {"vertices": ["2", "1,3"], "edges": [["2", "1,3"]]}, "x": {"1,3": 3, "2": 1}, "cost": 3},
+    ("1,1,5", 4): {"R": {"vertices": ["1,3", "2,3"], "edges": [["1,3", "2,3"]]}, "x": {"1,3": 1, "2,3": 4}, "cost": 4},
+    ("2,2,3", 3): None,
+    ("3,3,3", 4): None,
+}
+
+
+@pytest.mark.parametrize("f,q", list(TYPE2_A3_GOLDEN))
+def test_type2_cli_a3_golden(capsys, f, q):
+    witness = TYPE2_A3_GOLDEN[f, q]
+    doc = {"verdict": "sufficient"} if witness is None else {"verdict": "insufficient", "witness": witness}
+    doc["config"] = {"budget": 100000000, "command": "type2", "f": f, "q": q, "seed": 0}
+    code, out = run(capsys, ["type2", "--a", "3", "--q", str(q), "--f", f])
+    assert code == 0
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def test_split_bounds_cli(capsys):
     code, doc = run_json(capsys, ["split-bounds", "--a", "3", "--q", "10"])
     assert code == 0

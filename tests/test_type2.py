@@ -8,13 +8,16 @@ import pytest
 from sumchoice.bipartite import closed_form, constr_assignment
 from sumchoice.choosability import (
     BudgetExceededError,
+    _Budget,
     bipartite_is_sufficient,
     color_from_lists,
 )
-from sumchoice.exact import sum_choice_type2_exact
+from sumchoice.exact import sorted_profiles, sum_choice_type2_exact
 from sumchoice.graphs import make_graph
 from sumchoice.type2 import (
     ReducedGraph,
+    ReducedWitness,
+    _minimal_blocking,
     atom_from_label,
     atom_label,
     beta,
@@ -164,6 +167,36 @@ def test_enumerate_blocking_a4_exceeds_budget():
 
 
 # ---------------------------------------------------------------------------
+# the edge-minimal blocking graphs
+
+
+def test_minimal_blocking_counts():
+    assert len(_minimal_blocking(3)) == 61
+    assert _minimal_blocking(2) == blocking_orbits(2)
+
+
+def test_minimal_blocking_keeps_orbit_order():
+    order = {r: k for k, r in enumerate(blocking_orbits(3))}
+    ranks = [order[r] for r in _minimal_blocking(3)]
+    assert ranks == sorted(ranks)
+
+
+def test_minimal_blocking_graphs_are_edge_minimal():
+    for a in (2, 3):
+        for r in _minimal_blocking(a):
+            assert is_blocking(r, a)
+            for e in r.edges:
+                fewer = tuple(d for d in r.edges if d != e)
+                assert not is_blocking(ReducedGraph(r.vertices, fewer), a), (r, e)
+
+
+def test_minimal_blocking_covers_every_vertex_set():
+    vertex_sets = {r.vertices for r in blocking_orbits(3)}
+    assert len(vertex_sets) == 45
+    assert {r.vertices for r in _minimal_blocking(3)} == vertex_sets
+
+
+# ---------------------------------------------------------------------------
 # symmetrize
 
 
@@ -212,6 +245,58 @@ def test_type2_phi_dominates_f():
     assert all(fi >= want for fi, want in zip(f, (2, 2)))
 
 
+def reference_type2_insufficient(f, q):
+    """The scan over every blocking graph of blocking_orbits, each searched
+    value by value, skipping (not stopping at) values whose partial cost
+    exceeds q."""
+    a, cap = len(f), max(f)
+    for r in blocking_orbits(a):
+        multi = sorted((v for v in r.vertices if v.bit_count() >= 2), key=lambda v: (-v.bit_count(), v))
+        singles = [v for v in r.vertices if v.bit_count() == 1]
+        x = {}
+
+        def cost(y):
+            return sum(y.get(u, 0) * y.get(v, 0) for u, v in r.edges)
+
+        def rec(idx):
+            if idx == len(multi):
+                got = dict(x)
+                for mask in sorted(singles):
+                    i = mask.bit_length() - 1
+                    got[mask] = max(0, f[i] - sum(c for I, c in got.items() if I >> i & 1))
+                if all(p >= want for p, want in zip(phi(got, a), f)) and cost(got) <= q:
+                    return got
+                return None
+            for val in range(cap + 1):
+                x[multi[idx]] = val
+                if cost(x) <= q:
+                    got = rec(idx + 1)
+                    if got is not None:
+                        return got
+            del x[multi[idx]]
+            return None
+
+        got = rec(0)
+        if got is not None:
+            atoms = tuple(sorted((mask, c) for mask, c in got.items() if c > 0))
+            return ReducedWitness(r, atoms, cost(got))
+    return None
+
+
+def test_type2_insufficient_matches_full_scan():
+    # a sufficient a=3 pair costs the reference about 0.3 s, hence the small
+    # grid; the extra pairs have witnesses on 3- and 4-atom graphs and unsorted f
+    pairs = [(f, q) for q in range(2, 5) for f in itertools.combinations_with_replacement(range(1, 4), 3)]
+    pairs += [((3, 3, 3), 7), ((4, 3, 4), 10), ((2, 3, 3), 5), ((3, 1, 3), 5)]
+    pairs += [(f, q) for q in range(1, 6) for f in itertools.product(range(1, 6), repeat=2)]
+    sizes = set()
+    for f, q in pairs:
+        want = reference_type2_insufficient(f, q)
+        assert type2_insufficient(f, q) == want, (f, q)
+        sizes.add(None if want is None else len(want.reduced.vertices))
+    assert sizes == {None, 2, 3, 4}
+
+
 def test_reduced_criterion_matches_oracle_a2():
     for q in range(1, 6):
         for f in itertools.product(range(1, 6), repeat=2):
@@ -244,6 +329,32 @@ def test_chi_sc2_reduced_values():
     # a=1: no loopless reduced graph blocks a single list, so pairs on Q
     # never bite and the star value 2q+1 drops out
     assert chi_sc2_reduced(1, 3) == 7
+
+
+def test_chi_sc2_reduced_one_budget_for_all_profiles():
+    a, q = 3, 4
+    value = chi_sc2_reduced(a, q)
+    calls = []  # (total, f_A, nodes) for each type2_insufficient call of the search
+    for s in range(a, value - 2 * q + 1):
+        for fa in sorted_profiles(s, a, q + 1):
+            meter = _Budget(10**9)
+            witness = type2_insufficient(fa, q, budget=meter)
+            calls.append((s, fa, meter.used))
+            if witness is None:
+                break
+    budget = max(used for _, _, used in calls)
+    for _, fa, _ in calls:
+        type2_insufficient(fa, q, budget=budget)  # each call alone fits
+    spent = 0
+    for s, _, used in calls:
+        spent += used
+        if spent > budget:
+            break
+    assert spent > budget
+    with pytest.raises(BudgetExceededError) as err:
+        chi_sc2_reduced(a, q, budget=budget)
+    assert err.value.bracket == (2 * q + s, 2 * q + a * (q + 1))
+    assert chi_sc2_reduced(a, q, budget=sum(used for _, _, used in calls)) == value
 
 
 def test_chi_sc2_matches_exact():
