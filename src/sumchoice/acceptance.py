@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 from .bipartite import (
     closed_form,
@@ -73,31 +73,64 @@ def triangulation_graphs() -> dict[str, Graph]:
     return {name: make_graph(n, edges) for name, (n, edges) in TRIANGULATIONS.items()}
 
 
+def _tree_key(n: int, edges: Sequence[tuple[int, int]]) -> str:
+    """AHU canonical string of a tree rooted at its center, equal exactly
+    for isomorphic trees.  Leaves are stripped layer by layer, each vertex
+    encoded from its stripped children; two centers give the sorted pair of
+    their encodings."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    degree = [len(nb) for nb in adj]
+    children: list[list[str]] = [[] for _ in range(n)]
+    layer = [v for v in range(n) if degree[v] <= 1]
+    left = n
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            degree[v] = 0
+            code = "(" + "".join(sorted(children[v])) + ")"
+            for w in adj[v]:
+                if degree[w]:
+                    children[w].append(code)
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    return "".join(sorted("(" + "".join(sorted(children[c])) + ")" for c in layer))
+
+
 def all_trees_up_to_iso(n: int) -> list[Graph]:
     """Every isomorphism class of trees on n vertices, via Pruefer sequences
-    deduplicated by the minimum edge set over all relabelings."""
+    deduplicated by the center-rooted AHU string; each class keeps the
+    first sequence that reaches it."""
     if n == 1:
         return [make_graph(1, [])]
     if n == 2:
         return [make_graph(2, [(0, 1)])]
-    classes: dict[tuple, Graph] = {}
-    for seq in itertools.product(range(n), repeat=n - 2):
-        degree = [1] * n
+    classes: dict[str, Graph] = {}
+    # The first sequence of every class starts with 0: label a vertex next
+    # to a leaf 0 and that leaf 1; vertex 0 is no leaf, so the first leaf
+    # removed is 1 and the sequence starts with its neighbor 0.
+    for rest in itertools.product(range(n), repeat=n - 3):
+        seq = (0, *rest)
+        deg = [1] * n
         for v in seq:
-            degree[v] += 1
-        deg = list(degree)
+            deg[v] += 1
         edges = []
-        for v in seq:
-            leaf = min(u for u in range(n) if deg[u] == 1)
-            edges.append((min(leaf, v), max(leaf, v)))
-            deg[leaf] -= 1
+        ptr = leaf = deg.index(1)
+        for v in seq:  # linear-time decoding: leaf is always the smallest leaf
+            edges.append((leaf, v))
             deg[v] -= 1
-        u1, u2 = [u for u in range(n) if deg[u] == 1]
-        edges.append((u1, u2))
-        key = min(
-            tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
-            for p in itertools.permutations(range(n))
-        )
+            if v < ptr and deg[v] == 1:
+                leaf = v
+            else:
+                ptr = deg.index(1, ptr + 1)
+                leaf = ptr
+        edges.append((leaf, n - 1))
+        key = _tree_key(n, edges)
         if key not in classes:
             classes[key] = make_graph(n, edges)
     return list(classes.values())

@@ -15,6 +15,14 @@ whose critical simplex size is the limit of (chi_sc2 - 2q)/sqrt(q); ``beta``
 computes it by grid search over the unit face with local refinement, using
 multi-start coordinate descent for the bilinear minima (the single-edge case,
 which is all of a=2, is solved exactly by one descent step).
+
+A face point matters only when it beats the best point so far, so ``beta``
+abandons it as soon as one descent start on one relaxation gets to or below
+that best, or, while the best is still lower, below the value of the most
+balanced grid point, which is evaluated in full first.  The cutoffs are
+exact: a value above the cutoff is the full minimum, the first maximizer in
+scan order is never below that floor, and so every grid value, refined
+point and ``beta`` itself is the one a full evaluation of every point gives.
 """
 
 from __future__ import annotations
@@ -484,7 +492,22 @@ def chi_sc2_reduced(a: int, q: int, *, budget: int = DEFAULT_BUDGET) -> int:
 # The limit constant beta
 
 
-def _prep_relaxations(a: int) -> list[tuple[tuple[int, ...], list[tuple[int, int]], list[list[int]], list[list[int]]]]:
+@dataclass(frozen=True)
+class _Relaxation:
+    """A blocking graph prepped for the continuous problem, by vertex index:
+    edges, neighbors, for each vertex the rows containing it as (row, its
+    other members), and the uniforms of the 12 seeded-random starts (they
+    depend on the graph only, not on f)."""
+
+    verts: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+    nbrs: tuple[tuple[int, ...], ...]
+    others: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    uniforms: tuple[tuple[float, ...], ...]
+
+
+@functools.cache
+def _prep_relaxations(a: int) -> tuple[_Relaxation, ...]:
     """The edge-minimal blocking graphs (removing edges can only lower the
     bilinear cost) prepped for the continuous problem, ordered
     cheapest-looking first."""
@@ -496,14 +519,30 @@ def _prep_relaxations(a: int) -> list[tuple[tuple[int, ...], list[tuple[int, int
     for r in keep:
         verts = r.vertices
         index = {v: j for j, v in enumerate(verts)}
-        edges = [(index[u], index[v]) for u, v in r.edges]
+        edges = tuple((index[u], index[v]) for u, v in r.edges)
         rows = [[j for j, v in enumerate(verts) if v >> i & 1] for i in range(a)]
         nbrs: list[list[int]] = [[] for _ in verts]
         for ju, jv in edges:
             nbrs[ju].append(jv)
             nbrs[jv].append(ju)
-        prepped.append((verts, edges, rows, nbrs))
-    return prepped
+        others = tuple(
+            tuple((i, tuple(k for k in rows[i] if k != j)) for i in range(a) if v >> i & 1)
+            for j, v in enumerate(verts)
+        )
+        uniforms = []
+        for s in range(4, 16):
+            rng = derive_rng(s, "bilinear-start", verts)
+            uniforms.append(tuple(rng.random() for _ in verts))
+        prepped.append(
+            _Relaxation(
+                verts=verts,
+                edges=edges,
+                nbrs=tuple(map(tuple, nbrs)),
+                others=others,
+                uniforms=tuple(uniforms),
+            )
+        )
+    return tuple(prepped)
 
 
 def _tight_start(verts: tuple[int, ...], f: Sequence[float]) -> list[float] | None:
@@ -531,12 +570,7 @@ def _tight_start(verts: tuple[int, ...], f: Sequence[float]) -> list[float] | No
     return [max(0.0, sum(rows[i][j] * lam[i] for i in range(a))) for j in range(nv)]
 
 
-def _min_bilinear(
-    prep: tuple[tuple[int, ...], list[tuple[int, int]], list[list[int]], list[list[int]]],
-    f: Sequence[float],
-    starts: int = 16,
-    sweeps: int = 120,
-) -> float:
+def _min_bilinear(rel: _Relaxation, f: Sequence[float], cutoff: float = -math.inf) -> float:
     """min over x >= 0 (supported on V(R)) of sum_{IJ in E(R)} x_I x_J
     subject to every row sum covering f, by multi-start coordinate descent.
 
@@ -545,41 +579,42 @@ def _min_bilinear(
     cover its rows outright); a final raising pass restores feasibility.
     Structured starts (zeros, row maxima, fair split, all-rows-tight) seed
     the interior optima; the rest are seeded-random.
+
+    The first start whose cost is <= ``cutoff`` is returned at once: the
+    minimum is then known to be that low, which is all a caller with that
+    cutoff asks.  A value above ``cutoff`` is the minimum over all starts.
     """
-    verts, edges, rows, nbrs = prep
+    verts, edges, nbrs = rel.verts, rel.edges, rel.nbrs
     nv = len(verts)
-    a = len(f)
-    rowmax = [max((f[i] for i in range(a) if verts[j] >> i & 1), default=0.0) for j in range(nv)]
-    rowcount = [max(1, len(rows[i])) for i in range(a)]
-    fair = [
-        max((f[i] / rowcount[i] for i in range(a) if verts[j] >> i & 1), default=0.0)
-        for j in range(nv)
-    ]
+    rowmax = [max((f[i] for i, _ in rows), default=0.0) for rows in rel.others]
+    fair = [max((f[i] / (len(row) + 1) for i, row in rows), default=0.0) for rows in rel.others]
+    bounds = [[(f[i], row) for i, row in rel.others[j]] for j in range(nv)]
 
     def lower_bound(j: int, x: list[float]) -> float:
         lb = 0.0
-        for i in range(a):
-            if verts[j] >> i & 1:
-                need = f[i] - sum(x[k] for k in rows[i] if k != j)
-                if need > lb:
-                    lb = need
+        for fi, row in bounds[j]:
+            need = fi - sum([x[k] for k in row])
+            if need > lb:
+                lb = need
         return lb
 
-    seeds: list[list[float] | None] = [[0.0] * nv, list(rowmax), list(fair), _tight_start(verts, f)]
+    def starts() -> Iterable[list[float]]:
+        yield [0.0] * nv
+        yield list(rowmax)
+        yield list(fair)
+        tight = _tight_start(verts, f)
+        if tight is not None:
+            yield tight
+        for us in rel.uniforms:
+            yield [u * (rowmax[j] + 1e-9) for j, u in enumerate(us)]
+
     best = math.inf
-    for s in range(starts):
-        if s < len(seeds):
-            if seeds[s] is None:
-                continue
-            x = list(seeds[s])  # type: ignore[arg-type]
-        else:
-            rng = derive_rng(s, "bilinear-start", verts)
-            x = [rng.random() * (rowmax[j] + 1e-9) for j in range(nv)]
-        for _ in range(sweeps):
+    for x in starts():
+        for _ in range(120):
             delta = 0.0
             for j in range(nv):
                 lb = lower_bound(j, x)
-                coef = sum(x[k] for k in nbrs[j])
+                coef = sum([x[k] for k in nbrs[j]])
                 new = lb if coef > 1e-15 else max(lb, rowmax[j])
                 delta += abs(new - x[j])
                 x[j] = new
@@ -590,20 +625,41 @@ def _min_bilinear(
             if x[j] < lb:
                 x[j] = lb
         cost = sum(x[ju] * x[jv] for ju, jv in edges)
+        if cost <= cutoff:
+            return cost
         if cost < best:
             best = cost
     return best
 
 
-def _worst_cost(f: Sequence[float], prepped, cutoff: float | None = None) -> float:
-    best = math.inf
-    for prep in prepped:
-        c = _min_bilinear(prep, f)
-        if c < best:
-            best = c
-        if cutoff is not None and best <= cutoff:
-            return best
-    return best
+class _FaceCost:
+    """The min over blocking relaxations of the bilinear minimum at points
+    of the face, for one ``beta`` call.  Complete relaxation values are
+    memoized, and the relaxation that last cut a point is tried first."""
+
+    def __init__(self, a: int) -> None:
+        self.relaxations = _prep_relaxations(a)
+        self.order = list(range(len(self.relaxations)))
+        self.memo: dict[tuple[int, tuple[float, ...]], float] = {}
+
+    def __call__(self, f: Sequence[float], cutoff: float = -math.inf) -> float:
+        """The minimum at f; or, once some relaxation is known to reach
+        ``cutoff`` or below, a value <= cutoff at once.  A value above
+        ``cutoff`` is always the exact minimum, whatever the order."""
+        key = tuple(f)
+        best = math.inf
+        for pos, r in enumerate(self.order):
+            value = self.memo.get((r, key))
+            if value is None:
+                value = _min_bilinear(self.relaxations[r], f, cutoff)
+                if value > cutoff:
+                    self.memo[r, key] = value
+            if value <= cutoff:
+                self.order.insert(0, self.order.pop(pos))
+                return value
+            if value < best:
+                best = value
+        return best
 
 
 def _face_grid(a: int, n: int) -> list[tuple[float, ...]]:
@@ -626,19 +682,31 @@ def beta(a: int, tolerance: float = 1e-4, *, grid: int = 32, refine: bool = True
     the max over the face of the min over blocking R of the bilinear
     minimum.  The face is scanned on a grid and the maximum refined locally;
     coarser grids can only report a larger k (fewer points to cover).
+
+    A point only matters if it beats the best so far, so each one is
+    evaluated with that best as a cutoff and abandoned once some start of
+    some relaxation gets to or below it.  Before the scan, the most
+    balanced grid point is evaluated in full as a floor, and points below
+    the floor are abandoned too: the first maximizer in scan order is never
+    below it.  Refinement cuts at best + 1e-15, its own update threshold.
+    Every cut is exact: the result is the one a full evaluation of every
+    point would give.
     """
     if a not in (2, 3):
         raise ValueError(f"beta is computed for a in {{2, 3}}, got {a}")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not math.isfinite(tolerance) or tolerance <= 0:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if grid < 2:
         raise ValueError(f"grid must have at least 2 points per dimension, got {grid}")
-    prepped = _prep_relaxations(a)
+    cost = _FaceCost(a)
+    points = _face_grid(a, grid)
+    below_floor = math.nextafter(cost(min(points, key=lambda f: max(f) - min(f))), -math.inf)
     best_val = -math.inf
     best_f: tuple[float, ...] = ()
-    for f in _face_grid(a, grid):
-        val = _worst_cost(f, prepped, cutoff=best_val if best_val > 0 else None)
-        if val > best_val:
+    for f in points:
+        cutoff = max(best_val, below_floor)
+        val = cost(f, cutoff)
+        if val > cutoff:
             best_val = val
             best_f = f
     if refine:
@@ -656,8 +724,9 @@ def beta(a: int, tolerance: float = 1e-4, *, grid: int = 32, refine: bool = True
                     if cand[j] < -1e-12:
                         continue
                     cand[j] = max(cand[j], 0.0)
-                    val = _worst_cost(cand, prepped)
-                    if val > best_val + 1e-15:
+                    threshold = best_val + 1e-15
+                    val = cost(cand, threshold)
+                    if val > threshold:
                         best_val = val
                         best_f = tuple(cand)
                         improved = True

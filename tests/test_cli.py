@@ -1,6 +1,8 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from sumchoice.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
 def run(capsys, argv):
@@ -72,6 +75,29 @@ def test_beta_cli(capsys):
     code, doc = run_json(capsys, ["beta", "--a", "2", "--tol", "1e-6"])
     assert code == 0
     assert doc["beta"] == 2.0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_beta_cli_rejects_non_finite_tolerance(capsys, tol):
+    code = main(["beta", "--a", "3", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_beta_scan_script_csv(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location("beta_scan", SCRIPTS / "beta_scan.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["beta_scan.py", "--a", "3", "--grids", "8", "16", "32", "--tol", "1e-3"])
+    assert script.main() == 0
+    assert capsys.readouterr().out == (
+        "grid,refined,beta\n"
+        "8,0,3.57770876\n"
+        "16,0,3.49148624\n"
+        "32,0,3.47088733\n"
+        "32,1,3.46420734\n"
+    )
 
 
 def test_constr_cli(capsys):
@@ -180,6 +206,18 @@ def test_verify_tables_fast_rows(capsys):
     code, out = run(capsys, ["verify-tables", "--only", "1,4,5"])
     assert code == 0
     assert out.count("PASS") == 3 and "FAIL" not in out
+
+
+def test_verify_tables_trees_and_beta_rows_pinned(capsys):
+    code, out = run(capsys, ["verify-tables", "--only", "2,9"])
+    assert code == 0
+    assert out == (
+        "ROW  2 PASS trees on up to 6 vertices have sum choice number 2n-1: "
+        "all 14 tree classes n<=6 give 2n-1\n"
+        "ROW  9 PASS beta(2)=2 and beta(3)=2*sqrt(3) within tolerance: "
+        "beta(2)=2.0, beta(3)=3.46421 (target 2*sqrt(3)=3.46410)\n"
+        "OK (0 failing rows)\n"
+    )
 
 
 def test_verify_tables_unknown_row(capsys):

@@ -206,7 +206,8 @@ def test_tree_values_2n_minus_1():
 def test_tree_isomorphism_class_counts():
     from sumchoice.acceptance import all_trees_up_to_iso
 
-    assert [len(all_trees_up_to_iso(n)) for n in range(1, 7)] == [1, 1, 1, 2, 3, 6]
+    # OEIS A000055
+    assert [len(all_trees_up_to_iso(n)) for n in range(1, 10)] == [1, 1, 1, 2, 3, 6, 11, 23, 47]
 
 
 def test_chain_chi_le_greedy_le_edge_bound():

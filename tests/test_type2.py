@@ -14,10 +14,14 @@ from sumchoice.choosability import (
 )
 from sumchoice.exact import sorted_profiles, sum_choice_type2_exact
 from sumchoice.graphs import make_graph
+from sumchoice.rng import derive_rng
 from sumchoice.type2 import (
     ReducedGraph,
     ReducedWitness,
+    _FaceCost,
     _minimal_blocking,
+    _prep_relaxations,
+    _tight_start,
     atom_from_label,
     atom_label,
     beta,
@@ -409,6 +413,92 @@ def test_beta_unsupported_a():
         beta(4, 1e-3)
     with pytest.raises(ValueError):
         beta(2, -1.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_beta_rejects_non_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="finite"):
+        beta(2, tol)
+
+
+def test_beta_goldens():
+    # Values of the scan with every face point evaluated in full.
+    assert repr(beta(2, 1e-6)) == "2.0"
+    assert repr(beta(3, 1e-3)) == "3.464207335968968"
+    assert repr(beta(3, 1e-4)) == "3.4641280444381324"
+    assert [repr(beta(3, 1e-3, grid=n, refine=False)) for n in (8, 16, 32)] == [
+        "3.5777087639996634",
+        "3.4914862437758782",
+        "3.4708873250984986",
+    ]
+
+
+def _reference_min_bilinear(rel, f):
+    """The coordinate descent with nothing cut or reused: every one of the
+    16 starts runs, each row sum is recomputed skipping j, and each random
+    start is drawn afresh."""
+    verts, edges, nbrs = rel.verts, rel.edges, rel.nbrs
+    nv, a = len(verts), len(f)
+    rows = [[j for j, v in enumerate(verts) if v >> i & 1] for i in range(a)]
+    rowmax = [max((f[i] for i in range(a) if verts[j] >> i & 1), default=0.0) for j in range(nv)]
+    rowcount = [max(1, len(rows[i])) for i in range(a)]
+    fair = [
+        max((f[i] / rowcount[i] for i in range(a) if verts[j] >> i & 1), default=0.0)
+        for j in range(nv)
+    ]
+
+    def lower_bound(j, x):
+        lb = 0.0
+        for i in range(a):
+            if verts[j] >> i & 1:
+                need = f[i] - sum(x[k] for k in rows[i] if k != j)
+                if need > lb:
+                    lb = need
+        return lb
+
+    seeds = [[0.0] * nv, list(rowmax), list(fair), _tight_start(verts, f)]
+    best = math.inf
+    for s in range(16):
+        if s < len(seeds):
+            if seeds[s] is None:
+                continue
+            x = list(seeds[s])
+        else:
+            rng = derive_rng(s, "bilinear-start", verts)
+            x = [rng.random() * (rowmax[j] + 1e-9) for j in range(nv)]
+        for _ in range(120):
+            delta = 0.0
+            for j in range(nv):
+                lb = lower_bound(j, x)
+                coef = sum(x[k] for k in nbrs[j])
+                new = lb if coef > 1e-15 else max(lb, rowmax[j])
+                delta += abs(new - x[j])
+                x[j] = new
+            if delta < 1e-13:
+                break
+        for j in range(nv):
+            lb = lower_bound(j, x)
+            if x[j] < lb:
+                x[j] = lb
+        best = min(best, sum(x[ju] * x[jv] for ju, jv in edges))
+    return best
+
+
+def test_face_cost_cutoffs_agree_with_full_minimum():
+    rng = derive_rng(0, "face-cost-test")
+    cost = _FaceCost(3)  # shared, so the memo and the relaxation order carry over
+    for _ in range(6):
+        w = [rng.random() for _ in range(3)]
+        f = tuple(x / sum(w) for x in w)
+        full = min(_reference_min_bilinear(rel, f) for rel in _prep_relaxations(3))
+        cutoffs = [full * rng.uniform(0.5, 1.5) for _ in range(4)]
+        cutoffs += [math.nextafter(full, -math.inf), full, -math.inf]
+        for cutoff in cutoffs:
+            got = cost(f, cutoff)
+            if got > cutoff:
+                assert got == full
+            else:
+                assert full <= got <= cutoff
 
 
 def test_normalized_excess_brackets_beta():
