@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .choosability import ListAssignment, normalize_lists
+from .choosability import ListAssignment, normalize_lists, pad_witness
 from .graphs import Graph, complete_bipartite
 from .rng import derive_rng
 
@@ -46,19 +46,15 @@ def closed_form(a: int, q: int) -> int | None:
     return None
 
 
-SQRT32 = math.sqrt(32.0)
-IMPROVED_UB_CONSTANT = 3.67  # tighter choice of the tail-bound parameters
-
-
-def ub_bound(a: int, q: int, constant: float = SQRT32) -> int:
-    """2q + a * ceil(c * sqrt(q (1 + ln a))) with c = sqrt(32) by default.
+def ub_bound(a: int, q: int) -> int:
+    """2q + a * ceil(sqrt(32 q (1 + ln a))).
 
     Achieved by f = (r on A, 2 on Q) for any integer r at least
     sqrt(32 q (1+ln a)); the ceiling realizes the smallest such r.
     """
     if not q >= a >= 2:
         raise ValueError(f"upper bound needs q >= a >= 2, got a={a}, q={q}")
-    return 2 * q + a * math.ceil(constant * math.sqrt(q * (1.0 + math.log(a))))
+    return 2 * q + a * recommended_r(a, q)
 
 
 def lb_bound(a: int, q: int, log_base: str = "e") -> float:
@@ -282,20 +278,9 @@ def lb_witness(
     singleton_q = [i for i, s in enumerate(f_Q) if s == 1]
     u = min(range(a), key=lambda i: (f_A[i], i))
     if f_A[u] <= len(singleton_q):
-        lists: dict[int, frozenset[int]] = {}
-        for rank, v in enumerate(singleton_q):
-            lists[a + v] = frozenset({rank})
+        lists = {a + v: frozenset({rank}) for rank, v in enumerate(singleton_q)}
         lists[u] = frozenset(range(f_A[u]))
-        fresh = len(singleton_q)
-        for v in range(a):
-            if v not in lists:
-                lists[v] = frozenset(range(fresh, fresh + f_A[v]))
-                fresh += f_A[v]
-        for v in range(q):
-            if a + v not in lists:
-                lists[a + v] = frozenset(range(fresh, fresh + f_Q[v]))
-                fresh += f_Q[v]
-        return tuple(lists[i] for i in range(a + q))
+        return pad_witness(lists, f_A + f_Q, len(singleton_q))
 
     pair_q = [i for i, s in enumerate(f_Q) if s == 2]
     for t in range(a.bit_length() - 1, 1, -1):
@@ -312,15 +297,6 @@ def lb_witness(
             lists[v] = frozenset(sorted(core.a_lists[rank])[: f_A[v]])
         for rank, v in enumerate(pair_q[: core.q]):
             lists[a + v] = core.q_lists[rank]
-        fresh = core.n_colors
-        for v in range(a):
-            if v not in lists:
-                lists[v] = frozenset(range(fresh, fresh + f_A[v]))
-                fresh += f_A[v]
-        for v in range(q):
-            if a + v not in lists:
-                lists[a + v] = frozenset(range(fresh, fresh + f_Q[v]))
-                fresh += f_Q[v]
-        return tuple(lists[i] for i in range(a + q))
+        return pad_witness(lists, f_A + f_Q, core.n_colors)
 
     return None

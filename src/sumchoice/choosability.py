@@ -12,8 +12,13 @@ only is colorable (color core-v, then give v that color), so only classes
 whose patterns all have two or more vertices are enumerated.  For labeled
 complete bipartite / complete split graphs it switches to a transversal
 formulation: enumerate the shapes of the A-side lists, compute the candidate
-transversals, and search for Q-side lists that block them all.
+A-color sets (minimal transversals on K_{a,q}, SDR images on G_{a,q}; the
+search is otherwise one and the same), and search for Q-side lists that
+block them all.
 Both paths report an explicit ``undecided`` verdict when the budget runs out.
+
+Every witness in the package, here and in the constructions of the other
+modules, gives its free vertices fresh colors through ``pad_witness``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import Graph, bits_of
 
@@ -326,24 +331,22 @@ def _assemble_witness(
     blockers: list[frozenset[int]],
     a_sizes: SizeFunction,
     q_sizes: SizeFunction,
-) -> tuple[ListAssignment, ListAssignment]:
-    """Pair the blockers with Q-vertices of matching list size and pad every
-    remaining vertex with fresh colors (used once, so they cannot interact)."""
-    fresh = sum(a_sizes)  # canonical LA colors live below this
+) -> ListAssignment:
+    """LA followed by the Q-lists: the blockers paired with Q-vertices of
+    matching list size, and fresh colors (used once, so they cannot
+    interact) at every remaining Q-vertex."""
+    fixed: dict[int, frozenset[int]] = {}
     by_size: dict[int, list[frozenset[int]]] = {}
     for e in blockers:
         by_size.setdefault(len(e), []).append(e)
-    q_lists: list[frozenset[int]] = []
-    for s in q_sizes:
+    for i, s in enumerate(q_sizes):
         pool = by_size.get(s)
         if pool:
-            q_lists.append(pool.pop(0))
-        else:
-            q_lists.append(frozenset(range(fresh, fresh + s)))
-            fresh += s
+            fixed[i] = pool.pop(0)
     if any(pool for pool in by_size.values()):
         raise AssertionError("unplaced blockers")
-    return LA, tuple(q_lists)
+    # canonical LA colors, and so the blockers' too, are below sum(a_sizes)
+    return LA + pad_witness(fixed, q_sizes, sum(a_sizes))
 
 
 def bipartite_is_sufficient(
@@ -356,22 +359,7 @@ def bipartite_is_sufficient(
     minimal transversal.  Q-lists longer than a can never sit inside a
     minimal transversal, so only sizes <= a act as blockers.
     """
-    a_sizes = validate_sizes(a_sizes)
-    q_sizes = validate_sizes(q_sizes)
-    a = len(a_sizes)
-    counts = Counter(s for s in q_sizes if s <= a)
-    meter = _Budget(budget)
-    try:
-        for LA in enumerate_canonical_assignments(a_sizes):
-            meter.tick()
-            targets = minimal_transversal_sets(LA)
-            blockers = _blocking_family(targets, counts, meter)
-            if blockers is not None:
-                witness = _assemble_witness(LA, blockers, a_sizes, q_sizes)
-                return Verdict("insufficient", witness[0] + witness[1], meter.used)
-    except BudgetExceededError:
-        return Verdict("undecided", None, meter.used)
-    return Verdict("sufficient", None, meter.used)
+    return _transversal_is_sufficient(a_sizes, q_sizes, budget, minimal_transversal_sets)
 
 
 def split_is_sufficient(
@@ -380,19 +368,27 @@ def split_is_sufficient(
     """Same adversarial search on the complete split graph G_{a,q}: the
     A-side is a clique, so candidate color sets are SDR images instead of
     minimal transversals."""
+    return _transversal_is_sufficient(a_sizes, q_sizes, budget, sdr_image_sets)
+
+
+def _transversal_is_sufficient(
+    a_sizes: Sequence[int],
+    q_sizes: Sequence[int],
+    budget: int,
+    targets_of: Callable[[ListAssignment], list[frozenset[int]]],
+) -> Verdict:
+    """The shared search: ``targets_of(LA)`` gives the candidate A-color
+    sets that the Q-lists must all block."""
     a_sizes = validate_sizes(a_sizes)
     q_sizes = validate_sizes(q_sizes)
-    a = len(a_sizes)
-    counts = Counter(s for s in q_sizes if s <= a)
+    counts = Counter(s for s in q_sizes if s <= len(a_sizes))
     meter = _Budget(budget)
     try:
         for LA in enumerate_canonical_assignments(a_sizes):
             meter.tick()
-            targets = sdr_image_sets(LA)
-            blockers = _blocking_family(targets, counts, meter)
+            blockers = _blocking_family(targets_of(LA), counts, meter)
             if blockers is not None:
-                witness = _assemble_witness(LA, blockers, a_sizes, q_sizes)
-                return Verdict("insufficient", witness[0] + witness[1], meter.used)
+                return Verdict("insufficient", _assemble_witness(LA, blockers, a_sizes, q_sizes), meter.used)
     except BudgetExceededError:
         return Verdict("undecided", None, meter.used)
     return Verdict("sufficient", None, meter.used)
@@ -458,7 +454,7 @@ def is_sufficient(
     """
     f = validate_sizes(f, g.n, minimum=0)
     if any(s == 0 for s in f):
-        return Verdict("insufficient", _pad_witness((), (), f), 0)
+        return Verdict("insufficient", pad_witness({}, f, 0), 0)
 
     structure = None if force_generic else detect_structure(g)
     if structure in ("complete_bipartite", "complete_split"):
@@ -469,11 +465,7 @@ def is_sufficient(
         verdict = decide(a_sizes, q_sizes, budget=budget)
         if verdict.witness is None:
             return verdict
-        per_vertex: dict[int, frozenset[int]] = {}
-        for i, v in enumerate(a_side):
-            per_vertex[v] = verdict.witness[i]
-        for i, v in enumerate(q_side):
-            per_vertex[v] = verdict.witness[len(a_side) + i]
+        per_vertex = dict(zip(a_side + q_side, verdict.witness))
         return Verdict(verdict.status, tuple(per_vertex[v] for v in range(g.n)), verdict.checked)
 
     meter = _Budget(budget)
@@ -508,29 +500,29 @@ def _generic_witness(
         rest = [u for u in range(sub.n) if u != i]
         lists = _generic_witness(induced_subgraph(sub, rest), tuple(core_f[u] for u in rest), meter, settled)
         if lists is not None:
-            return _pad_witness(_pad_witness(lists, rest, core_f), core, f)
+            lists = pad_witness(dict(zip(rest, lists)), core_f, sum(core_f) - core_f[i])
+            return pad_witness(dict(zip(core, lists)), f, sum(core_f))
     for lists in enumerate_canonical_assignments(core_f, min_pattern_size=2):
         meter.tick()
         if color_from_lists(sub, lists) is None:
-            return _pad_witness(lists, core, f)
+            return pad_witness(dict(zip(core, lists)), f, sum(core_f))
     settled.add(key)
     return None
 
 
-def _pad_witness(
-    lists: Sequence[frozenset[int]], vertices: Sequence[int], f: SizeFunction
-) -> ListAssignment:
-    """An f-assignment with ``lists[i]`` at ``vertices[i]`` and fresh colors
-    at every other vertex.  ``lists`` must use only colors below the sum of
-    f over ``vertices``; the fresh colors start there, so they meet nothing
-    and the result stays below sum(f)."""
-    out = dict(zip(vertices, lists))
-    fresh = sum(f[v] for v in vertices)
-    for v in range(len(f)):
-        if v not in out:
-            out[v] = frozenset(range(fresh, fresh + f[v]))
-            fresh += f[v]
-    return tuple(out[v] for v in range(len(f)))
+def pad_witness(fixed: Mapping[int, frozenset[int]], f: SizeFunction, fresh: int) -> ListAssignment:
+    """An f-assignment with ``fixed[v]`` at each vertex v it names and fresh
+    colors, counted up from ``fresh`` in vertex order, at every other vertex.
+    The fixed lists must use only colors below ``fresh``, so the fresh ones
+    meet nothing: every witness builder pads its free vertices this way."""
+    out = []
+    for v, size in enumerate(f):
+        L = fixed.get(v)
+        if L is None:
+            L = frozenset(range(fresh, fresh + size))
+            fresh += size
+        out.append(L)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ per-vertex degree+1 cap, so termination needs no separate argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .choosability import (
     DEFAULT_BUDGET,
@@ -149,22 +149,39 @@ def sum_choice_exact(
     raise AssertionError("greedy sufficient f lies within the search space")
 
 
-def sum_choice_type2_exact(a: int, q: int, *, budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum total over sufficient type-II functions on K_{a,q}
-    (every Q-vertex pinned to list size 2), via the transversal oracle."""
+def type2_profile_search(a: int, q: int, insufficient: Callable[[SizeFunction], bool]) -> int:
+    """Type-II sum choice number of K_{a,q}: 2q plus the least A-total s
+    with a sorted profile fa (entries in [1, q+1]) for which
+    ``insufficient(fa)`` is false.  Profiles are tried by total, then in
+    sorted_profiles order; a BudgetExceededError from the test is re-raised
+    with the bracket of totals still open."""
     if a < 1 or q < 1:
         raise ValueError("need a >= 1 and q >= 1")
-    q_sizes = (2,) * q
-    used = 0
     for s in range(a, a * (q + 1) + 1):
         for fa in sorted_profiles(s, a, q + 1):
-            verdict = bipartite_is_sufficient(fa, q_sizes, budget=budget - used)
-            used += verdict.checked
-            if verdict.status == "undecided":
+            try:
+                if not insufficient(fa):
+                    return 2 * q + s
+            except BudgetExceededError:
                 raise BudgetExceededError(
                     f"type-II search for K_{{{a},{q}}} ran out of budget",
                     bracket=(2 * q + s, 2 * q + a * (q + 1)),
-                )
-            if verdict.status == "sufficient":
-                return 2 * q + s
-    raise AssertionError("f on A identically q+1 is sufficient")
+                ) from None
+    raise AssertionError("f on A identically q+1 is type-II sufficient")
+
+
+def sum_choice_type2_exact(a: int, q: int, *, budget: int = DEFAULT_BUDGET) -> int:
+    """Minimum total over sufficient type-II functions on K_{a,q}
+    (every Q-vertex pinned to list size 2), via the transversal oracle.
+    Each oracle call gets the budget the earlier ones left."""
+    used = 0
+
+    def insufficient(fa: SizeFunction) -> bool:
+        nonlocal used
+        verdict = bipartite_is_sufficient(fa, (2,) * q, budget=budget - used)
+        used += verdict.checked
+        if verdict.status == "undecided":
+            raise BudgetExceededError("sufficiency search budget exceeded")
+        return verdict.status == "insufficient"
+
+    return type2_profile_search(a, q, insufficient)

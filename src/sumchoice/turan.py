@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .choosability import ListAssignment
+from .choosability import ListAssignment, pad_witness
 from .graphs import Graph, bits_of, complete_split, disjoint_cliques
 
 
@@ -199,21 +199,9 @@ def _assemble_split_witness(
     a = len(s_vec)
     if len(edges) > q:
         raise AssertionError("construction produced more conflict pairs than q")
-    lists: list[frozenset[int]] = []
-    fresh = ncolors
-    for j in range(a):
-        if j < nested_upto:
-            lists.append(frozenset(range(s_vec[j])))
-        else:
-            lists.append(frozenset(range(fresh, fresh + s_vec[j])))
-            fresh += s_vec[j]
-    for k in range(q):
-        if k < len(edges):
-            lists.append(edges[k])
-        else:
-            lists.append(frozenset((fresh, fresh + 1)))
-            fresh += 2
-    return tuple(lists)
+    lists = {j: frozenset(range(s_vec[j])) for j in range(nested_upto)}
+    lists.update((a + k, e) for k, e in enumerate(edges))
+    return pad_witness(lists, s_vec + (2,) * q, ncolors)
 
 
 def split_witness_graph(s_vec: Sequence[int], q: int) -> Graph:

@@ -40,6 +40,7 @@ from .choosability import (
     _Budget,
     minimal_transversal_sets,
     normalize_lists,
+    pad_witness,
 )
 from .graphs import Graph, bits_of, complete_bipartite
 from .rng import derive_rng
@@ -456,11 +457,8 @@ def materialize_reduced_witness(
                 q_lists.append(frozenset((x, y)))
     if len(q_lists) > q:
         raise ValueError(f"witness cost {len(q_lists)} exceeds q={q}")
-    fresh = base
-    while len(q_lists) < q:
-        q_lists.append(frozenset((fresh, fresh + 1)))
-        fresh += 2
-    return complete_bipartite(a, q), tuple(a_lists) + tuple(q_lists)
+    lists = dict(enumerate(a_lists + q_lists))
+    return complete_bipartite(a, q), pad_witness(lists, f + (2,) * q, base)
 
 
 def chi_sc2_reduced(a: int, q: int, *, budget: int = DEFAULT_BUDGET) -> int:
@@ -469,23 +467,10 @@ def chi_sc2_reduced(a: int, q: int, *, budget: int = DEFAULT_BUDGET) -> int:
 
     One budget of search nodes covers every profile; when it runs out,
     BudgetExceededError carries the bracket of totals still open."""
-    if a < 1 or q < 1:
-        raise ValueError("need a >= 1 and q >= 1")
-    from .exact import sorted_profiles  # cyclic-import-free local use
+    from .exact import type2_profile_search  # cyclic-import-free local use
 
     meter = _Budget(budget)
-    for s in range(a, a * (q + 1) + 1):
-        for fa in sorted_profiles(s, a, q + 1):
-            try:
-                witness = type2_insufficient(fa, q, budget=meter)
-            except BudgetExceededError:
-                raise BudgetExceededError(
-                    f"type-II search for K_{{{a},{q}}} ran out of budget",
-                    bracket=(2 * q + s, 2 * q + a * (q + 1)),
-                ) from None
-            if witness is None:
-                return 2 * q + s
-    raise AssertionError("f on A identically q+1 is type-II sufficient")
+    return type2_profile_search(a, q, lambda fa: type2_insufficient(fa, q, budget=meter) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +694,8 @@ def beta(a: int, tolerance: float = 1e-4, *, grid: int = 32, refine: bool = True
         if val > cutoff:
             best_val = val
             best_f = f
+    if best_val == 0.0:
+        raise ValueError(f"grid {grid} is too coarse for a={a}: every face point costs 0")
     if refine:
         h = 1.0 / grid
         prev_beta = best_val ** -0.5

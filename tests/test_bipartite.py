@@ -6,7 +6,6 @@ import math
 import pytest
 
 from sumchoice.bipartite import (
-    IMPROVED_UB_CONSTANT,
     bounds_report,
     closed_form,
     constr_assignment,
@@ -51,11 +50,6 @@ def test_ub_precondition():
         ub_bound(3, 2)
     with pytest.raises(ValueError):
         ub_bound(1, 5)
-
-
-def test_improved_constant_never_looser():
-    for a, q in [(2, 16), (3, 20), (4, 64)]:
-        assert ub_bound(a, q, constant=IMPROVED_UB_CONSTANT) <= ub_bound(a, q)
 
 
 def test_lb_value():

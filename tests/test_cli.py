@@ -85,6 +85,14 @@ def test_beta_cli_rejects_non_finite_tolerance(capsys, tol):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_beta_cli_rejects_too_coarse_grid(capsys):
+    # at a=3 every point of the grid-2 face has bilinear cost 0
+    code = main(["beta", "--a", "3", "--grid", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: grid 2 is too coarse for a=3: every face point costs 0\n"
+
+
 def test_beta_scan_script_csv(capsys, monkeypatch):
     spec = importlib.util.spec_from_file_location("beta_scan", SCRIPTS / "beta_scan.py")
     script = importlib.util.module_from_spec(spec)

@@ -421,6 +421,12 @@ def test_beta_rejects_non_finite_tolerance(tol):
         beta(2, tol)
 
 
+def test_beta_too_coarse_grid():
+    with pytest.raises(ValueError, match="too coarse"):
+        beta(3, grid=2)
+    assert repr(beta(3, 1e-3, grid=3)) == "3.464101615137755"
+
+
 def test_beta_goldens():
     # Values of the scan with every face point evaluated in full.
     assert repr(beta(2, 1e-6)) == "2.0"
