@@ -115,21 +115,7 @@ def all_trees_up_to_iso(n: int) -> list[Graph]:
     # to a leaf 0 and that leaf 1; vertex 0 is no leaf, so the first leaf
     # removed is 1 and the sequence starts with its neighbor 0.
     for rest in itertools.product(range(n), repeat=n - 3):
-        seq = (0, *rest)
-        deg = [1] * n
-        for v in seq:
-            deg[v] += 1
-        edges = []
-        ptr = leaf = deg.index(1)
-        for v in seq:  # linear-time decoding: leaf is always the smallest leaf
-            edges.append((leaf, v))
-            deg[v] -= 1
-            if v < ptr and deg[v] == 1:
-                leaf = v
-            else:
-                ptr = deg.index(1, ptr + 1)
-                leaf = ptr
-        edges.append((leaf, n - 1))
+        edges = graphs.prufer_edges((0, *rest), n)
         key = _tree_key(n, edges)
         if key not in classes:
             classes[key] = make_graph(n, edges)

@@ -160,26 +160,35 @@ def star(q: int) -> Graph:
     return make_graph(q + 1, [(0, v) for v in range(1, q + 1)], parts=((0,), range(1, q + 1)))
 
 
+def prufer_edges(seq: Sequence[int], n: int) -> list[Edge]:
+    """Edges of the tree on n >= 2 vertices with Pruefer sequence seq (length
+    n - 2), in decoding order: each entry is joined to the smallest leaf
+    left, and the last edge joins the final leaf to n - 1.  Linear time:
+    the smallest leaf is either the entry just freed, if it is below the
+    scan pointer, or the next leaf past the pointer."""
+    deg = [1] * n
+    for v in seq:
+        deg[v] += 1
+    edges = []
+    ptr = leaf = deg.index(1)
+    for v in seq:
+        edges.append((leaf, v))
+        deg[v] -= 1
+        if v < ptr and deg[v] == 1:
+            leaf = v
+        else:
+            ptr = deg.index(1, ptr + 1)
+            leaf = ptr
+    edges.append((leaf, n - 1))
+    return edges
+
+
 def random_tree(n: int, seed: int) -> Graph:
     _require_positive(n=n)
     if n == 1:
         return make_graph(1, [])
-    if n == 2:
-        return make_graph(2, [(0, 1)])
     rng = derive_rng(seed, "random_tree", n)
-    prufer = [rng.randrange(n) for _ in range(n - 2)]
-    degree = [1] * n
-    for v in prufer:
-        degree[v] += 1
-    edges = []
-    for v in prufer:
-        leaf = min(u for u in range(n) if degree[u] == 1)
-        edges.append((leaf, v))
-        degree[leaf] -= 1
-        degree[v] -= 1
-    last = [u for u in range(n) if degree[u] == 1]
-    edges.append((last[0], last[1]))
-    return make_graph(n, edges)
+    return make_graph(n, prufer_edges([rng.randrange(n) for _ in range(n - 2)], n))
 
 
 def random_graph(n: int, m: int, seed: int) -> Graph:

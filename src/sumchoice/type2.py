@@ -10,6 +10,12 @@ list sums covering f and pair cost sum x_I x_J over E(R) at most q.  Extra
 edges only raise that cost, so only the edge-minimal blocking graphs of
 each vertex set are searched (61 of the 1158 for a=3).
 
+R blocks exactly when every minimal cover of its pattern hypergraph holds
+an edge, and one cached routine computes those covers for ``is_blocking``
+and for the one walk over labeled vertex sets that lists every blocking
+graph; the canonical representatives and the edge-minimal graphs are views
+of that list.
+
 Normalizing by sqrt(q) turns the same geometry into a real coverage problem
 whose critical simplex size is the limit of (chi_sc2 - 2q)/sqrt(q); ``beta``
 computes it by grid search over the unit face with local refinement, using
@@ -38,9 +44,9 @@ from .choosability import (
     BudgetExceededError,
     ListAssignment,
     _Budget,
-    minimal_transversal_sets,
     normalize_lists,
     pad_witness,
+    transversal_check,
 )
 from .graphs import Graph, bits_of, complete_bipartite
 from .rng import derive_rng
@@ -64,16 +70,6 @@ class ReducedWitness:
 
 def atom_label(mask: int) -> str:
     return ",".join(str(i + 1) for i in bits_of(mask))
-
-
-def atom_from_label(label: str) -> int:
-    mask = 0
-    for part in str(label).split(","):
-        i = int(part)
-        if i < 1:
-            raise ValueError(f"atom indices are 1-based, got {i}")
-        mask |= 1 << (i - 1)
-    return mask
 
 
 def phi(x: Mapping[int, int], a: int) -> tuple[int, ...]:
@@ -107,50 +103,47 @@ def _validate_reduced(r: ReducedGraph, a: int) -> None:
         raise ValueError(f"indices {missing} uncovered: their lists would be empty")
 
 
+@functools.cache
+def _minimal_covers(verts: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """The minimal vertex covers of the pattern hypergraph on verts (row i
+    holds the atoms containing i), as masks over positions in verts.  Covers
+    are closed upward, so a cover is minimal when no one-vertex deletion
+    still covers; empty when verts leave some index uncovered."""
+    rows = [sum(1 << j for j, v in enumerate(verts) if v >> i & 1) for i in range(a)]
+
+    def covers(c: int) -> bool:
+        return all(c & row for row in rows)
+
+    return tuple(
+        c
+        for c in range(1, 1 << len(verts))
+        if covers(c) and not any(covers(c & ~(1 << j)) for j in bits_of(c))
+    )
+
+
 def is_blocking(r: ReducedGraph, a: int) -> bool:
     """True iff every vertex cover of the pattern hypergraph (S_i = atoms
-    containing i) contains both endpoints of some edge of r.  Decided by
-    exhaustive enumeration of cover subsets."""
+    containing i) contains both endpoints of some edge of r.  Every cover
+    contains a minimal one, so only the minimal covers are checked."""
     _validate_reduced(r, a)
-    verts = r.vertices
-    nv = len(verts)
-    index = {v: j for j, v in enumerate(verts)}
-    hyper = []
-    for i in range(a):
-        hyper.append(sum(1 << j for j, v in enumerate(verts) if v >> i & 1))
+    index = {v: j for j, v in enumerate(r.vertices)}
     edge_masks = [(1 << index[u]) | (1 << index[v]) for u, v in r.edges]
-    for cover in range(1, 1 << nv):
-        if all(cover & S for S in hyper):
-            if not any(cover & em == em for em in edge_masks):
-                return False
-    return True
-
-
-_BLOCKING_CACHE: dict[int, tuple[ReducedGraph, ...]] = {}
-_ORBIT_CACHE: dict[int, tuple[ReducedGraph, ...]] = {}
-
-
-def _perm_mask(mask: int, perm: Sequence[int]) -> int:
-    out = 0
-    for i in bits_of(mask):
-        out |= 1 << perm[i]
-    return out
-
-
-def _permute(
-    verts: Sequence[int], edges: Sequence[tuple[int, int]], perm: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Vertices and edges of a reduced graph with its indices renamed by
-    perm, each sorted (an edge as its smaller mask first)."""
-    pv = tuple(sorted(_perm_mask(v, perm) for v in verts))
-    pe = tuple(sorted(tuple(sorted((_perm_mask(u, perm), _perm_mask(v, perm)))) for u, v in edges))
-    return pv, pe
+    return all(
+        any(c & em == em for em in edge_masks) for c in _minimal_covers(tuple(r.vertices), a)
+    )
 
 
 def _canonical_key(
-    verts: Sequence[int], edges: Sequence[tuple[int, int]], a: int
+    r: ReducedGraph, a: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    return min(_permute(verts, edges, perm) for perm in itertools.permutations(range(a)))
+    """The least (vertices, edges) key of r over all renamings of the
+    indices, each sorted (an edge as its smaller mask first)."""
+    keys = []
+    for perm in itertools.permutations(range(a)):
+        new = {v: sum(1 << perm[i] for i in bits_of(v)) for v in r.vertices}
+        edges = (tuple(sorted((new[u], new[v]))) for u, v in r.edges)
+        keys.append((tuple(sorted(new.values())), tuple(sorted(edges))))
+    return min(keys)
 
 
 def _in_scan_order(keys: Iterable[tuple]) -> tuple[ReducedGraph, ...]:
@@ -162,87 +155,61 @@ def _in_scan_order(keys: Iterable[tuple]) -> tuple[ReducedGraph, ...]:
     )
 
 
-def enumerate_blocking(a: int) -> tuple[ReducedGraph, ...]:
-    """All blocking reduced graphs for a, one canonical representative per
-    orbit of index permutations, in a fixed order.
+@functools.cache
+def blocking_orbits(a: int) -> tuple[ReducedGraph, ...]:
+    """Every blocking reduced graph for a, labeled, in scan order.
 
-    a=1 is empty (a loopless single cover cannot contain an edge).  a=4
-    would mean filtering every graph on up to 14 atoms, beyond any budget,
-    so it raises.
+    One walk over the vertex sets: the edge sets with a pair inside every
+    minimal cover are exactly the blocking ones.  A vertex set leaving an
+    index uncovered has no covers, and one with a single-atom minimal cover
+    blocks nothing, so both are skipped and a=1 is empty.  a=4 would mean
+    walking every graph on up to 14 atoms, beyond any budget, so it raises.
     """
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
-    if a in _BLOCKING_CACHE:
-        return _BLOCKING_CACHE[a]
-    if a == 1:
-        _BLOCKING_CACHE[1] = ()
-        return ()
     if a > 3:
         raise BudgetExceededError(
             f"enumerating blocking graphs for a={a} exceeds the budget "
             f"(universe of {(1 << a) - 1} atom patterns)"
         )
-    atoms = list(range(1, 1 << a))
-    full = (1 << a) - 1
-    seen: set = set()
-    for pick in range(1, 1 << len(atoms)):
-        verts = tuple(atoms[j] for j in bits_of(pick))
-        covered = 0
-        for v in verts:
-            covered |= v
-        if covered != full:
+    found = []
+    for pick in range(1, 1 << ((1 << a) - 1)):
+        verts = tuple(j + 1 for j in bits_of(pick))
+        covers = _minimal_covers(verts, a)
+        if not covers or any(c.bit_count() == 1 for c in covers):
             continue
-        nv = len(verts)
-        hyper = [sum(1 << j for j, v in enumerate(verts) if v >> i & 1) for i in range(a)]
-        covers = [c for c in range(1, 1 << nv) if all(c & S for S in hyper)]
-        minimal = [c for c in covers if not any(d != c and d & c == d for d in covers)]
-        if any(c.bit_count() == 1 for c in minimal):
-            continue  # a single-atom cover can never contain an edge
-        pairs = list(itertools.combinations(range(nv), 2))
+        pairs = list(itertools.combinations(range(len(verts)), 2))
         pair_in_cover = [
             sum(1 << k for k, (x, y) in enumerate(pairs) if c >> x & 1 and c >> y & 1)
-            for c in minimal
+            for c in covers
         ]
         for emask in range(1, 1 << len(pairs)):
             if all(emask & pc for pc in pair_in_cover):
-                edges = tuple(
-                    (min(verts[x], verts[y]), max(verts[x], verts[y]))
-                    for k, (x, y) in enumerate(pairs)
-                    if emask >> k & 1
-                )
-                seen.add(_canonical_key(verts, edges, a))
-    result = _in_scan_order(seen)
-    _BLOCKING_CACHE[a] = result
-    return result
+                edges = tuple((verts[x], verts[y]) for k, (x, y) in enumerate(pairs) if emask >> k & 1)
+                found.append((verts, edges))
+    return _in_scan_order(found)
 
 
-def blocking_orbits(a: int) -> tuple[ReducedGraph, ...]:
-    """Every blocking reduced graph (orbits expanded), deterministic order."""
-    if a in _ORBIT_CACHE:
-        return _ORBIT_CACHE[a]
-    result = _in_scan_order(
-        {
-            _permute(r.vertices, r.edges, perm)
-            for r in enumerate_blocking(a)
-            for perm in itertools.permutations(range(a))
-        }
-    )
-    _ORBIT_CACHE[a] = result
-    return result
+def enumerate_blocking(a: int) -> tuple[ReducedGraph, ...]:
+    """All blocking reduced graphs for a, one canonical representative per
+    orbit of index permutations, in scan order."""
+    return _in_scan_order({_canonical_key(r, a) for r in blocking_orbits(a)})
 
 
 @functools.cache
 def _minimal_blocking(a: int) -> tuple[ReducedGraph, ...]:
     """The edge-minimal graphs of blocking_orbits(a), in its order: those
-    containing no other blocking graph on the same vertex set.  Deleting an
-    edge only lowers the pair cost, so these decide every type-II question;
-    61 of the 1158 graphs for a=3."""
-    orbits = blocking_orbits(a)
-    edge_sets: dict[tuple[int, ...], list[set[tuple[int, int]]]] = {}
-    for r in orbits:
-        edge_sets.setdefault(r.vertices, []).append(set(r.edges))
+    where no one-edge deletion still blocks (blocking is closed upward in
+    edges on a fixed vertex set, so no blocking proper edge-subset exists
+    either).  Deleting an edge only lowers the pair cost, so these decide
+    every type-II question; 61 of the 1158 graphs for a=3."""
     return tuple(
-        r for r in orbits if not any(es < set(r.edges) for es in edge_sets[r.vertices])
+        r
+        for r in blocking_orbits(a)
+        if not any(
+            is_blocking(ReducedGraph(r.vertices, r.edges[:k] + r.edges[k + 1 :]), a)
+            for k in range(len(r.edges))
+        )
     )
 
 
@@ -251,12 +218,8 @@ def _minimal_blocking(a: int) -> tuple[ReducedGraph, ...]:
 
 
 def _assignment_insufficient(LA: Sequence[frozenset[int]], adj: Mapping[int, set[int]]) -> bool:
-    """Every minimal transversal of LA induces a conflict edge."""
-    for T in minimal_transversal_sets(tuple(LA)):
-        elems = sorted(T)
-        if not any(v in adj[u] for u, v in itertools.combinations(elems, 2)):
-            return False
-    return True
+    """No transversal of LA avoids every conflict edge."""
+    return transversal_check(LA, [frozenset((u, v)) for u in adj for v in adj[u] if u < v]) is None
 
 
 def symmetrize(

@@ -16,6 +16,7 @@ from sumchoice.graphs import (
     graph_to_json,
     load_graph,
     make_graph,
+    prufer_edges,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -78,6 +79,29 @@ def test_generate_deterministic():
     assert g1.edges == g2.edges
     g3 = generate("random_graph", [8, 11, 43])
     assert g1.edges != g3.edges
+
+
+def quadratic_prufer_edges(seq, n):
+    """The textbook decoder: join each entry to the smallest leaf, found by
+    a full scan, then join the two vertices left."""
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = min(u for u in range(n) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    last = [u for u in range(n) if degree[u] == 1]
+    edges.append((last[0], last[1]))
+    return edges
+
+
+def test_prufer_edges_matches_quadratic_decoder():
+    for n in range(2, 8):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            assert prufer_edges(seq, n) == quadratic_prufer_edges(seq, n), (n, seq)
 
 
 def test_random_tree_is_tree():

@@ -22,7 +22,6 @@ from sumchoice.type2 import (
     _minimal_blocking,
     _prep_relaxations,
     _tight_start,
-    atom_from_label,
     atom_label,
     beta,
     blocking_orbits,
@@ -51,11 +50,6 @@ def test_phi_validates():
         phi({0: 1}, 2)
     with pytest.raises(ValueError):
         phi({0b100: 1}, 2)
-
-
-def test_atom_labels_round_trip():
-    for mask in range(1, 8):
-        assert atom_from_label(atom_label(mask)) == mask
 
 
 # ---------------------------------------------------------------------------
