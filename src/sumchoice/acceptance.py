@@ -30,7 +30,7 @@ from .choosability import (
 from .exact import edge_bound, greedy_sufficient_f, sum_choice_exact, sum_choice_type2_exact
 from .graphs import Graph, make_graph, random_graph
 from .rng import derive_rng
-from .turan import independent_sdr, sharp_family, split_bounds, split_witness, split_witness_graph, t_balanced
+from .turan import independent_sdr, sharp_family, split_bounds, split_witness, t_balanced
 from .type2 import beta, chi_sc2_reduced, materialize_reduced_witness, type2_insufficient
 from . import graphs
 
@@ -287,7 +287,7 @@ def row_split() -> tuple[bool, str]:
                 if w is None:
                     continue
                 produced += 1
-                g = split_witness_graph(svec, q)
+                g = graphs.complete_split(len(svec), q)
                 if color_from_lists(g, w) is not None:
                     return False, f"split_witness({svec}, {q}) is colorable"
     return True, f"upper_f sufficient on G_2,5 and G_3,4; {produced} split witnesses all fail coloring"

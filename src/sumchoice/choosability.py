@@ -90,17 +90,15 @@ def color_from_lists(g: Graph, lists: Iterable[Iterable[int]]) -> ColoringWitnes
     Backtracking, most-constrained vertex first (ties to the lowest index),
     colors tried in ascending order, so the answer is deterministic.
     """
-    lists = normalize_lists(lists, g.n)
+    ordered = [sorted(L) for L in normalize_lists(lists, g.n)]
+    neighbors = [bits_of(mask) for mask in g.adj]
     color: list[int | None] = [None] * g.n
-    uncolored = g.n
 
     def options(v: int) -> list[int]:
-        return [c for c in sorted(lists[v]) if all(color[u] != c for u in bits_of(g.adj[v]))]
+        taken = {color[u] for u in neighbors[v]}
+        return [c for c in ordered[v] if c not in taken]
 
     def walk() -> bool:
-        nonlocal uncolored
-        if uncolored == 0:
-            return True
         pick, pick_opts = -1, None
         for v in range(g.n):
             if color[v] is not None:
@@ -110,13 +108,13 @@ def color_from_lists(g: Graph, lists: Iterable[Iterable[int]]) -> ColoringWitnes
                 pick, pick_opts = v, opts
                 if not opts:
                     return False
+        if pick_opts is None:  # every vertex is colored
+            return True
         for c in pick_opts:
             color[pick] = c
-            uncolored -= 1
             if walk():
                 return True
-            color[pick] = None
-            uncolored += 1
+        color[pick] = None
         return False
 
     if walk():
@@ -442,21 +440,20 @@ def is_sufficient(
     f: Sequence[int],
     *,
     budget: int = DEFAULT_BUDGET,
-    force_generic: bool = False,
 ) -> Verdict:
     """Decide whether every f-assignment of g is colorable.
 
     Returns a sufficient / insufficient / undecided verdict; insufficiency
     always comes with a concrete failing assignment.  f(v)=0 is answered as
     trivially insufficient (the empty list at v).  Labeled complete
-    bipartite and complete split graphs take the transversal fast path
-    unless ``force_generic`` is set.
+    bipartite and complete split graphs take the transversal fast path; an
+    unlabeled copy, ``make_graph(g.n, g.edges)``, takes the generic one.
     """
     f = validate_sizes(f, g.n, minimum=0)
     if any(s == 0 for s in f):
         return Verdict("insufficient", pad_witness({}, f, 0), 0)
 
-    structure = None if force_generic else detect_structure(g)
+    structure = detect_structure(g)
     if structure in ("complete_bipartite", "complete_split"):
         a_side, q_side = g.parts  # type: ignore[misc]
         a_sizes = tuple(f[v] for v in a_side)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -99,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--budget",
         type=int,
-        default=int(os.environ.get("SUMCHOICE_BUDGET", DEFAULT_BUDGET)),
-        help="search budget cap (env override: SUMCHOICE_BUDGET)",
+        default=DEFAULT_BUDGET,
+        help="search budget cap",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 

@@ -2,9 +2,12 @@
 
 The search walks candidate totals k upward from n; the first sufficient size
 function wins, so the reported optimum is the lexicographically smallest
-sufficient f at the smallest achievable total.  The greedy back-degree
-function caps the search: it is always sufficient and lies inside the
-per-vertex degree+1 cap, so termination needs no separate argument.
+sufficient f at the smallest achievable total.  On a labeled K_{a,q} or
+G_{a,q} only f nondecreasing along each part, the lex-least of its orbit, is
+tried: one size-vector generator takes the parts as blocks of
+interchangeable positions.  The greedy back-degree function caps the search:
+it is always sufficient and lies inside the per-vertex degree+1 cap, so
+termination needs no separate argument.
 """
 
 from __future__ import annotations
@@ -50,67 +53,46 @@ def edge_bound(g: Graph) -> int:
     return g.n + g.m
 
 
+def _vectors_with_sum(
+    total: int, caps: Sequence[int], blocks: Sequence[Sequence[int]] = ()
+) -> Iterator[tuple[int, ...]]:
+    """All vectors with entries in [1, caps[i]] and the given sum, in
+    lexicographic order, nondecreasing along each block of interchangeable
+    positions (in increasing position order; caps are equal within a block).
+    Every value in a position's range extends to a full vector, so the walk
+    never enters a dead branch."""
+    n = len(caps)
+    # prev[i]: i's block-mate just before it, or n when there is none (vec[n]
+    # is the floor 1); width[i]: i and its later block-mates.
+    prev, width = [n] * n, [1] * n
+    for block in map(sorted, blocks):
+        for k, i in enumerate(block):
+            prev[i], width[i] = block[k - 1] if k else n, len(block) - k
+    suffix = [sum(caps[i:]) for i in range(n + 1)]
+    vec = [0] * n + [1]
+
+    def rec(i: int, remaining: int, least: int) -> Iterator[tuple[int, ...]]:
+        # least: the smallest sum positions i.. can still take; others: the
+        # part of it outside i's block.  Each later block-mate takes >= v.
+        lo, w = vec[prev[i]], width[i]
+        others = least - w * lo
+        hi = min(caps[i], (remaining - others) // w)
+        for v in range(max(lo, remaining - suffix[i + 1]), hi + 1):
+            vec[i] = v
+            if i == n - 1:
+                yield tuple(vec[:n])
+            else:
+                yield from rec(i + 1, remaining - v, others + (w - 1) * v)
+
+    if n:
+        yield from rec(0, total, n)
+    elif total == 0:
+        yield ()
+
+
 def sorted_profiles(total: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:
     """Nondecreasing vectors of the given length and sum, entries in [1, cap]."""
-
-    def rec(remaining: int, slots: int, lo: int) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        hi = min(cap, remaining - (slots - 1) * lo)
-        for v in range(lo, hi + 1):
-            if v * slots > remaining or remaining - v > (slots - 1) * cap:
-                continue
-            for rest in rec(remaining - v, slots - 1, v):
-                yield (v,) + rest
-
-    yield from rec(total, length, 1)
-
-
-def _vectors_with_sum(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All vectors with entries in [1, caps[i]] and the given sum, in
-    lexicographic order."""
-    n = len(caps)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + caps[i]
-
-    def rec(i: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            if remaining == 0:
-                yield ()
-            return
-        lo = max(1, remaining - suffix[i + 1])
-        hi = min(caps[i], remaining - (n - i - 1))
-        for v in range(lo, hi + 1):
-            for rest in rec(i + 1, remaining - v):
-                yield (v,) + rest
-
-    yield from rec(0, total)
-
-
-def _part_candidates(g: Graph, k: int) -> Iterator[SizeFunction]:
-    """Candidate f's for part-labeled graphs at total k, ordered by the full
-    vector.  Part vertices are interchangeable, so each part takes a sorted
-    profile laid out ascending over its vertices in increasing label order:
-    the lex-least member of its orbit, whatever the labels."""
-    a_side, q_side = g.parts  # type: ignore[misc]
-    slots = sorted(a_side) + sorted(q_side)
-    where = sorted(range(g.n), key=slots.__getitem__)  # vertex -> index into fa + fq
-    cap_a = g.degree(a_side[0]) + 1
-    cap_q = g.degree(q_side[0]) + 1
-    a, q = len(a_side), len(q_side)
-    found = []
-    for sa in range(a, min(a * cap_a, k - q) + 1):
-        sq = k - sa
-        if not q <= sq <= q * cap_q:
-            continue
-        for fa in sorted_profiles(sa, a, cap_a):
-            for fq in sorted_profiles(sq, q, cap_q):
-                fv = fa + fq
-                found.append(tuple(fv[i] for i in where))
-    yield from sorted(found)
+    return _vectors_with_sum(total, (cap,) * length, (range(length),))
 
 
 def sum_choice_exact(
@@ -132,12 +114,11 @@ def sum_choice_exact(
         return SumChoiceResult(0, (), False, (0, 0), 0)
     caps = tuple(g.degree(v) + 1 for v in range(g.n))
     upper = sum(greedy_sufficient_f(g))
-    labeled = detect_structure(g) is not None
+    blocks = g.parts if detect_structure(g) else ()
     used = 0
     witnesses: dict[SizeFunction, ListAssignment] | None = {} if record_witnesses else None
     for k in range(g.n, upper + 1):
-        candidates = _part_candidates(g, k) if labeled else _vectors_with_sum(k, caps)
-        for f in candidates:
+        for f in _vectors_with_sum(k, caps, blocks):
             verdict = is_sufficient(g, f, budget=budget - used)
             used += verdict.checked
             if verdict.status == "sufficient":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .choosability import ListAssignment, pad_witness
-from .graphs import Graph, bits_of, complete_split, disjoint_cliques
+from .graphs import Graph, bits_of, disjoint_cliques
 
 
 def balanced_parts(s: int, k: int) -> tuple[int, ...]:
@@ -202,8 +202,3 @@ def _assemble_split_witness(
     lists = {j: frozenset(range(s_vec[j])) for j in range(nested_upto)}
     lists.update((a + k, e) for k, e in enumerate(edges))
     return pad_witness(lists, s_vec + (2,) * q, ncolors)
-
-
-def split_witness_graph(s_vec: Sequence[int], q: int) -> Graph:
-    """Host graph matching split_witness's vertex order (A first, then Q)."""
-    return complete_split(len(s_vec), q)

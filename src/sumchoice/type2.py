@@ -231,10 +231,13 @@ def symmetrize(
     Within an atom no minimal transversal uses two colors, so in-atom edges
     go; copying the smallest neighborhood across each atom keeps every
     transversal conflicted while making blocks complete or empty.  Edge
-    count never grows.  Raises if the input assignment is colorable, and
-    re-verifies insufficiency of the symmetric result.
+    count never grows.  Raises if an A-list is empty or the input
+    assignment is colorable, and re-verifies insufficiency of the symmetric
+    result.
     """
     LA = normalize_lists(LA)
+    if not all(LA):
+        raise ValueError("every A-list must be nonempty")
     a = len(LA)
     colors = sorted(set().union(*LA))
     adj: dict[int, set[int]] = {c: set() for c in colors}

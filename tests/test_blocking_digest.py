@@ -25,7 +25,7 @@ from sumchoice.type2 import (
     symmetrize,
 )
 
-BLOCKING_DIGEST = "19b767275d556b875a215c6ff8c6f31e87f00f65eb566489a18f65346ee813ae"
+BLOCKING_DIGEST = "d3cd4fae0b098ca4e5512d98535772fa9c6345d696cd364d8125dfacb8625ad6"
 
 
 def outcome(run, *args):

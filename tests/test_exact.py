@@ -1,6 +1,8 @@
 """Exact sum choice numbers, the greedy bound, and type-II optimum."""
 
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from sumchoice.bipartite import closed_form
 from sumchoice.choosability import color_from_lists, enumerate_canonical_assignments, is_sufficient
 from sumchoice.exact import (
+    _vectors_with_sum,
     edge_bound,
     greedy_sufficient_f,
     sorted_profiles,
@@ -263,6 +266,77 @@ def test_sorted_profiles_cover_all_multisets():
         if sum(f) == 6
     }
     assert got == want
+
+
+@functools.cache
+def reference_profiles(total, length, cap):
+    """Nondecreasing vectors with entries in [1, cap] and the given sum."""
+    every = itertools.combinations_with_replacement(range(1, cap + 1), length)
+    return [p for p in every if sum(p) == total]
+
+
+def reference_part_candidates(g, k):
+    """The labeled driver's candidates as first written: the product of the
+    two parts' sorted profiles, laid out ascending over each part's vertices
+    in increasing label order, then sorted."""
+    a_side, q_side = g.parts
+    slots = sorted(a_side) + sorted(q_side)
+    where = sorted(range(g.n), key=slots.__getitem__)  # vertex -> index into fa + fq
+    cap_a, cap_q = g.degree(a_side[0]) + 1, g.degree(q_side[0]) + 1
+    a, q = len(a_side), len(q_side)
+    found = []
+    for sa in range(a, min(a * cap_a, k - q) + 1):
+        for fa in reference_profiles(sa, a, cap_a):
+            for fq in reference_profiles(k - sa, q, cap_q):
+                fv = fa + fq
+                found.append(tuple(fv[i] for i in where))
+    return sorted(found)
+
+
+def test_block_generator_matches_part_candidates():
+    for build in (complete_bipartite, complete_split):
+        for a in range(1, 5):
+            for q in range(1, 7):
+                base = build(a, q)
+                perm = list(range(base.n))
+                random.Random(97 * a + q).shuffle(perm)
+                for g in (base, relabeled(base, perm)):
+                    caps = tuple(g.degree(v) + 1 for v in range(g.n))
+                    for k in range(sum(caps) + 2):
+                        got = list(_vectors_with_sum(k, caps, g.parts))
+                        assert got == reference_part_candidates(g, k), (g.parts, k)
+
+
+def test_vector_generator_matches_product_filter():
+    rng = random.Random(8)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        positions = list(range(n))
+        rng.shuffle(positions)
+        blocks, caps = [], [0] * n
+        while positions:
+            block = sorted(positions[: rng.randint(1, len(positions))])
+            del positions[: len(block)]
+            cap = rng.randint(1, 4)
+            for i in block:
+                caps[i] = cap
+            if len(block) > 1 and rng.random() < 0.7:
+                blocks.append(tuple(rng.sample(block, len(block))))
+        every = list(itertools.product(*[range(1, c + 1) for c in caps]))
+        monotone = [
+            f for f in every
+            if all(f[i] <= f[j] for block in blocks for i, j in itertools.combinations(sorted(block), 2))
+        ]
+        for k in range(sum(caps) + 2):
+            assert list(_vectors_with_sum(k, caps)) == [f for f in every if sum(f) == k]
+            assert list(_vectors_with_sum(k, caps, blocks)) == [f for f in monotone if sum(f) == k]
+
+
+def test_vector_generator_empty():
+    assert list(_vectors_with_sum(0, ())) == [()]
+    assert list(_vectors_with_sum(1, ())) == []
+    assert list(sorted_profiles(0, 0, 3)) == [()]
+    assert list(sorted_profiles(2, 0, 3)) == []
 
 
 def test_canonical_enumeration_count_vs_profiles():

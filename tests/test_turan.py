@@ -6,7 +6,7 @@ import math
 import pytest
 
 from sumchoice.choosability import color_from_lists, split_is_sufficient
-from sumchoice.graphs import generate, make_graph, random_graph
+from sumchoice.graphs import complete_split, generate, make_graph, random_graph
 from sumchoice.rng import derive_rng
 from sumchoice.turan import (
     balanced_parts,
@@ -14,7 +14,6 @@ from sumchoice.turan import (
     sharp_family,
     split_bounds,
     split_witness,
-    split_witness_graph,
     t_balanced,
 )
 
@@ -164,7 +163,7 @@ def test_split_upper_f_sufficient_small():
 def test_split_witness_nested_case():
     w = split_witness((2, 2), 1)  # t(2,1) = 1 <= 1
     assert w is not None
-    g = split_witness_graph((2, 2), 1)
+    g = complete_split(2, 1)
     assert color_from_lists(g, w) is None
 
 
@@ -172,7 +171,7 @@ def test_split_witness_clique_minus_clique_case():
     w = split_witness((2, 3), 4)
     assert w is not None
     assert tuple(len(L) for L in w) == (2, 3) + (2,) * 4
-    g = split_witness_graph((2, 3), 4)
+    g = complete_split(2, 4)
     assert color_from_lists(g, w) is None
 
 
@@ -193,7 +192,7 @@ def test_split_witness_always_insufficient_sweep():
                 w = split_witness(svec, q)
                 if w is None:
                     continue
-                g = split_witness_graph(svec, q)
+                g = complete_split(len(svec), q)
                 assert color_from_lists(g, w) is None, (svec, q)
                 assert tuple(len(L) for L in w) == svec + (2,) * q
 

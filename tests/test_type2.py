@@ -225,6 +225,12 @@ def test_symmetrize_rejects_sufficient_input():
         symmetrize([{0}, {1}], make_graph(2, []))
 
 
+@pytest.mark.parametrize("lists", [[[]], [[0], []]])
+def test_symmetrize_rejects_empty_a_list(lists):
+    with pytest.raises(ValueError, match="nonempty"):
+        symmetrize(lists, make_graph(2, [(0, 1)]))
+
+
 # ---------------------------------------------------------------------------
 # the integer criterion
 
