@@ -103,23 +103,20 @@ def _tree_key(n: int, edges: Sequence[tuple[int, int]]) -> str:
 
 
 def all_trees_up_to_iso(n: int) -> list[Graph]:
-    """Every isomorphism class of trees on n vertices, via Pruefer sequences
-    deduplicated by the center-rooted AHU string; each class keeps the
-    first sequence that reaches it."""
-    if n == 1:
-        return [make_graph(1, [])]
-    if n == 2:
-        return [make_graph(2, [(0, 1)])]
-    classes: dict[str, Graph] = {}
-    # The first sequence of every class starts with 0: label a vertex next
-    # to a leaf 0 and that leaf 1; vertex 0 is no leaf, so the first leaf
-    # removed is 1 and the sequence starts with its neighbor 0.
-    for rest in itertools.product(range(n), repeat=n - 3):
-        edges = graphs.prufer_edges((0, *rest), n)
-        key = _tree_key(n, edges)
-        if key not in classes:
-            classes[key] = make_graph(n, edges)
-    return list(classes.values())
+    """Every isomorphism class of trees on n vertices, grown one leaf at a
+    time: deleting a leaf leaves a tree, so joining a new vertex m-1 to each
+    vertex of each class on m-1 vertices reaches every class on m vertices.
+    Classes are deduplicated by the center-rooted AHU string, each keeping
+    the first tree that reaches it."""
+    level: list[list[tuple[int, int]]] = [[]]
+    for m in range(2, n + 1):
+        classes: dict[str, list[tuple[int, int]]] = {}
+        for edges in level:
+            for v in range(m - 1):
+                grown = [*edges, (v, m - 1)]
+                classes.setdefault(_tree_key(m, grown), grown)
+        level = list(classes.values())
+    return [make_graph(n, edges) for edges in level]
 
 
 # ---------------------------------------------------------------------------

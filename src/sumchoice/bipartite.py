@@ -71,11 +71,15 @@ def lb_bound(a: int, q: int, log_base: str = "e") -> float:
 
 def recommended_r(a: int, q: int) -> int:
     """Smallest integer list size for A in the randomized upper bound."""
+    if a < 1 or q < 1:
+        raise ValueError(f"need a >= 1 and q >= 1, got a={a}, q={q}")
     return math.ceil(math.sqrt(32.0 * q * (1.0 + math.log(a))))
 
 
 def default_pick_probability(a: int, q: int) -> float:
     """Pick probability sqrt(2 (1 + ln a) / q) used by the random process."""
+    if a < 1 or q < 1:
+        raise ValueError(f"need a >= 1 and q >= 1, got a={a}, q={q}")
     return min(1.0, math.sqrt(2.0 * (1.0 + math.log(a)) / q))
 
 
@@ -241,6 +245,8 @@ def random_type2_assignment(
 ) -> tuple[ListAssignment, ListAssignment]:
     """Random type-II assignment: a lists of size r, q pairs, over a color
     universe of the given size (default 2q, widened to hold the lists)."""
+    if a < 1 or q < 1 or r < 1:
+        raise ValueError(f"need a, q and r >= 1, got a={a}, q={q}, r={r}")
     universe = max(2 * q, r) if universe is None else universe
     if r > universe or universe < 2:
         raise ValueError(f"universe of {universe} colors cannot host lists of size {r}")

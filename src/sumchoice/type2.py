@@ -18,17 +18,20 @@ of that list.
 
 Normalizing by sqrt(q) turns the same geometry into a real coverage problem
 whose critical simplex size is the limit of (chi_sc2 - 2q)/sqrt(q); ``beta``
-computes it by grid search over the unit face with local refinement, using
-multi-start coordinate descent for the bilinear minima (the single-edge case,
-which is all of a=2, is solved exactly by one descent step).
+computes it by grid search over the unit face with local refinement.  Each
+bilinear minimum is exact: a minimizer on a face of least dimension is the
+unique stationary point of the face's affine hull, a fixed linear map of f
+read from a table built once per a, so the minimum is the least cost among
+the table's feasible points.
 
 A face point matters only when it beats the best point so far, so ``beta``
-abandons it as soon as one descent start on one relaxation gets to or below
-that best, or, while the best is still lower, below the value of the most
-balanced grid point, which is evaluated in full first.  The cutoffs are
-exact: a value above the cutoff is the full minimum, the first maximizer in
-scan order is never below that floor, and so every grid value, refined
-point and ``beta`` itself is the one a full evaluation of every point gives.
+abandons it as soon as one feasible table point of one relaxation gets to
+or below that best, or, while the best is still lower, below the value of
+the most balanced grid point, which is evaluated in full first.  The
+cutoffs are exact: a value above the cutoff is the full minimum, the first
+maximizer in scan order is never below that floor, and so every grid
+value, refined point and ``beta`` itself is the one a full evaluation of
+every point gives.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .choosability import (
     transversal_check,
 )
 from .graphs import Graph, bits_of, complete_bipartite
-from .rng import derive_rng
 
 
 @dataclass(frozen=True)
@@ -443,18 +445,76 @@ def chi_sc2_reduced(a: int, q: int, *, budget: int = DEFAULT_BUDGET) -> int:
 # The limit constant beta
 
 
+_Entry = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[float, ...], ...]]  # (S, T, B)
+
+
 @dataclass(frozen=True)
 class _Relaxation:
     """A blocking graph prepped for the continuous problem, by vertex index:
-    edges, neighbors, for each vertex the rows containing it as (row, its
-    other members), and the uniforms of the 12 seeded-random starts (they
-    depend on the graph only, not on f)."""
+    edges, rows (row i holds the vertices containing i), and the face table
+    of (support S, tight rows T, map B) entries, one per nonsingular KKT
+    system, each giving the stationary point x_S = B f_T of its face."""
 
     verts: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    nbrs: tuple[tuple[int, ...], ...]
-    others: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-    uniforms: tuple[tuple[float, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    table: tuple[_Entry, ...]
+
+
+def _solve(aug: list[list[float]]) -> list[list[float]] | None:
+    """Gauss-Jordan elimination with partial pivoting on an augmented n x
+    (n + k) matrix [m | rhs]; the k solution columns, or None when m is
+    singular.  The entries of m are 0/1 and it has at most 9 rows, so each
+    nonzero pivot, a ratio of integer minors, is at least 1/56, and a pivot
+    below 1e-9 means singular."""
+    n = len(aug)
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
+        if abs(aug[pivot][col]) < 1e-9:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _face_table(
+    nv: int, edges: Sequence[tuple[int, int]], rows: Sequence[Sequence[int]]
+) -> list[_Entry]:
+    """Every (S, T, B) whose KKT matrix [[A_SS, M_TS^T], [M_TS, 0]] is
+    nonsingular, where A is the adjacency matrix and M_TS the rows T
+    restricted to the support S; then x_S = B f_T solves it."""
+    adj = [[float((u, v) in edges or (v, u) in edges) for v in range(nv)] for u in range(nv)]
+    row_masks = [sum(1 << j for j in row) for row in rows]
+    table = []
+    for tmask in range(1, 1 << len(rows)):
+        tight = bits_of(tmask)
+        cover = 0
+        for i in tight:
+            cover |= row_masks[i]
+        for smask in range(1, 1 << nv):
+            # A row of T missing S is a zero row of the KKT matrix.  And at a
+            # least-dimension minimizer every support atom lies in a tight
+            # row, or it could be lowered; any maximal independent subset of
+            # the tight rows spans each tight row, so it covers the same atoms.
+            if smask & ~cover or any(not row_masks[i] & smask for i in tight):
+                continue
+            support = bits_of(smask)
+            pad = [0.0] * len(tight)
+            kkt = [
+                [adj[j][k] for k in support] + [float(row_masks[i] >> j & 1) for i in tight] + pad
+                for j in support
+            ] + [
+                [float(row_masks[i] >> k & 1) for k in support] + pad + [float(i == u) for u in tight]
+                for i in tight
+            ]
+            solved = _solve(kkt)
+            if solved is not None:
+                table.append((tuple(support), tuple(tight), tuple(map(tuple, solved[: len(support)]))))
+    return table
 
 
 @functools.cache
@@ -468,114 +528,37 @@ def _prep_relaxations(a: int) -> tuple[_Relaxation, ...]:
     )
     prepped = []
     for r in keep:
-        verts = r.vertices
-        index = {v: j for j, v in enumerate(verts)}
+        index = {v: j for j, v in enumerate(r.vertices)}
         edges = tuple((index[u], index[v]) for u, v in r.edges)
-        rows = [[j for j, v in enumerate(verts) if v >> i & 1] for i in range(a)]
-        nbrs: list[list[int]] = [[] for _ in verts]
-        for ju, jv in edges:
-            nbrs[ju].append(jv)
-            nbrs[jv].append(ju)
-        others = tuple(
-            tuple((i, tuple(k for k in rows[i] if k != j)) for i in range(a) if v >> i & 1)
-            for j, v in enumerate(verts)
-        )
-        uniforms = []
-        for s in range(4, 16):
-            rng = derive_rng(s, "bilinear-start", verts)
-            uniforms.append(tuple(rng.random() for _ in verts))
-        prepped.append(
-            _Relaxation(
-                verts=verts,
-                edges=edges,
-                nbrs=tuple(map(tuple, nbrs)),
-                others=others,
-                uniforms=tuple(uniforms),
-            )
-        )
+        rows = tuple(tuple(j for j, v in enumerate(r.vertices) if v >> i & 1) for i in range(a))
+        table = tuple(_face_table(len(r.vertices), edges, rows))
+        prepped.append(_Relaxation(r.vertices, edges, rows, table))
     return tuple(prepped)
-
-
-def _tight_start(verts: tuple[int, ...], f: Sequence[float]) -> list[float] | None:
-    """Minimum-norm solution of 'all row constraints tight' (negatives
-    clipped); the balanced interior optima live here, where slam-to-bound
-    coordinate steps cannot arrive on their own."""
-    a = len(f)
-    nv = len(verts)
-    rows = [[1.0 if verts[j] >> i & 1 else 0.0 for j in range(nv)] for i in range(a)]
-    gram = [[sum(rows[i][j] * rows[k][j] for j in range(nv)) for k in range(a)] for i in range(a)]
-    rhs = list(f)
-    # gaussian elimination with partial pivoting on the a x a gram system
-    for col in range(a):
-        pivot = max(range(col, a), key=lambda r: abs(gram[r][col]))
-        if abs(gram[pivot][col]) < 1e-12:
-            return None
-        gram[col], gram[pivot] = gram[pivot], gram[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        for r in range(a):
-            if r != col and gram[r][col]:
-                factor = gram[r][col] / gram[col][col]
-                gram[r] = [gr - factor * gc for gr, gc in zip(gram[r], gram[col])]
-                rhs[r] -= factor * rhs[col]
-    lam = [rhs[i] / gram[i][i] for i in range(a)]
-    return [max(0.0, sum(rows[i][j] * lam[i] for i in range(a))) for j in range(nv)]
 
 
 def _min_bilinear(rel: _Relaxation, f: Sequence[float], cutoff: float = -math.inf) -> float:
     """min over x >= 0 (supported on V(R)) of sum_{IJ in E(R)} x_I x_J
-    subject to every row sum covering f, by multi-start coordinate descent.
+    subject to every row sum covering f, read from the face table.
 
-    With one coordinate free the cost is linear, so each update drops the
-    coordinate to its row-driven lower bound (or raises a cost-free one to
-    cover its rows outright); a final raising pass restores feasibility.
-    Structured starts (zeros, row maxima, fair split, all-rows-tight) seed
-    the interior optima; the rest are seeded-random.
+    The cost is bounded below on the feasible polyhedron, so it attains its
+    minimum; on a face of least dimension holding a minimizer, that
+    minimizer is the unique stationary point of the face's affine hull, the
+    x_S = B f_T of some entry.  So the least cost over the feasible entries
+    (x >= 0 and every row covered, up to a float slack of 1e-12) is the
+    exact minimum.
 
-    The first start whose cost is <= ``cutoff`` is returned at once: the
+    The first entry whose cost is <= ``cutoff`` is returned at once: the
     minimum is then known to be that low, which is all a caller with that
-    cutoff asks.  A value above ``cutoff`` is the minimum over all starts.
+    cutoff asks.  A value above ``cutoff`` is the minimum.
     """
-    verts, edges, nbrs = rel.verts, rel.edges, rel.nbrs
-    nv = len(verts)
-    rowmax = [max((f[i] for i, _ in rows), default=0.0) for rows in rel.others]
-    fair = [max((f[i] / (len(row) + 1) for i, row in rows), default=0.0) for rows in rel.others]
-    bounds = [[(f[i], row) for i, row in rel.others[j]] for j in range(nv)]
-
-    def lower_bound(j: int, x: list[float]) -> float:
-        lb = 0.0
-        for fi, row in bounds[j]:
-            need = fi - sum([x[k] for k in row])
-            if need > lb:
-                lb = need
-        return lb
-
-    def starts() -> Iterable[list[float]]:
-        yield [0.0] * nv
-        yield list(rowmax)
-        yield list(fair)
-        tight = _tight_start(verts, f)
-        if tight is not None:
-            yield tight
-        for us in rel.uniforms:
-            yield [u * (rowmax[j] + 1e-9) for j, u in enumerate(us)]
-
     best = math.inf
-    for x in starts():
-        for _ in range(120):
-            delta = 0.0
-            for j in range(nv):
-                lb = lower_bound(j, x)
-                coef = sum([x[k] for k in nbrs[j]])
-                new = lb if coef > 1e-15 else max(lb, rowmax[j])
-                delta += abs(new - x[j])
-                x[j] = new
-            if delta < 1e-13:
-                break
-        for j in range(nv):  # raising pass: restores feasibility monotonically
-            lb = lower_bound(j, x)
-            if x[j] < lb:
-                x[j] = lb
-        cost = sum(x[ju] * x[jv] for ju, jv in edges)
+    for support, tight, b in rel.table:
+        x = [0.0] * len(rel.verts)
+        for j, coefs in zip(support, b):
+            x[j] = sum([c * f[i] for c, i in zip(coefs, tight)])
+        if min(x) < -1e-12 or any(sum([x[j] for j in row]) < fi - 1e-12 for fi, row in zip(f, rel.rows)):
+            continue
+        cost = max(0.0, sum([x[u] * x[v] for u, v in rel.edges]))  # slack-negative x: cost stays >= 0
         if cost <= cutoff:
             return cost
         if cost < best:
@@ -584,9 +567,9 @@ def _min_bilinear(rel: _Relaxation, f: Sequence[float], cutoff: float = -math.in
 
 
 class _FaceCost:
-    """The min over blocking relaxations of the bilinear minimum at points
-    of the face, for one ``beta`` call.  Complete relaxation values are
-    memoized, and the relaxation that last cut a point is tried first."""
+    """The min over blocking relaxations of the exact bilinear minimum at
+    points of the face, for one ``beta`` call.  Complete relaxation values
+    are memoized, and the relaxation that last cut a point is tried first."""
 
     def __init__(self, a: int) -> None:
         self.relaxations = _prep_relaxations(a)
@@ -635,8 +618,8 @@ def beta(a: int, tolerance: float = 1e-4, *, grid: int = 32, refine: bool = True
     coarser grids can only report a larger k (fewer points to cover).
 
     A point only matters if it beats the best so far, so each one is
-    evaluated with that best as a cutoff and abandoned once some start of
-    some relaxation gets to or below it.  Before the scan, the most
+    evaluated with that best as a cutoff and abandoned once some feasible
+    table point of some relaxation gets to or below it.  Before the scan, the most
     balanced grid point is evaluated in full as a floor, and points below
     the floor are abandoned too: the first maximizer in scan order is never
     below it.  Refinement cuts at best + 1e-15, its own update threshold.

@@ -26,7 +26,8 @@ def test_acceptance_row(row_id, title, runner):
 
 
 def test_tree_representatives_pinned():
-    # The first Pruefer sequence of each class, in order of first appearance.
+    # The first tree of each class in leaf-growth order, in order of first
+    # appearance.
     want = {
         1: [()],
         2: [((0, 1),)],
@@ -35,15 +36,15 @@ def test_tree_representatives_pinned():
         5: [
             ((0, 1), (0, 2), (0, 3), (0, 4)),
             ((0, 1), (0, 2), (0, 3), (1, 4)),
-            ((0, 1), (0, 3), (1, 2), (2, 4)),
+            ((0, 1), (0, 2), (1, 3), (2, 4)),
         ],
         6: [
             ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5)),
             ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5)),
             ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5)),
-            ((0, 1), (0, 3), (0, 4), (1, 2), (2, 5)),
             ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5)),
-            ((0, 1), (0, 4), (1, 2), (2, 3), (3, 5)),
+            ((0, 1), (0, 2), (0, 3), (1, 4), (4, 5)),
+            ((0, 1), (0, 2), (1, 3), (2, 4), (3, 5)),
         ],
     }
     for n, edges in want.items():

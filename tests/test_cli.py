@@ -93,10 +93,15 @@ def test_beta_cli_rejects_too_coarse_grid(capsys):
     assert captured.err == "error: grid 2 is too coarse for a=3: every face point costs 0\n"
 
 
-def test_beta_scan_script_csv(capsys, monkeypatch):
-    spec = importlib.util.spec_from_file_location("beta_scan", SCRIPTS / "beta_scan.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_beta_scan_script_csv(capsys, monkeypatch):
+    script = load_script("beta_scan")
     monkeypatch.setattr(sys, "argv", ["beta_scan.py", "--a", "3", "--grids", "8", "16", "32", "--tol", "1e-3"])
     assert script.main() == 0
     assert capsys.readouterr().out == (
@@ -106,6 +111,25 @@ def test_beta_scan_script_csv(capsys, monkeypatch):
         "32,0,3.47088733\n"
         "32,1,3.46420734\n"
     )
+
+
+def test_bounds_table_script_csv(capsys, monkeypatch):
+    script = load_script("bounds_table")
+    monkeypatch.setattr(sys, "argv", ["bounds_table.py", "--a", "2", "3", "--q-max", "5"])
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "a,q,closed_form,ub,lb,sandwich_ok"
+    assert len(lines) == 1 + 2 * 5
+
+
+def test_rt_experiment_script_csv(capsys, monkeypatch):
+    script = load_script("rt_experiment")
+    argv = ["rt_experiment.py", "--a", "2", "--q", "8", "16", "--assignments", "3", "--trials", "5"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "a,q,r,p,assignments,success,mean_trials_to_success"
+    assert len(lines) == 1 + 2
 
 
 def test_constr_cli(capsys):
@@ -186,6 +210,22 @@ def test_experiment_csv_shape(capsys):
     assert lines[0].startswith("# config:")
     assert lines[1] == "trial,Y,min_X_u,success"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--a", "2", "--q", "0"], "error: need a >= 1 and q >= 1, got a=2, q=0\n"),
+        (["--a", "0", "--q", "8"], "error: need a >= 1 and q >= 1, got a=0, q=8\n"),
+        (["--a", "2", "--q", "8", "--r", "0"], "error: need a, q and r >= 1, got a=2, q=8, r=0\n"),
+    ],
+    ids=["q0", "a0", "r0"],
+)
+def test_experiment_rejects_nonpositive_sizes(capsys, argv, message):
+    code = main(["experiment", "rt", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == message
 
 
 def test_byte_identical_reruns(capsys):

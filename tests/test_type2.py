@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -20,8 +21,8 @@ from sumchoice.type2 import (
     ReducedWitness,
     _FaceCost,
     _minimal_blocking,
+    _min_bilinear,
     _prep_relaxations,
-    _tight_start,
     atom_label,
     beta,
     blocking_orbits,
@@ -439,55 +440,80 @@ def test_beta_goldens():
     ]
 
 
-def _reference_min_bilinear(rel, f):
-    """The coordinate descent with nothing cut or reused: every one of the
-    16 starts runs, each row sum is recomputed skipping j, and each random
-    start is drawn afresh."""
-    verts, edges, nbrs = rel.verts, rel.edges, rel.nbrs
-    nv, a = len(verts), len(f)
-    rows = [[j for j, v in enumerate(verts) if v >> i & 1] for i in range(a)]
-    rowmax = [max((f[i] for i in range(a) if verts[j] >> i & 1), default=0.0) for j in range(nv)]
-    rowcount = [max(1, len(rows[i])) for i in range(a)]
-    fair = [
-        max((f[i] / rowcount[i] for i in range(a) if verts[j] >> i & 1), default=0.0)
-        for j in range(nv)
+def test_min_bilinear_reaches_pinned_minimum():
+    # x = (1/4, 0, 0, 1/2, 1/8) on atoms {1},{2},{1,2},{3},{2,3} is feasible
+    # and costs 1/32; coordinate descent stopped at 0.0768 here.
+    (rel,) = [
+        rel
+        for rel in _prep_relaxations(3)
+        if rel.verts == (1, 2, 3, 4, 6)
+        and [(rel.verts[u], rel.verts[v]) for u, v in rel.edges] == [(1, 6), (2, 4), (3, 4), (3, 6)]
     ]
+    assert abs(_min_bilinear(rel, (0.25, 0.125, 0.625)) - 1 / 32) <= 1e-15
 
-    def lower_bound(j, x):
-        lb = 0.0
-        for i in range(a):
-            if verts[j] >> i & 1:
-                need = f[i] - sum(x[k] for k in rows[i] if k != j)
-                if need > lb:
-                    lb = need
-        return lb
 
-    seeds = [[0.0] * nv, list(rowmax), list(fair), _tight_start(verts, f)]
-    best = math.inf
-    for s in range(16):
-        if s < len(seeds):
-            if seeds[s] is None:
+def _fraction_solve(m, rhs):
+    """Exact solution of m x = rhs over the rationals, or None if m is
+    singular."""
+    n = len(m)
+    aug = [list(row) + [b] for row, b in zip(m, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col] / aug[col][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return [aug[r][n] / aug[r][r] for r in range(n)]
+
+
+def _fraction_min_bilinear(r, f):
+    """The bilinear minimum of one blocking graph in exact arithmetic: the
+    stationary point of every (support, tight row set) pair with a
+    nonsingular KKT system, nothing pruned, cached or cut."""
+    verts, a = r.vertices, len(f)
+    best = None
+    for s in range(1, 1 << len(verts)):
+        support = [v for j, v in enumerate(verts) if s >> j & 1]
+        for t in range(1 << a):
+            tight = [i for i in range(a) if t >> i & 1]
+            m = [
+                [Fraction(int((u, v) in r.edges or (v, u) in r.edges)) for v in support]
+                + [Fraction(u >> i & 1) for i in tight]
+                for u in support
+            ] + [[Fraction(v >> i & 1) for v in support] + [Fraction(0)] * len(tight) for i in tight]
+            sol = _fraction_solve(m, [Fraction(0)] * len(support) + [f[i] for i in tight])
+            if sol is None:
                 continue
-            x = list(seeds[s])
-        else:
-            rng = derive_rng(s, "bilinear-start", verts)
-            x = [rng.random() * (rowmax[j] + 1e-9) for j in range(nv)]
-        for _ in range(120):
-            delta = 0.0
-            for j in range(nv):
-                lb = lower_bound(j, x)
-                coef = sum(x[k] for k in nbrs[j])
-                new = lb if coef > 1e-15 else max(lb, rowmax[j])
-                delta += abs(new - x[j])
-                x[j] = new
-            if delta < 1e-13:
-                break
-        for j in range(nv):
-            lb = lower_bound(j, x)
-            if x[j] < lb:
-                x[j] = lb
-        best = min(best, sum(x[ju] * x[jv] for ju, jv in edges))
+            x = dict(zip(support, sol))
+            if min(x.values()) < 0 or any(
+                sum(c for v, c in x.items() if v >> i & 1) < f[i] for i in range(a)
+            ):
+                continue
+            cost = sum(x.get(u, 0) * x.get(v, 0) for u, v in r.edges)
+            best = cost if best is None else min(best, cost)
     return best
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        (Fraction(1, 4), Fraction(1, 8), Fraction(5, 8)),
+        (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+        (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)),
+    ],
+)
+def test_min_bilinear_matches_exact_kkt_enumeration(f):
+    # Per relaxation, and so also the full minimum over all 61.
+    rels = {
+        (rel.verts, tuple((rel.verts[u], rel.verts[v]) for u, v in rel.edges)): rel
+        for rel in _prep_relaxations(3)
+    }
+    for r in _minimal_blocking(3):
+        got = _min_bilinear(rels[r.vertices, r.edges], tuple(map(float, f)))
+        assert abs(got - _fraction_min_bilinear(r, f)) <= 1e-12, r
 
 
 def test_face_cost_cutoffs_agree_with_full_minimum():
@@ -496,7 +522,7 @@ def test_face_cost_cutoffs_agree_with_full_minimum():
     for _ in range(6):
         w = [rng.random() for _ in range(3)]
         f = tuple(x / sum(w) for x in w)
-        full = min(_reference_min_bilinear(rel, f) for rel in _prep_relaxations(3))
+        full = min(_min_bilinear(rel, f) for rel in _prep_relaxations(3))
         cutoffs = [full * rng.uniform(0.5, 1.5) for _ in range(4)]
         cutoffs += [math.nextafter(full, -math.inf), full, -math.inf]
         for cutoff in cutoffs:
