@@ -28,6 +28,9 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    for flag in ("assignments", "trials"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
 
     sys.stdout.write("a,q,r,p,assignments,success,mean_trials_to_success\n")
     for a in args.a:

@@ -197,11 +197,19 @@ def transversal_trials(
     some Q-list lies inside the working set, delete that list's lowest
     color; succeed when the remainder still meets every A-list.  Trials are
     seeded individually, so traces are reproducible and order-independent.
+    Bad arguments (p outside [0,1], max_trials < 1) raise ValueError at the
+    call, before any trial runs.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability p must lie in [0,1], got {p}")
-    LA = normalize_lists(LA)
-    LQ = normalize_lists(LQ)
+    if max_trials < 1:
+        raise ValueError(f"need max_trials >= 1, got {max_trials}")
+    return _trials(normalize_lists(LA), normalize_lists(LQ), p, seed, max_trials)
+
+
+def _trials(
+    LA: ListAssignment, LQ: ListAssignment, p: float, seed: int, max_trials: int
+) -> Iterator[RandomProcessTrace]:
     colors = sorted(set().union(*LA, *LQ)) if (LA or LQ) else []
     for trial in range(max_trials):
         rng = derive_rng(seed, "rt", trial)

@@ -4,14 +4,19 @@
 generic path enumerates list assignments up to color relabeling (each class
 is a multiset of membership patterns, walked as submasks of the vertices
 still needing colors) and backtracks a coloring for each.  Before that it
-decides f on core-v for every vertex v of the peeled core, recursively and
-memoized within the call: f sufficient on the core implies it on core-v,
-and a failing assignment there lifts by giving v fresh colors.  Once all of
-those are sufficient, a class in which some color lies in one list L(v)
-only is colorable (color core-v, then give v that color), so only classes
-whose patterns all have two or more vertices are enumerated.  For labeled
-complete bipartite / complete split graphs it switches to a transversal
-formulation: enumerate the shapes of the A-side lists, compute the candidate
+removes a core vertex v with f(v) = 1 exactly: f is sufficient on the core
+iff f', one less on N(v), is sufficient on core-v (color v first and drop
+its color from the neighbors' lists; conversely a failing assignment of
+core-v lifts by putting one fresh color in L(v) and in every neighbor's
+list), and a neighbor left with f'(u) = 0 makes f insufficient at once.
+With no such vertex it decides f on core-v for every vertex v of the peeled
+core, recursively and memoized within the call: f sufficient on the core
+implies it on core-v, and a failing assignment there lifts by giving v
+fresh colors.  Once all of those are sufficient, a class in which some
+color lies in one list L(v) only is colorable (color core-v, then give v
+that color), so only classes whose patterns all have two or more vertices
+are enumerated.  For labeled complete bipartite / complete split graphs it
+switches to a transversal formulation: enumerate the shapes of the A-side lists, compute the candidate
 A-color sets (minimal transversals on K_{a,q}, SDR images on G_{a,q}; the
 search is otherwise one and the same), and search for Q-side lists that
 block them all.
@@ -51,8 +56,10 @@ class Verdict:
 
     ``status`` is one of ``sufficient``, ``insufficient``, ``undecided``;
     a witness (an f-assignment with no proper coloring) accompanies every
-    insufficient verdict.  ``checked`` counts enumerated assignments or
-    search nodes, for budget accounting.
+    insufficient verdict.  ``checked`` counts the work that ticks the
+    budget: enumerated classes on the generic path (the exact removal of
+    f = 1 vertices ticks none), A-side shapes and blocker-search nodes on
+    the transversal path.
     """
 
     status: str
@@ -480,10 +487,14 @@ def _generic_witness(
 ) -> ListAssignment | None:
     """A failing f-assignment of g (all f >= 1), or None when f is sufficient.
 
-    Settles core-v for every vertex v of the peeled core before enumerating
-    the core's classes without a private color (see the module docstring).
-    ``settled`` holds the cores found sufficient so far in this top-level
-    call; each class ticks ``meter``.
+    A core vertex i with f(i) = 1 is removed exactly: the answer is that of
+    core-i with f lowered by one on N(i), and a failing assignment there
+    lifts by putting one fresh color in L(i) and in every neighbor's list.
+    Otherwise settles core-v for every vertex v of the peeled core before
+    enumerating the core's classes without a private color (see the module
+    docstring).  ``settled`` holds the cores found sufficient so far in this
+    top-level call; each enumerated class ticks ``meter``, the exact removal
+    does not.
     """
     core = peel_order(g, f)
     if not core:
@@ -493,6 +504,24 @@ def _generic_witness(
     key = (sub.n, sub.edges, core_f)
     if key in settled:
         return None
+    if 1 in core_f:
+        i = core_f.index(1)
+        rest = [u for u in range(sub.n) if u != i]
+        near = sub.adj[i]
+        rest_f = tuple(core_f[u] - (near >> u & 1) for u in rest)
+        if 0 in rest_f:  # a neighbor also has f = 1: both get the same color
+            lists = pad_witness({}, rest_f, 0)
+        else:
+            lists = _generic_witness(induced_subgraph(sub, rest), rest_f, meter, settled)
+            if lists is None:
+                settled.add(key)
+                return None
+        # the witness of (core-i, rest_f) keeps its colors below sum(rest_f)
+        c = sum(rest_f)
+        lifted = [L | {c} if near >> u & 1 else L for u, L in zip(rest, lists)]
+        fixed = dict(zip((core[u] for u in rest), lifted))
+        fixed[core[i]] = frozenset({c})
+        return pad_witness(fixed, f, sum(core_f))
     for i in range(sub.n):
         rest = [u for u in range(sub.n) if u != i]
         lists = _generic_witness(induced_subgraph(sub, rest), tuple(core_f[u] for u in rest), meter, settled)

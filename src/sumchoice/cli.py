@@ -274,9 +274,11 @@ def _dispatch(args: argparse.Namespace) -> int:
             "kind": args.kind, "a": a, "q": q, "r": r, "p": p,
             "universe": universe, "trials": args.trials, "seed": args.seed,
         }
+        # validated before the header, so a bad --trials prints nothing
+        traces = transversal_trials(LA, LQ, p, seed=args.seed, max_trials=args.trials)
         sys.stdout.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         sys.stdout.write("trial,Y,min_X_u,success\n")
-        for trace in transversal_trials(LA, LQ, p, seed=args.seed, max_trials=args.trials):
+        for trace in traces:
             sys.stdout.write(
                 f"{trace.trial},{trace.spanned},{min(trace.hits)},{int(trace.success)}\n"
             )

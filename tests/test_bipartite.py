@@ -184,6 +184,15 @@ def test_bad_probability_rejected():
         next(transversal_trials([{0}], [{0, 1}], p=1.5))
 
 
+@pytest.mark.parametrize("max_trials", [0, -1])
+def test_nonpositive_trial_count_rejected_at_call(max_trials):
+    # no next(): the check runs before any trial, so callers can fail first
+    with pytest.raises(ValueError, match="max_trials >= 1"):
+        transversal_trials([{0}], [{0, 1}], p=0.5, max_trials=max_trials)
+    with pytest.raises(ValueError, match="max_trials >= 1"):
+        random_transversal([{0}], [{0, 1}], p=0.5, max_trials=max_trials)
+
+
 # ---------------------------------------------------------------------------
 # lower-bound witness builder
 

@@ -243,6 +243,32 @@ def test_generic_oracle_matches_reference_on_random_graphs():
     assert {("insufficient", False, k) for k in (2, 3, 4, 5, 6)} <= tested
 
 
+def test_exact_removal_of_size_one_vertices_matches_reference():
+    # Every f <= min(3, deg+1) whose peeled core holds a vertex i with
+    # f(i) = 1, the case the oracle answers by removing i exactly.  When a
+    # core neighbor of i also has f = 1 the answer is insufficient at once.
+    seen = set()
+    for seed in range(40):
+        rng = random.Random(f"exact-removal:{seed}")
+        n = rng.randint(2, 5)
+        g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6])
+        caps = [min(3, g.degree(v) + 1) for v in range(n)]
+        for f in itertools.product(*[range(1, c + 1) for c in caps]):
+            core = peel_order(g, f)
+            ones = [v for v in core if f[v] == 1]
+            if not ones:
+                continue
+            shortcut = any(f[u] == 1 and g.has_edge(ones[0], u) for u in core)
+            want = reference_status(g, f)
+            verdict = is_sufficient(g, f)
+            assert verdict.status == want, (seed, g, f)
+            seen.add((want, shortcut))
+            if want == "insufficient":
+                assert tuple(len(L) for L in verdict.witness) == f
+                assert color_from_lists(g, verdict.witness) is None
+    assert seen == {("sufficient", False), ("insufficient", False), ("insufficient", True)}
+
+
 # ---------------------------------------------------------------------------
 # transversal_check
 

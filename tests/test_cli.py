@@ -59,9 +59,13 @@ def test_sumchoice_k22(capsys):
 
 
 def test_sumchoice_undecided_exit_code(capsys):
-    code, doc = run_json(capsys, ["sumchoice", "--family", "cycle", "--n", "4", "--budget", "3"])
+    # unlabeled K_4 needs enumerated classes below its optimum, so a budget
+    # of 3 runs out (cycles are decided by the exact removal at no cost)
+    code, doc = run_json(capsys, ["sumchoice", "--family", "complete", "--n", "4", "--budget", "3"])
     assert code == 3
     assert doc["undecided"] is True and doc["chi_sc"] is None
+    lo, hi = doc["bracket"]
+    assert lo <= 10 <= hi
 
 
 def test_bounds_json(capsys):
@@ -130,6 +134,17 @@ def test_rt_experiment_script_csv(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "a,q,r,p,assignments,success,mean_trials_to_success"
     assert len(lines) == 1 + 2
+
+
+@pytest.mark.parametrize("flag", ["--assignments", "--trials"])
+def test_rt_experiment_script_rejects_nonpositive_counts(capsys, monkeypatch, flag):
+    script = load_script("rt_experiment")
+    monkeypatch.setattr(sys, "argv", ["rt_experiment.py", "--a", "2", "--q", "8", flag, "0"])
+    with pytest.raises(SystemExit) as err:
+        script.main()
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: {flag} must be >= 1, got 0\n")
 
 
 def test_constr_cli(capsys):
@@ -218,8 +233,9 @@ def test_experiment_csv_shape(capsys):
         (["--a", "2", "--q", "0"], "error: need a >= 1 and q >= 1, got a=2, q=0\n"),
         (["--a", "0", "--q", "8"], "error: need a >= 1 and q >= 1, got a=0, q=8\n"),
         (["--a", "2", "--q", "8", "--r", "0"], "error: need a, q and r >= 1, got a=2, q=8, r=0\n"),
+        (["--a", "2", "--q", "8", "--trials", "0"], "error: need max_trials >= 1, got 0\n"),
     ],
-    ids=["q0", "a0", "r0"],
+    ids=["q0", "a0", "r0", "trials0"],
 )
 def test_experiment_rejects_nonpositive_sizes(capsys, argv, message):
     code = main(["experiment", "rt", *argv])

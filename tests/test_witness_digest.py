@@ -24,7 +24,7 @@ from sumchoice.rng import derive_rng
 from sumchoice.turan import split_witness
 from sumchoice.type2 import chi_sc2_reduced, materialize_reduced_witness, type2_insufficient
 
-WITNESS_DIGEST = "9900da34a6f8d242d8e559e0bb3352865f9779a1654a63f7b1304c2a9bdc0561"
+WITNESS_DIGEST = "54b581a68fdd8f79097d36ef49a2f27acfd5d03787ae48c9c5e3907ae87760b8"
 
 
 def canon(obj):
