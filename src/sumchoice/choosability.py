@@ -16,10 +16,14 @@ fresh colors.  Once all of those are sufficient, a class in which some
 color lies in one list L(v) only is colorable (color core-v, then give v
 that color), so only classes whose patterns all have two or more vertices
 are enumerated.  For labeled complete bipartite / complete split graphs it
-switches to a transversal formulation: enumerate the shapes of the A-side lists, compute the candidate
+switches to a transversal formulation.  The same peel first drops every
+vertex with more colors than live neighbors, part by part, which leaves a
+smaller K_{a',q'} or G_{a',q'} (or nothing: sufficient at no cost).  On that
+core it enumerates the shapes of the A-side lists, computes the candidate
 A-color sets (minimal transversals on K_{a,q}, SDR images on G_{a,q}; the
-search is otherwise one and the same), and search for Q-side lists that
-block them all.
+search is otherwise one and the same), and searches for Q-side lists that
+block them all; a failing core assignment lifts by fresh colors at the
+peeled vertices.
 Both paths report an explicit ``undecided`` verdict when the budget runs out.
 
 Every witness in the package, here and in the constructions of the other
@@ -59,7 +63,7 @@ class Verdict:
     insufficient verdict.  ``checked`` counts the work that ticks the
     budget: enumerated classes on the generic path (the exact removal of
     f = 1 vertices ticks none), A-side shapes and blocker-search nodes on
-    the transversal path.
+    the transversal path.  The peel ticks none on either path.
     """
 
     status: str
@@ -339,7 +343,9 @@ def _assemble_witness(
 ) -> ListAssignment:
     """LA followed by the Q-lists: the blockers paired with Q-vertices of
     matching list size, and fresh colors (used once, so they cannot
-    interact) at every remaining Q-vertex."""
+    interact) at every remaining Q-vertex.  A blocker lies inside a core
+    A-color set, so it is never longer than the A core, and no peeled
+    Q-vertex takes one."""
     fixed: dict[int, frozenset[int]] = {}
     by_size: dict[int, list[frozenset[int]]] = {}
     for e in blockers:
@@ -359,10 +365,12 @@ def bipartite_is_sufficient(
 ) -> Verdict:
     """Exhaustive sufficiency decision on K_{a,q} via the transversal view.
 
-    Enumerates A-side list shapes up to color relabeling; for each, searches
-    for Q-lists (inside the A universe, sizes as given) blocking every
-    minimal transversal.  Q-lists longer than a can never sit inside a
-    minimal transversal, so only sizes <= a act as blockers.
+    First peels: a Q-vertex with more colors than live A-vertices, and an
+    A-vertex with more colors than live Q-vertices, can be colored last, so
+    both drop until none is left (such a Q-list could never sit inside a
+    minimal transversal either).  Then enumerates the core's A-side list
+    shapes up to color relabeling; for each, searches for Q-lists (inside
+    the A universe, the core's sizes) blocking every minimal transversal.
     """
     return _transversal_is_sufficient(a_sizes, q_sizes, budget, minimal_transversal_sets)
 
@@ -383,16 +391,39 @@ def _transversal_is_sufficient(
     targets_of: Callable[[ListAssignment], list[frozenset[int]]],
 ) -> Verdict:
     """The shared search: ``targets_of(LA)`` gives the candidate A-color
-    sets that the Q-lists must all block."""
+    sets that the Q-lists must all block.
+
+    First the peel of ``peel_order``, by part: a Q-vertex with f > |A alive|
+    and an A-vertex with f > |Q alive| (plus |A alive| - 1 when A is a
+    clique, ``targets_of is sdr_image_sets``) color last, so they drop until
+    none is left.  The core is again a K_{a',q'} or G_{a',q'}, searched on
+    its sizes; an empty A-side makes f sufficient with no work, and a
+    failing core assignment lifts by fresh colors at the peeled vertices.
+    """
     a_sizes = validate_sizes(a_sizes)
     q_sizes = validate_sizes(q_sizes)
-    counts = Counter(s for s in q_sizes if s <= len(a_sizes))
+    clique = targets_of is sdr_image_sets
+    # Each round keeps the vertices under a threshold that only falls, so
+    # the core is A up to deg and Q up to |A core|.
+    core_a = a_sizes
+    while True:
+        if not core_a:
+            return Verdict("sufficient", None, 0)
+        q_live = [s for s in q_sizes if s <= len(core_a)]
+        deg = len(q_live) + (len(core_a) - 1 if clique else 0)
+        if max(core_a) <= deg:
+            break
+        core_a = [s for s in a_sizes if s <= deg]
+    counts = Counter(q_live)
     meter = _Budget(budget)
     try:
-        for LA in enumerate_canonical_assignments(a_sizes):
+        for LA in enumerate_canonical_assignments(core_a):
             meter.tick()
             blockers = _blocking_family(targets_of(LA), counts, meter)
             if blockers is not None:
+                if len(core_a) < len(a_sizes):  # fresh colors at the peeled A-vertices
+                    core = [i for i, s in enumerate(a_sizes) if s <= deg]
+                    LA = pad_witness(dict(zip(core, LA)), a_sizes, sum(core_a))
                 return Verdict("insufficient", _assemble_witness(LA, blockers, a_sizes, q_sizes), meter.used)
     except BudgetExceededError:
         return Verdict("undecided", None, meter.used)
@@ -455,6 +486,8 @@ def is_sufficient(
     trivially insufficient (the empty list at v).  Labeled complete
     bipartite and complete split graphs take the transversal fast path; an
     unlabeled copy, ``make_graph(g.n, g.edges)``, takes the generic one.
+    Both paths first peel the vertices with f(v) > deg(v) (see
+    ``peel_order``), so neither spends budget on them.
     """
     f = validate_sizes(f, g.n, minimum=0)
     if any(s == 0 for s in f):

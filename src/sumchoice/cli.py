@@ -184,6 +184,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    if args.budget < 0:
+        raise ValueError(f"--budget must be >= 0, got {args.budget}")
 
     if args.command == "generate":
         g = _graph_from_args(args)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sumchoice.bipartite import constr_assignment
 from sumchoice.choosability import (
+    Verdict,
     bipartite_is_sufficient,
     color_from_lists,
     detect_structure,
@@ -327,6 +328,45 @@ def test_fast_paths_match_generic_oracle():
                 fast = is_sufficient(g, f).status
                 slow = is_sufficient(unlabeled, f).status
                 assert fast == slow, (kind, a, q, f)
+
+
+def test_transversal_peel_matches_generic_oracle():
+    # Every sorted f_A with an entry at deg + 1, so the transversal body
+    # peels at least one A-vertex, and every f_Q up to a + 1; the unlabeled
+    # copy takes the generic oracle.  checked == 0 marks an empty core.
+    seen = set()
+    for kind, a, q in itertools.product(("complete_bipartite", "complete_split"), range(1, 4), range(1, 4)):
+        g = generate(kind, [a, q])
+        unlabeled = make_graph(g.n, g.edges)
+        deg = g.degree(0)
+        for fa in itertools.combinations_with_replacement(range(1, deg + 2), a):
+            if fa[-1] <= deg:
+                continue
+            for fq in itertools.product(range(1, a + 2), repeat=q):
+                f = fa + fq
+                verdict = is_sufficient(g, f)
+                assert verdict.status == is_sufficient(unlabeled, f).status, (kind, f)
+                seen.add((verdict.status, verdict.checked == 0))
+                if verdict.status == "insufficient":
+                    assert tuple(len(L) for L in verdict.witness) == f
+                    assert color_from_lists(g, verdict.witness) is None
+    assert seen == {("sufficient", True), ("sufficient", False), ("insufficient", False)}
+
+
+def test_transversal_peel_pins():
+    # acceptance row 10's G_{3,4} query: A-degree 6 < 8, so the whole graph
+    # peels; G_{2,5}'s upper_f sits at A-degree 6 and still searches
+    assert split_is_sufficient((8, 8, 8), (2,) * 4) == Verdict("sufficient", None, 0)
+    verdict = split_is_sufficient((6, 6), (2,) * 5)
+    assert verdict.status == "sufficient" and verdict.checked > 0
+    # the two-vertex clique with one color each is no peel case
+    assert split_is_sufficient((1, 1), ()).status == "insufficient"
+
+
+@pytest.mark.parametrize("oracle", [bipartite_is_sufficient, split_is_sufficient])
+def test_transversal_oracles_accept_empty_sides(oracle):
+    assert oracle((), (2,)) == Verdict("sufficient", None, 0)
+    assert oracle((2,), ()) == Verdict("sufficient", None, 0)
 
 
 def test_universe_bound_is_sound():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from sumchoice.cli import main
+from sumchoice.graphs import complete_split, graph_to_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -66,6 +67,30 @@ def test_sumchoice_undecided_exit_code(capsys):
     assert doc["undecided"] is True and doc["chi_sc"] is None
     lo, hi = doc["bracket"]
     assert lo <= 10 <= hi
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--graph", str(FIXTURES / "k2.json"), "--f", "1,1", "--budget", "-5"],
+        ["sumchoice", "--family", "complete", "--n", "3", "--budget", "-1"],
+    ],
+)
+def test_negative_budget_exits_usage(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: --budget must be >= 0, got {argv[-1]}\n"
+
+
+def test_check_zero_budget_peels_split_graph(capsys, tmp_path):
+    # every A-vertex of G_{3,4} has f = 8 > its degree 6, so the transversal
+    # oracle peels the whole graph and spends no budget
+    path = tmp_path / "g34.json"
+    path.write_text(json.dumps(graph_to_json(complete_split(3, 4))))
+    code, doc = run_json(capsys, ["check", "--graph", str(path), "--f", "8,8,8,2,2,2,2", "--budget", "0"])
+    assert code == 0
+    assert doc["verdict"] == "sufficient" and doc["checked"] == 0
 
 
 def test_bounds_json(capsys):

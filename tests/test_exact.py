@@ -103,7 +103,7 @@ def relabeled(g, perm):
 GOLDEN = [
     (complete_bipartite(2, 10), 27, (3, 4) + (2,) * 10, 4681),
     (complete_bipartite(3, 6), 21, (3, 3, 3, 2, 2, 2, 2, 2, 2), 5903),
-    (complete_bipartite(4, 4), 20, (2, 2, 2, 2, 3, 3, 3, 3), 9074),
+    (complete_bipartite(4, 4), 20, (2, 2, 2, 2, 3, 3, 3, 3), 8845),
     (complete_split(3, 4), 20, (2, 4, 6, 2, 2, 2, 2), 8143),
     (random_graph(6, 8, 1), 14, (1, 1, 1, 3, 3, 5), 80),
     (random_graph(6, 8, 7), 14, (1, 2, 1, 2, 3, 5), 20),

@@ -24,7 +24,7 @@ from sumchoice.rng import derive_rng
 from sumchoice.turan import split_witness
 from sumchoice.type2 import chi_sc2_reduced, materialize_reduced_witness, type2_insufficient
 
-WITNESS_DIGEST = "54b581a68fdd8f79097d36ef49a2f27acfd5d03787ae48c9c5e3907ae87760b8"
+WITNESS_DIGEST = "330c17732c95b5cd984b3f61d05781cb34515f2c491482529b5f49613aa779d2"
 
 
 def canon(obj):
