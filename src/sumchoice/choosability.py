@@ -23,7 +23,8 @@ core it enumerates the shapes of the A-side lists, computes the candidate
 A-color sets (minimal transversals on K_{a,q}, SDR images on G_{a,q}; the
 search is otherwise one and the same), and searches for Q-side lists that
 block them all; a failing core assignment lifts by fresh colors at the
-peeled vertices.
+peeled vertices.  The minimal transversals are picks from the minimal
+covers of the atom patterns, the one cover routine ``type2`` uses too.
 Both paths report an explicit ``undecided`` verdict when the budget runs out.
 
 Every witness in the package, here and in the constructions of the other
@@ -32,6 +33,7 @@ modules, gives its free vertices fresh colors through ``pad_witness``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -149,8 +151,7 @@ def enumerate_canonical_assignments(
 
     Patterns are emitted in decreasing bitmask order with multiplicities
     tried high-to-low; colors are numbered in order of first appearance.
-    The stream order is deterministic, and a prefix of pattern choices
-    identifies an independent chunk of the stream.
+    The stream order is deterministic.
 
     Only patterns of at least ``min_pattern_size`` vertices are used, so
     ``min_pattern_size=2`` yields, in the same order, exactly the classes in
@@ -238,31 +239,51 @@ def transversal_check(
 
 # ---------------------------------------------------------------------------
 # Candidate transversal sets
-#
-# Every minimal transversal of a list family arises as the union of one pick
-# per not-yet-hit list, so the DFS below (skip lists already hit) generates
-# all of them; non-minimal unions are filtered afterwards.
+
+
+def _atoms(LA: Sequence[frozenset[int]]) -> dict[int, list[int]]:
+    """The colors of LA grouped by membership pattern (bit i set when the
+    color lies in LA[i]): pattern -> ascending colors, patterns in order of
+    their first color."""
+    pattern: dict[int, int] = {}
+    for i, L in enumerate(LA):
+        for c in L:
+            pattern[c] = pattern.get(c, 0) | 1 << i
+    atoms: dict[int, list[int]] = {}
+    for c in sorted(pattern):
+        atoms.setdefault(pattern[c], []).append(c)
+    return atoms
+
+
+@functools.cache
+def _minimal_covers(verts: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """The minimal vertex covers of the pattern hypergraph on verts (row i
+    holds the atoms containing i), ascending, as masks over positions in
+    verts: none when verts leave an index uncovered, the empty cover alone
+    when a = 0.  Every minimal cover takes one atom of each row that the
+    atoms taken before it miss, and is minimal when no one-atom deletion
+    still covers (covers are closed upward)."""
+    rows = [sum(1 << j for j, v in enumerate(verts) if v >> i & 1) for i in range(a)]
+    found = {0}
+    for row in rows:
+        found = {c if c & row else c | 1 << j for c in found for j in bits_of(row)}
+    return tuple(
+        sorted(c for c in found if not any(all(c & ~(1 << j) & row for row in rows) for j in bits_of(c)))
+    )
 
 
 def minimal_transversal_sets(LA: Sequence[frozenset[int]]) -> list[frozenset[int]]:
-    seen: set[frozenset[int]] = set()
-
-    def rec(idx: int, T: set[int]) -> None:
-        if idx == len(LA):
-            seen.add(frozenset(T))
-            return
-        L = LA[idx]
-        if T & L:
-            rec(idx + 1, T)
-            return
-        for c in sorted(L):
-            T.add(c)
-            rec(idx + 1, T)
-            T.remove(c)
-
-    rec(0, set())
-    minimal = [T for T in seen if not any(S < T for S in seen)]
-    return sorted(minimal, key=lambda T: (len(T), sorted(T)))
+    """The minimal sets hitting every list of LA, by size, then colors: one
+    color of each atom of a minimal cover of the atom patterns (a minimal
+    transversal never holds two colors of one atom)."""
+    atoms = _atoms(LA)
+    groups = list(atoms.values())
+    found = [
+        frozenset(pick)
+        for c in _minimal_covers(tuple(atoms), len(LA))
+        for pick in itertools.product(*(groups[j] for j in bits_of(c)))
+    ]
+    return sorted(found, key=lambda T: (len(T), sorted(T)))
 
 
 def sdr_image_sets(LA: Sequence[frozenset[int]]) -> list[frozenset[int]]:
@@ -448,19 +469,12 @@ def peel_order(g: Graph, f: Sequence[int]) -> list[int]:
     of f on g is equivalent to sufficiency of the restriction to the core
     that survives repeated removal.  Returns the surviving core, sorted.
     """
-    alive = set(range(g.n))
-    deg = {v: g.degree(v) for v in alive}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            if f[v] >= deg[v] + 1:
-                alive.discard(v)
-                for u in bits_of(g.adj[v]):
-                    if u in alive:
-                        deg[u] -= 1
-                changed = True
-    return sorted(alive)
+    alive = (1 << g.n) - 1
+    while True:
+        drop = sum(1 << v for v in bits_of(alive) if f[v] > (g.adj[v] & alive).bit_count())
+        if not drop:
+            return bits_of(alive)
+        alive &= ~drop
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:

@@ -337,8 +337,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "verify-tables":
-        only = set(_int_str_list(args.only)) if args.only else None
+        only = None if args.only is None else set(_int_str_list(args.only))
         if only is not None:
+            if not only:
+                raise ValueError(f"--only names no row id: {args.only!r}")
             known = {row_id for row_id, _, _ in CRITERIA}
             bad = only - known
             if bad:

@@ -11,10 +11,12 @@ edges only raise that cost, so only the edge-minimal blocking graphs of
 each vertex set are searched (61 of the 1158 for a=3).
 
 R blocks exactly when every minimal cover of its pattern hypergraph holds
-an edge, and one cached routine computes those covers for ``is_blocking``
-and for the one walk over labeled vertex sets that lists every blocking
-graph; the canonical representatives and the edge-minimal graphs are views
-of that list.
+an edge.  ``is_blocking`` and the one walk over labeled vertex sets that
+lists every blocking graph take those covers from the cached
+``choosability._minimal_covers``, the routine behind the K_{a,q} oracle's
+minimal transversals; the canonical representatives and the edge-minimal
+graphs are views of that list.  ``symmetrize`` groups colors into atoms
+with the oracle's ``_atoms``.
 
 Normalizing by sqrt(q) turns the same geometry into a real coverage problem
 whose critical simplex size is the limit of (chi_sc2 - 2q)/sqrt(q); ``beta``
@@ -46,11 +48,14 @@ from .choosability import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     ListAssignment,
+    _atoms,
     _Budget,
+    _minimal_covers,
     normalize_lists,
     pad_witness,
     transversal_check,
 )
+from .exact import type2_profile_search
 from .graphs import Graph, bits_of, complete_bipartite
 
 
@@ -103,24 +108,6 @@ def _validate_reduced(r: ReducedGraph, a: int) -> None:
     if covered != full:
         missing = [i + 1 for i in range(a) if not covered >> i & 1]
         raise ValueError(f"indices {missing} uncovered: their lists would be empty")
-
-
-@functools.cache
-def _minimal_covers(verts: tuple[int, ...], a: int) -> tuple[int, ...]:
-    """The minimal vertex covers of the pattern hypergraph on verts (row i
-    holds the atoms containing i), as masks over positions in verts.  Covers
-    are closed upward, so a cover is minimal when no one-vertex deletion
-    still covers; empty when verts leave some index uncovered."""
-    rows = [sum(1 << j for j, v in enumerate(verts) if v >> i & 1) for i in range(a)]
-
-    def covers(c: int) -> bool:
-        return all(c & row for row in rows)
-
-    return tuple(
-        c
-        for c in range(1, 1 << len(verts))
-        if covers(c) and not any(covers(c & ~(1 << j)) for j in bits_of(c))
-    )
 
 
 def is_blocking(r: ReducedGraph, a: int) -> bool:
@@ -240,7 +227,6 @@ def symmetrize(
     LA = normalize_lists(LA)
     if not all(LA):
         raise ValueError("every A-list must be nonempty")
-    a = len(LA)
     colors = sorted(set().union(*LA))
     adj: dict[int, set[int]] = {c: set() for c in colors}
     for u, v in conflict.edges:
@@ -250,12 +236,7 @@ def symmetrize(
     if not _assignment_insufficient(LA, adj):
         raise ValueError("assignment is sufficient; nothing to symmetrize")
 
-    pattern = {
-        c: sum(1 << i for i in range(a) if c in LA[i]) for c in colors
-    }
-    atoms: dict[int, list[int]] = {}
-    for c in colors:
-        atoms.setdefault(pattern[c], []).append(c)
+    atoms = _atoms(LA)
 
     for _ in range(4 * len(colors) * len(colors) + 16):
         changed = False
@@ -435,8 +416,6 @@ def chi_sc2_reduced(a: int, q: int, *, budget: int = DEFAULT_BUDGET) -> int:
 
     One budget of search nodes covers every profile; when it runs out,
     BudgetExceededError carries the bracket of totals still open."""
-    from .exact import type2_profile_search  # cyclic-import-free local use
-
     meter = _Budget(budget)
     return type2_profile_search(a, q, lambda fa: type2_insufficient(fa, q, budget=meter) is not None)
 

@@ -426,18 +426,30 @@ def test_color_permutation_invariance(seed):
 
 
 def test_minimal_transversals_are_minimal_and_complete():
-    LA = (frozenset({0, 1}), frozenset({1, 2}))
-    got = minimal_transversal_sets(LA)
-    # oracle: filter all subsets of the union
-    union = sorted(set().union(*LA))
-    all_tr = [
-        frozenset(T)
-        for k in range(len(union) + 1)
-        for T in itertools.combinations(union, k)
-        if all(set(T) & L for L in LA)
+    rng = random.Random(0)
+    families = [
+        (),  # no lists: the empty set alone
+        (frozenset({0, 1}), frozenset({1, 2})),
+        (frozenset({0, 1}), frozenset()),  # an empty list: nothing hits it
+        (frozenset({0, 1}), frozenset({0, 1}), frozenset({1, 2})),  # a repeated list
+        (frozenset({0, 1, 2}), frozenset({0, 3}), frozenset({0, 4, 5})),  # color 0 in every list
     ]
-    minimal = {T for T in all_tr if not any(S < T for S in all_tr)}
-    assert set(got) == minimal
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        families.append(
+            tuple(frozenset(rng.sample(range(k), rng.randint(0, k))) for _ in range(rng.randint(1, 4)))
+        )
+    for LA in families:
+        # oracle: filter all subsets of the union
+        union = sorted(set().union(*LA))
+        all_tr = [
+            frozenset(T)
+            for k in range(len(union) + 1)
+            for T in itertools.combinations(union, k)
+            if all(set(T) & L for L in LA)
+        ]
+        minimal = [T for T in all_tr if not any(S < T for S in all_tr)]
+        assert minimal_transversal_sets(LA) == sorted(minimal, key=lambda T: (len(T), sorted(T))), LA
 
 
 def test_detect_structure():

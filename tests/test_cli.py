@@ -313,6 +313,14 @@ def test_verify_tables_unknown_row(capsys):
     assert main(["verify-tables", "--only", "99"]) == 2
 
 
+@pytest.mark.parametrize("only", [",", " ", ""])
+def test_verify_tables_only_names_no_row(capsys, only):
+    assert main(["verify-tables", "--only", only]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "doc",
     [

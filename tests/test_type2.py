@@ -61,6 +61,8 @@ def test_is_blocking_examples():
     assert is_blocking(ReducedGraph((1, 2), ((1, 2),)), 2) is True
     assert is_blocking(ReducedGraph((1, 2, 3), ((1, 2),)), 2) is False
     assert is_blocking(ReducedGraph((1, 2), ()), 2) is False
+    # a = 0: the empty cover holds no edge, so nothing blocks
+    assert is_blocking(ReducedGraph((), ()), 0) is False
 
 
 def test_is_blocking_uncovered_index_rejected():
