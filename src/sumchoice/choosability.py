@@ -4,31 +4,33 @@
 generic path enumerates list assignments up to color relabeling (each class
 is a multiset of membership patterns, walked as submasks of the vertices
 still needing colors) and backtracks a coloring for each.  Before that it
-removes a core vertex v with f(v) = 1 exactly: f is sufficient on the core
-iff f', one less on N(v), is sufficient on core-v (color v first and drop
-its color from the neighbors' lists; conversely a failing assignment of
-core-v lifts by putting one fresh color in L(v) and in every neighbor's
-list), and a neighbor left with f'(u) = 0 makes f insufficient at once.
-With no such vertex it decides f on core-v for every vertex v of the peeled
-core, recursively and memoized within the call: f sufficient on the core
-implies it on core-v, and a failing assignment there lifts by giving v
-fresh colors.  Once all of those are sufficient, a class in which some
-color lies in one list L(v) only is colorable (color core-v, then give v
-that color), so only classes whose patterns all have two or more vertices
-are enumerated.  For labeled complete bipartite / complete split graphs it
-switches to a transversal formulation.  The same peel first drops every
-vertex with more colors than live neighbors, part by part, which leaves a
-smaller K_{a',q'} or G_{a',q'} (or nothing: sufficient at no cost).  On that
-core it enumerates the shapes of the A-side lists, computes the candidate
-A-color sets (minimal transversals on K_{a,q}, SDR images on G_{a,q}; the
-search is otherwise one and the same), and searches for Q-side lists that
-block them all; a failing core assignment lifts by fresh colors at the
-peeled vertices.  The minimal transversals are picks from the minimal
-covers of the atom patterns, the one cover routine ``type2`` uses too.
+takes one vertex-deletion step on the peeled core, recursively and memoized
+within the call.  If a core vertex v has f(v) = 1, only the first such v is
+deleted, with f one less on N(v), and that answer is final: f is sufficient
+on the core iff the lowered f is on core-v (color v first and drop its
+color from the neighbors' lists), and a neighbor left at 0 makes f
+insufficient at once.  Otherwise every v is tried with f unchanged: f
+sufficient on the core implies it on core-v.  A failing assignment of
+core-v lifts the same way in both cases, by fresh colors c, c+1, ... in
+L(v) and, when f(v) = 1, c in every neighbor's list.  Once every core-v is
+sufficient, a class in which some color lies in one list L(v) only is
+colorable (color core-v, then give v that color), so only classes whose
+patterns all have two or more vertices are enumerated.  For labeled
+complete bipartite / complete split graphs it switches to a transversal
+formulation.  The same peel first drops every vertex with more colors than
+live neighbors, part by part, which leaves a smaller K_{a',q'} or G_{a',q'}
+(or nothing: sufficient at no cost).  On that core it enumerates the shapes
+of the A-side lists, computes the candidate A-color sets (minimal
+transversals on K_{a,q}, SDR images on G_{a,q}; the search is otherwise one
+and the same), and searches for Q-side lists that block them all; the core
+A-lists and the blockers become a witness by fresh colors everywhere else.
+The minimal transversals are picks from the minimal covers of the atom
+patterns, the one cover routine ``type2`` uses too.
 Both paths report an explicit ``undecided`` verdict when the budget runs out.
 
 Every witness in the package, here and in the constructions of the other
-modules, gives its free vertices fresh colors through ``pad_witness``.
+modules, gives its free vertices fresh colors through one ``pad_witness``
+call.
 """
 
 from __future__ import annotations
@@ -290,20 +292,8 @@ def sdr_image_sets(LA: Sequence[frozenset[int]]) -> list[frozenset[int]]:
     """Images of systems of distinct representatives (one per list, all
     distinct); these are the candidate A-color sets on a complete split
     graph, where the A-side is a clique."""
-    seen: set[frozenset[int]] = set()
-
-    def rec(idx: int, T: set[int]) -> None:
-        if idx == len(LA):
-            seen.add(frozenset(T))
-            return
-        for c in sorted(LA[idx]):
-            if c not in T:
-                T.add(c)
-                rec(idx + 1, T)
-                T.remove(c)
-
-    rec(0, set())
-    return sorted(seen, key=lambda T: (len(T), sorted(T)))
+    found = {T for pick in itertools.product(*LA) if len(T := frozenset(pick)) == len(LA)}
+    return sorted(found, key=lambda T: (len(T), sorted(T)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,31 +344,6 @@ def _blocking_family(
         return None
 
     return rec(targets, [])
-
-
-def _assemble_witness(
-    LA: ListAssignment,
-    blockers: list[frozenset[int]],
-    a_sizes: SizeFunction,
-    q_sizes: SizeFunction,
-) -> ListAssignment:
-    """LA followed by the Q-lists: the blockers paired with Q-vertices of
-    matching list size, and fresh colors (used once, so they cannot
-    interact) at every remaining Q-vertex.  A blocker lies inside a core
-    A-color set, so it is never longer than the A core, and no peeled
-    Q-vertex takes one."""
-    fixed: dict[int, frozenset[int]] = {}
-    by_size: dict[int, list[frozenset[int]]] = {}
-    for e in blockers:
-        by_size.setdefault(len(e), []).append(e)
-    for i, s in enumerate(q_sizes):
-        pool = by_size.get(s)
-        if pool:
-            fixed[i] = pool.pop(0)
-    if any(pool for pool in by_size.values()):
-        raise AssertionError("unplaced blockers")
-    # canonical LA colors, and so the blockers' too, are below sum(a_sizes)
-    return LA + pad_witness(fixed, q_sizes, sum(a_sizes))
 
 
 def bipartite_is_sufficient(
@@ -442,13 +407,25 @@ def _transversal_is_sufficient(
             meter.tick()
             blockers = _blocking_family(targets_of(LA), counts, meter)
             if blockers is not None:
-                if len(core_a) < len(a_sizes):  # fresh colors at the peeled A-vertices
-                    core = [i for i, s in enumerate(a_sizes) if s <= deg]
-                    LA = pad_witness(dict(zip(core, LA)), a_sizes, sum(core_a))
-                return Verdict("insufficient", _assemble_witness(LA, blockers, a_sizes, q_sizes), meter.used)
+                break
+        else:
+            return Verdict("sufficient", None, meter.used)
     except BudgetExceededError:
         return Verdict("undecided", None, meter.used)
-    return Verdict("sufficient", None, meter.used)
+    # The core A-lists, then each blocker at the first free Q-vertex of its
+    # size (a blocker lies inside a core A-color set, so no peeled Q-vertex
+    # takes one), and fresh colors everywhere else: canonical LA colors, and
+    # so the blockers' too, are below sum(core_a).
+    sizes = a_sizes + q_sizes
+    fixed = dict(zip((i for i, s in enumerate(a_sizes) if s <= deg), LA))
+    for e in blockers:
+        for j in range(len(a_sizes), len(sizes)):
+            if sizes[j] == len(e) and j not in fixed:
+                fixed[j] = e
+                break
+        else:
+            raise AssertionError("unplaced blockers")
+    return Verdict("insufficient", pad_witness(fixed, sizes, sum(core_a)), meter.used)
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +511,14 @@ def _generic_witness(
 ) -> ListAssignment | None:
     """A failing f-assignment of g (all f >= 1), or None when f is sufficient.
 
-    A core vertex i with f(i) = 1 is removed exactly: the answer is that of
-    core-i with f lowered by one on N(i), and a failing assignment there
-    lifts by putting one fresh color in L(i) and in every neighbor's list.
-    Otherwise settles core-v for every vertex v of the peeled core before
-    enumerating the core's classes without a private color (see the module
-    docstring).  ``settled`` holds the cores found sufficient so far in this
-    top-level call; each enumerated class ticks ``meter``, the exact removal
-    does not.
+    One deletion step on the peeled core (see the module docstring): the
+    first vertex i with f(i) = 1 alone, f lowered by one on N(i), and its
+    answer is final; with no such vertex, every i with f unchanged.  The
+    witness of core-i lifts by L(i) = range(c, c + f(i)), c = sum(rest_f),
+    plus c on each neighbor's list when f(i) = 1, in one ``pad_witness``
+    call.  ``settled`` holds the cores found sufficient so far in this
+    top-level call; each enumerated class ticks ``meter``, the deletion
+    step does not.
     """
     core = peel_order(g, f)
     if not core:
@@ -551,34 +528,26 @@ def _generic_witness(
     key = (sub.n, sub.edges, core_f)
     if key in settled:
         return None
-    if 1 in core_f:
-        i = core_f.index(1)
+    exact = 1 in core_f
+    for i in [core_f.index(1)] if exact else range(sub.n):
         rest = [u for u in range(sub.n) if u != i]
-        near = sub.adj[i]
+        near = sub.adj[i] if exact else 0
         rest_f = tuple(core_f[u] - (near >> u & 1) for u in rest)
         if 0 in rest_f:  # a neighbor also has f = 1: both get the same color
             lists = pad_witness({}, rest_f, 0)
         else:
             lists = _generic_witness(induced_subgraph(sub, rest), rest_f, meter, settled)
-            if lists is None:
-                settled.add(key)
-                return None
-        # the witness of (core-i, rest_f) keeps its colors below sum(rest_f)
-        c = sum(rest_f)
-        lifted = [L | {c} if near >> u & 1 else L for u, L in zip(rest, lists)]
-        fixed = dict(zip((core[u] for u in rest), lifted))
-        fixed[core[i]] = frozenset({c})
-        return pad_witness(fixed, f, sum(core_f))
-    for i in range(sub.n):
-        rest = [u for u in range(sub.n) if u != i]
-        lists = _generic_witness(induced_subgraph(sub, rest), tuple(core_f[u] for u in rest), meter, settled)
         if lists is not None:
-            lists = pad_witness(dict(zip(rest, lists)), core_f, sum(core_f) - core_f[i])
-            return pad_witness(dict(zip(core, lists)), f, sum(core_f))
-    for lists in enumerate_canonical_assignments(core_f, min_pattern_size=2):
-        meter.tick()
-        if color_from_lists(sub, lists) is None:
-            return pad_witness(dict(zip(core, lists)), f, sum(core_f))
+            # the witness of (core-i, rest_f) keeps its colors below sum(rest_f)
+            c = sum(rest_f)
+            fixed = {core[u]: L | {c} if near >> u & 1 else L for u, L in zip(rest, lists)}
+            fixed[core[i]] = frozenset(range(c, c + core_f[i]))
+            return pad_witness(fixed, f, sum(core_f))
+    if not exact:
+        for lists in enumerate_canonical_assignments(core_f, min_pattern_size=2):
+            meter.tick()
+            if color_from_lists(sub, lists) is None:
+                return pad_witness(dict(zip(core, lists)), f, sum(core_f))
     settled.add(key)
     return None
 

@@ -284,20 +284,30 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(doc: dict) -> Graph:
+    """Parse outside input strictly: ``n``, every edge end and every part
+    label must be a JSON integer (not a bool or a float), and every edge a
+    pair; anything else is a GraphError."""
     if not isinstance(doc, dict):
         raise GraphError(f"graph JSON must be an object, got {type(doc).__name__}")
     missing = [key for key in ("n", "edges") if key not in doc]
     if missing:
         raise GraphError(f"graph JSON lacks {', '.join(map(repr, missing))}")
-    parts = None
-    if doc.get("parts") is not None:
-        if not isinstance(doc["parts"], dict) or not {"A", "Q"} <= doc["parts"].keys():
+    n, edges, parts = doc["n"], doc["edges"], doc.get("parts")
+    if parts is not None:
+        if not isinstance(parts, dict) or not {"A", "Q"} <= parts.keys():
             raise GraphError('graph JSON "parts" must be an object with "A" and "Q"')
-        parts = (doc["parts"]["A"], doc["parts"]["Q"])
-    try:
-        return make_graph(doc["n"], doc["edges"], parts=parts)
-    except (TypeError, IndexError) as exc:  # wrong value types, short edges
-        raise GraphError(f"malformed graph JSON: {exc}") from None
+        parts = (parts["A"], parts["Q"])
+        if not all(isinstance(side, list) for side in parts):
+            raise GraphError('graph JSON parts "A" and "Q" must be lists')
+    if type(n) is not int:
+        raise GraphError(f'graph JSON "n" must be an integer, got {n!r}')
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise GraphError('graph JSON "edges" must be a list of [u, v] pairs')
+    labels = [v for e in edges for v in e] + [v for side in parts or () for v in side]
+    bad = [v for v in labels if type(v) is not int]
+    if bad:
+        raise GraphError(f"graph JSON vertices must be integers, got {bad[0]!r}")
+    return make_graph(n, edges, parts=parts)
 
 
 def load_graph(path_or_text: str) -> Graph:

@@ -46,7 +46,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .choosability import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
     ListAssignment,
     _atoms,
     _Budget,
@@ -152,14 +151,15 @@ def blocking_orbits(a: int) -> tuple[ReducedGraph, ...]:
     minimal cover are exactly the blocking ones.  A vertex set leaving an
     index uncovered has no covers, and one with a single-atom minimal cover
     blocks nothing, so both are skipped and a=1 is empty.  a=4 would mean
-    walking every graph on up to 14 atoms, beyond any budget, so it raises.
+    walking every graph on up to 14 atoms, beyond any budget, so a > 3 is a
+    ValueError, as in ``beta``.
     """
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
     if a > 3:
-        raise BudgetExceededError(
-            f"enumerating blocking graphs for a={a} exceeds the budget "
-            f"(universe of {(1 << a) - 1} atom patterns)"
+        raise ValueError(
+            f"blocking graphs are enumerated for a <= 3, got {a} "
+            f"(a universe of {(1 << a) - 1} atom patterns)"
         )
     found = []
     for pick in range(1, 1 << ((1 << a) - 1)):

@@ -25,7 +25,7 @@ from sumchoice.type2 import (
     symmetrize,
 )
 
-BLOCKING_DIGEST = "d3cd4fae0b098ca4e5512d98535772fa9c6345d696cd364d8125dfacb8625ad6"
+BLOCKING_DIGEST = "3d7252f81ee20ad7aa09e62dfcbf660c966ad198d53861fb20f611e89fdc026c"
 
 
 def outcome(run, *args):

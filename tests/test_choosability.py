@@ -21,6 +21,7 @@ from sumchoice.choosability import (
     lists_to_json,
     minimal_transversal_sets,
     peel_order,
+    sdr_image_sets,
     split_is_sufficient,
     transversal_check,
 )
@@ -450,6 +451,32 @@ def test_minimal_transversals_are_minimal_and_complete():
         ]
         minimal = [T for T in all_tr if not any(S < T for S in all_tr)]
         assert minimal_transversal_sets(LA) == sorted(minimal, key=lambda T: (len(T), sorted(T))), LA
+
+
+def test_sdr_image_sets_match_brute_force():
+    rng = random.Random(0)
+    families = [
+        (),  # no lists: the empty set alone
+        (frozenset({0, 1}), frozenset()),  # an empty list: no representative
+        (frozenset({0, 1}), frozenset({0, 1})),  # a repeated list
+        (frozenset({0}), frozenset({0}), frozenset({0, 1, 2})),  # a repeated singleton: no SDR
+        (frozenset({0, 1, 2}), frozenset({0, 1, 2}), frozenset({0, 1, 2})),
+    ]
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        families.append(
+            tuple(frozenset(rng.sample(range(k), rng.randint(0, k))) for _ in range(rng.randint(1, 4)))
+        )
+    for LA in families:
+        # oracle: the len(LA)-subsets of the union with an ordering that
+        # matches the lists one by one
+        union = sorted(set().union(*LA))
+        images = [
+            frozenset(T)
+            for T in itertools.combinations(union, len(LA))
+            if any(all(c in L for c, L in zip(p, LA)) for p in itertools.permutations(T))
+        ]
+        assert sdr_image_sets(LA) == sorted(images, key=lambda T: (len(T), sorted(T))), LA
 
 
 def test_detect_structure():

@@ -185,6 +185,13 @@ def test_type2_cli_witness(capsys):
     assert doc["witness"]["cost"] == 4
 
 
+def test_type2_cli_a4_is_usage_error(capsys):
+    code = main(["type2", "--a", "4", "--q", "5", "--f", "1,1,1,1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_type2_cli_sufficient(capsys):
     code, doc = run_json(capsys, ["type2", "--a", "2", "--q", "4", "--f", "2,3"])
     assert code == 0 and doc["verdict"] == "sufficient"
@@ -332,6 +339,17 @@ def test_verify_tables_only_names_no_row(capsys, only):
         {"n": "2", "edges": [[0, 1]]},
         {"n": 2.5, "edges": [[0, 1]]},
         {"n": 2, "edges": [[0]]},
+        # any value that is not a JSON integer, and any edge that is not a
+        # pair, is rejected, never truncated or coerced; float("inf") is
+        # what 1e400 parses to
+        {"n": 2, "edges": [[0, 1.7]]},
+        {"n": 3, "edges": [["0", "2"]]},
+        {"n": 3, "edges": [[True, 2]]},
+        {"n": 3, "edges": [[0, 1, 2]]},
+        {"n": True, "edges": []},
+        {"n": 2, "edges": [[0, 1]], "parts": {"A": [0.9], "Q": [1]}},
+        {"n": 2, "edges": [[0, float("inf")]]},
+        {"n": 2, "edges": [[0, 1]], "parts": {"A": [float("inf")], "Q": [1]}},
     ],
 )
 def test_malformed_graph_json_exits_usage(capsys, tmp_path, doc):

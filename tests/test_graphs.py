@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sumchoice.choosability import lists_from_json
 from sumchoice.graphs import (
     GraphError,
     degeneracy_order,
@@ -186,3 +187,46 @@ def test_fixture_files_parse():
     assert g.n == 5 and g.parts is not None
     g = load_graph(json.dumps(graph_to_json(generate("path", [4]))))
     assert g.m == 3
+
+
+# Small JSON documents, biased toward the graph and list-assignment shapes so
+# the parsers get past their first checks, with inf (what 1e400 parses to)
+# and a fractional float drawn often.  Integers stay small, so n <= 8.
+JSON_SCALAR = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 8)
+    | st.sampled_from([1.7, float("inf")])
+    | st.floats()
+    | st.text(max_size=2)
+)
+JSON_VALUE = st.recursive(
+    JSON_SCALAR,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids, max_size=3),
+    max_leaves=8,
+)
+LABEL = st.integers(-1, 8) | JSON_SCALAR
+GRAPH_DOC = st.fixed_dictionaries(
+    {"n": st.integers(0, 8) | JSON_VALUE, "edges": st.lists(st.lists(LABEL, max_size=3), max_size=6) | JSON_VALUE},
+    optional={
+        "parts": st.fixed_dictionaries({"A": st.lists(LABEL, max_size=4), "Q": st.lists(LABEL, max_size=4)})
+        | JSON_VALUE
+    },
+)
+LISTS_DOC = st.fixed_dictionaries({"lists": st.lists(st.lists(LABEL, max_size=4), max_size=8) | JSON_VALUE})
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(GRAPH_DOC | LISTS_DOC | JSON_VALUE)
+def test_json_parsers_raise_only_value_error(doc):
+    # any document either parses or raises ValueError (GraphError is one)
+    try:
+        g = graph_from_json(doc)
+    except ValueError:
+        pass
+    else:
+        assert graph_from_json(graph_to_json(g)) == g
+    try:
+        lists_from_json(doc)
+    except ValueError:
+        pass

@@ -163,8 +163,11 @@ def test_blocking_never_contains_the_full_atom():
 
 
 def test_enumerate_blocking_a4_exceeds_budget():
-    with pytest.raises(BudgetExceededError):
+    # a usage error, not an exhausted budget: no search ran, so no bracket
+    with pytest.raises(ValueError, match="a <= 3"):
         enumerate_blocking(4)
+    with pytest.raises(ValueError, match="a <= 3"):
+        chi_sc2_reduced(4, 3)
 
 
 # ---------------------------------------------------------------------------
