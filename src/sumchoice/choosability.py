@@ -3,9 +3,10 @@
 ``is_sufficient`` is the ground truth the rest of the package leans on.  The
 generic path enumerates list assignments up to color relabeling (each class
 is a multiset of membership patterns, walked as submasks of the vertices
-still needing colors) and backtracks a coloring for each.  Before that it
-takes one vertex-deletion step on the peeled core, recursively and memoized
-within the call.  If a core vertex v has f(v) = 1, only the first such v is
+still needing colors) and backtracks a coloring for each, both on bitmasks:
+a list is an int with bit c set for color c.  Before that it takes one
+vertex-deletion step on the peeled core, recursively and memoized within
+the call.  If a core vertex v has f(v) = 1, only the first such v is
 deleted, with f one less on N(v), and that answer is final: f is sufficient
 on the core iff the lowered f is on core-v (color v first and drop its
 color from the neighbors' lists), and a neighbor left at 0 makes f
@@ -102,39 +103,47 @@ def validate_sizes(f: Sequence[int], n: int | None = None, minimum: int = 1) -> 
 def color_from_lists(g: Graph, lists: Iterable[Iterable[int]]) -> ColoringWitness | None:
     """Proper coloring choosing each vertex's color from its list, or None.
 
-    Backtracking, most-constrained vertex first (ties to the lowest index),
-    colors tried in ascending order, so the answer is deterministic.
+    Colors are ranked in ascending order into bit positions and searched by
+    ``_color_masks``, so they are tried in ascending order.
     """
-    ordered = [sorted(L) for L in normalize_lists(lists, g.n)]
-    neighbors = [bits_of(mask) for mask in g.adj]
-    color: list[int | None] = [None] * g.n
+    lists = normalize_lists(lists, g.n)
+    palette = sorted(set().union(*lists))
+    rank = {c: i for i, c in enumerate(palette)}
+    found = _color_masks(g.adj, [sum(1 << rank[c] for c in L) for L in lists])
+    return None if found is None else tuple(palette[m.bit_length() - 1] for m in found)
 
-    def options(v: int) -> list[int]:
-        taken = {color[u] for u in neighbors[v]}
-        return [c for c in ordered[v] if c not in taken]
 
-    def walk() -> bool:
-        pick, pick_opts = -1, None
-        for v in range(g.n):
-            if color[v] is not None:
-                continue
-            opts = options(v)
-            if pick_opts is None or len(opts) < len(pick_opts):
-                pick, pick_opts = v, opts
-                if not opts:
-                    return False
-        if pick_opts is None:  # every vertex is colored
+def _color_masks(adj: Sequence[int], lists: Sequence[int]) -> list[int] | None:
+    """A proper coloring as one-bit masks, each inside its vertex's list mask,
+    or None.  Backtracking on the vertex with fewest options (list less its
+    colored neighbors' colors; ties to the lowest index), lowest bit first."""
+    color = [0] * len(lists)
+
+    def walk(left: int, opts: list[int]) -> bool:
+        if not left:
             return True
-        for c in pick_opts:
+        pick, fewest = -1, None
+        for v in bits_of(left):
+            k = opts[v].bit_count()
+            if fewest is None or k < fewest:
+                if not k:
+                    return False
+                pick, fewest = v, k
+        rest = left ^ (1 << pick)
+        near = bits_of(adj[pick] & rest)
+        untried = opts[pick]
+        while untried:
+            c = untried & -untried
+            untried ^= c
             color[pick] = c
-            if walk():
+            nxt = opts[:]
+            for u in near:
+                nxt[u] &= ~c
+            if walk(rest, nxt):
                 return True
-        color[pick] = None
         return False
 
-    if walk():
-        return tuple(color)  # type: ignore[arg-type]
-    return None
+    return color if walk((1 << len(lists)) - 1, list(lists)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -159,27 +168,23 @@ def enumerate_canonical_assignments(
     ``min_pattern_size=2`` yields, in the same order, exactly the classes in
     which no color lies in a single list.
     """
-    f = validate_sizes(f)
+    for masks in _class_masks(validate_sizes(f), min_pattern_size):
+        yield tuple(frozenset(bits_of(m)) for m in masks)
+
+
+def _class_masks(f: SizeFunction, min_pattern_size: int) -> Iterator[tuple[int, ...]]:
+    """The classes of ``enumerate_canonical_assignments``, in its order, as
+    one list mask per vertex: bit c is color c."""
     n = len(f)
     rem = list(f)
-    chunks: list[tuple[int, int]] = []
+    lists = [0] * n
 
-    def emit() -> ListAssignment:
-        lists: list[list[int]] = [[] for _ in range(n)]
-        color = 0
-        for pattern, mult in chunks:
-            for _ in range(mult):
-                for v in bits_of(pattern):
-                    lists[v].append(color)
-                color += 1
-        return tuple(frozenset(L) for L in lists)
-
-    def rec(live: int, below: int) -> Iterator[ListAssignment]:
+    def rec(live: int, below: int, color: int) -> Iterator[tuple[int, ...]]:
         # The next pattern is a submask of the vertices still needing colors
         # (``live``), smaller than the last one, and holds the highest live
         # vertex: every later pattern is smaller still, so none could.
         if not live:
-            yield emit()
+            yield tuple(lists)
             return
         top = 1 << (live.bit_length() - 1)
         pattern = live
@@ -187,19 +192,20 @@ def enumerate_canonical_assignments(
             if pattern < below and pattern.bit_count() >= min_pattern_size:
                 members = bits_of(pattern)
                 for k in range(min(rem[v] for v in members), 0, -1):
+                    block = ((1 << k) - 1) << color
                     done = 0
                     for v in members:
+                        lists[v] |= block
                         rem[v] -= k
                         if not rem[v]:
                             done |= 1 << v
-                    chunks.append((pattern, k))
-                    yield from rec(live & ~done, pattern)
-                    chunks.pop()
+                    yield from rec(live & ~done, pattern, color + k)
                     for v in members:
+                        lists[v] ^= block
                         rem[v] += k
             pattern = (pattern - 1) & live
 
-    yield from rec((1 << n) - 1, 1 << n)
+    yield from rec((1 << n) - 1, 1 << n, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +550,10 @@ def _generic_witness(
             fixed[core[i]] = frozenset(range(c, c + core_f[i]))
             return pad_witness(fixed, f, sum(core_f))
     if not exact:
-        for lists in enumerate_canonical_assignments(core_f, min_pattern_size=2):
+        for masks in _class_masks(core_f, 2):
             meter.tick()
-            if color_from_lists(sub, lists) is None:
+            if _color_masks(sub.adj, masks) is None:
+                lists = (frozenset(bits_of(m)) for m in masks)
                 return pad_witness(dict(zip(core, lists)), f, sum(core_f))
     settled.add(key)
     return None

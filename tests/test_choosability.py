@@ -52,6 +52,61 @@ def test_length_mismatch_rejected():
         color_from_lists(generate("path", [3]), [{0}, {1}])
 
 
+# Colors far from 0 on both sides, so a fault in ranking colors into bit
+# positions shows: negative ones, and ones at and beyond 2**64.
+COLOR_POOL = [0, 1, 2, 3, 7, -1, -5, -(2**70), 2**64 - 1, 2**64, 2**64 + 3, 10**20]
+
+
+def coloring_cases(count, label):
+    """Seeded (graph, lists) on at most 7 vertices: lists drawn from a few
+    pool colors, some empty, some a copy of an earlier vertex's list, and
+    some with a color written twice."""
+    for seed in range(count):
+        rng = random.Random(f"{label}:{seed}")
+        n = rng.randint(1, 7)
+        g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45])
+        palette = rng.sample(COLOR_POOL, rng.randint(1, 5))
+        lists = []
+        for v in range(n):
+            roll = rng.random()
+            if roll < 0.04:
+                L = []
+            elif roll < 0.2 and lists:
+                L = list(rng.choice(lists))
+            else:
+                L = rng.sample(palette, rng.randint(1, min(3, len(palette))))
+                if rng.random() < 0.1:
+                    L.append(L[0])
+            lists.append(L)
+        yield g, lists
+
+
+def test_color_from_lists_matches_brute_force():
+    verdicts = set()
+    for g, lists in coloring_cases(500, "coloring-reference"):
+        colorable = any(
+            all(pick[u] != pick[v] for u, v in g.edges) for pick in itertools.product(*map(set, lists))
+        )
+        got = color_from_lists(g, lists)
+        assert (got is not None) == colorable, (g, lists)
+        if got is not None:
+            assert all(c in L for c, L in zip(got, lists)), (g, lists, got)
+            assert all(got[u] != got[v] for u, v in g.edges), (g, lists, got)
+        verdicts.add(got is not None)
+    assert verdicts == {True, False}
+
+
+def test_color_from_lists_outputs_pinned():
+    # sha256 of every input and returned coloring over a seeded sweep: the
+    # coloring is public (``sumchoice check --lists`` prints it), so the
+    # search order must not drift.
+    digest = hashlib.sha256()
+    for g, lists in coloring_cases(1500, "coloring-digest"):
+        line = (g.n, g.edges, [sorted(set(L)) for L in lists], color_from_lists(g, lists))
+        digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == "8b01cd9eca5aa35266a1849d12cfc293c209f3cd2633c0af5a661cc8655bff34"
+
+
 # ---------------------------------------------------------------------------
 # canonical enumeration
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sumchoice.cli import main
-from sumchoice.graphs import complete_split, graph_to_json
+from sumchoice.graphs import complete_split, graph_to_json, path as path_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -49,6 +49,25 @@ def test_check_lists_mode(capsys, tmp_path):
     lists.write_text(json.dumps({"lists": [[0], [1]]}))
     code, doc = run_json(capsys, ["check", "--graph", str(FIXTURES / "k2.json"), "--lists", str(lists)])
     assert code == 0 and doc["colorable"] is True and doc["coloring"] == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "lists, want",
+    [
+        ([[-3, -1], [-3], [-1, -7], [-7]], [-1, -3, -1, -7]),
+        ([[10**20, 0], [10**20], [10**20, -2], [-2, 5]], [0, 10**20, -2, 5]),
+        ([[-1], [], [10**20], [0]], None),
+        ([[-(2**70), 2**64], [2**64, -(2**70)], [2**64], [-(2**70), 10**20]], [2**64, -(2**70), 2**64, -(2**70)]),
+    ],
+)
+def test_check_lists_on_a_path_far_from_zero(capsys, tmp_path, lists, want):
+    graph = tmp_path / "p4.json"
+    graph.write_text(json.dumps(graph_to_json(path_graph(4))))
+    path = tmp_path / "lists.json"
+    path.write_text(json.dumps({"lists": lists}))
+    code, doc = run_json(capsys, ["check", "--graph", str(graph), "--lists", str(path)])
+    assert code == 0
+    assert doc["colorable"] is (want is not None) and doc.get("coloring") == want
 
 
 def test_sumchoice_k22(capsys):
