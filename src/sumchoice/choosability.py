@@ -20,13 +20,22 @@ patterns all have two or more vertices are enumerated.  For labeled
 complete bipartite / complete split graphs it switches to a transversal
 formulation.  The same peel first drops every vertex with more colors than
 live neighbors, part by part, which leaves a smaller K_{a',q'} or G_{a',q'}
-(or nothing: sufficient at no cost).  On that core it enumerates the shapes
+(or nothing: sufficient at no cost).  On that core it walks the shapes
 of the A-side lists, computes the candidate A-color sets (minimal
 transversals on K_{a,q}, SDR images on G_{a,q}; the search is otherwise one
 and the same), and searches for Q-side lists that block them all; the core
 A-lists and the blockers become a witness by fresh colors everywhere else.
 The minimal transversals are picks from the minimal covers of the atom
-patterns, the one cover routine ``type2`` uses too.
+patterns, the one cover routine ``type2`` uses too.  Shapes, targets and
+blockers are int masks; the shapes are read once per search from
+``enumerate_canonical_assignments``, and otherwise frozensets are built only
+for a witness.  One memo (``_SearchMemo``) lives for one top-level search:
+``sum_choice_exact``, ``sum_choice_type2_exact``, or one bare public oracle
+call.  It keeps the shapes walked per core A-sizes, each with its interned
+target family, and the result of each blocker search per (family, live
+Q-sizes).  A reused blocker search counts the nodes of its first run
+against the budget.  The target families are computed outside the budget,
+once per distinct shape per search.
 Both paths report an explicit ``undecided`` verdict when the budget runs out.
 
 Every witness in the package, here and in the constructions of the other
@@ -38,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -68,7 +77,11 @@ class Verdict:
     insufficient verdict.  ``checked`` counts the work that ticks the
     budget: enumerated classes on the generic path (the exact removal of
     f = 1 vertices ticks none), A-side shapes and blocker-search nodes on
-    the transversal path.  The peel ticks none on either path.
+    the transversal path.  A blocker search reused from the memo of the
+    top-level search counts the nodes of its first run, so ``checked`` does
+    not depend on reuse; the target families behind it are computed outside
+    the budget, once per distinct shape per search.  The peel ticks none on
+    either path.
     """
 
     status: str
@@ -106,11 +119,17 @@ def color_from_lists(g: Graph, lists: Iterable[Iterable[int]]) -> ColoringWitnes
     Colors are ranked in ascending order into bit positions and searched by
     ``_color_masks``, so they are tried in ascending order.
     """
-    lists = normalize_lists(lists, g.n)
+    palette, masks = _ranked(normalize_lists(lists, g.n))
+    found = _color_masks(g.adj, masks)
+    return None if found is None else tuple(palette[m.bit_length() - 1] for m in found)
+
+
+def _ranked(lists: Sequence[frozenset[int]]) -> tuple[list[int], list[int]]:
+    """The colors of lists in ascending order, and each list as a mask over
+    their positions: a mask kernel run on these keeps the order of colors."""
     palette = sorted(set().union(*lists))
     rank = {c: i for i, c in enumerate(palette)}
-    found = _color_masks(g.adj, [sum(1 << rank[c] for c in L) for L in lists])
-    return None if found is None else tuple(palette[m.bit_length() - 1] for m in found)
+    return palette, [sum(1 << rank[c] for c in L) for L in lists]
 
 
 def _color_masks(adj: Sequence[int], lists: Sequence[int]) -> list[int] | None:
@@ -247,19 +266,19 @@ def transversal_check(
 
 # ---------------------------------------------------------------------------
 # Candidate transversal sets
+#
+# Both families are computed on list masks (bit c is color c) and ordered by
+# size, then colors; the public functions rank their colors into bits, the
+# way ``color_from_lists`` does, and read the masks back as frozensets.
 
 
-def _atoms(LA: Sequence[frozenset[int]]) -> dict[int, list[int]]:
-    """The colors of LA grouped by membership pattern (bit i set when the
-    color lies in LA[i]): pattern -> ascending colors, patterns in order of
-    their first color."""
-    pattern: dict[int, int] = {}
-    for i, L in enumerate(LA):
-        for c in L:
-            pattern[c] = pattern.get(c, 0) | 1 << i
+def _atoms(LA: Sequence[int]) -> dict[int, list[int]]:
+    """The colors of the list masks LA grouped by membership pattern (bit i
+    set when the color lies in LA[i]): pattern -> ascending colors, patterns
+    in order of their first color."""
     atoms: dict[int, list[int]] = {}
-    for c in sorted(pattern):
-        atoms.setdefault(pattern[c], []).append(c)
+    for c in bits_of(functools.reduce(operator.or_, LA, 0)):
+        atoms.setdefault(sum(1 << i for i, L in enumerate(LA) if L >> c & 1), []).append(c)
     return atoms
 
 
@@ -280,26 +299,50 @@ def _minimal_covers(verts: tuple[int, ...], a: int) -> tuple[int, ...]:
     )
 
 
-def minimal_transversal_sets(LA: Sequence[frozenset[int]]) -> list[frozenset[int]]:
-    """The minimal sets hitting every list of LA, by size, then colors: one
-    color of each atom of a minimal cover of the atom patterns (a minimal
-    transversal never holds two colors of one atom)."""
+def _by_size_then_colors(masks: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted(masks, key=lambda T: (T.bit_count(), bits_of(T))))
+
+
+def _minimal_transversal_masks(LA: Sequence[int]) -> tuple[int, ...]:
+    """The minimal sets hitting every list mask of LA: one color of each
+    atom of a minimal cover of the atom patterns (a minimal transversal
+    never holds two colors of one atom)."""
     atoms = _atoms(LA)
-    groups = list(atoms.values())
-    found = [
-        frozenset(pick)
-        for c in _minimal_covers(tuple(atoms), len(LA))
-        for pick in itertools.product(*(groups[j] for j in bits_of(c)))
-    ]
-    return sorted(found, key=lambda T: (len(T), sorted(T)))
+    groups = [[1 << c for c in colors] for colors in atoms.values()]
+    return _by_size_then_colors(
+        sum(pick)
+        for cover in _minimal_covers(tuple(atoms), len(LA))
+        for pick in itertools.product(*(groups[j] for j in bits_of(cover)))
+    )
+
+
+def _sdr_image_masks(LA: Sequence[int]) -> tuple[int, ...]:
+    """The images of the systems of distinct representatives of the list
+    masks LA, grown one list at a time: an image of the first k + 1 lists is
+    an image of the first k plus a color of list k + 1 outside it."""
+    images = {0}
+    for L in LA:
+        images = {T | 1 << c for T in images for c in bits_of(L & ~T)}
+    return _by_size_then_colors(images)
+
+
+def minimal_transversal_sets(LA: Sequence[frozenset[int]]) -> list[frozenset[int]]:
+    """The minimal sets hitting every list of LA, by size, then colors."""
+    return _frozenset_view(_minimal_transversal_masks, LA)
 
 
 def sdr_image_sets(LA: Sequence[frozenset[int]]) -> list[frozenset[int]]:
     """Images of systems of distinct representatives (one per list, all
-    distinct); these are the candidate A-color sets on a complete split
-    graph, where the A-side is a clique."""
-    found = {T for pick in itertools.product(*LA) if len(T := frozenset(pick)) == len(LA)}
-    return sorted(found, key=lambda T: (len(T), sorted(T)))
+    distinct), by size, then colors; these are the candidate A-color sets on
+    a complete split graph, where the A-side is a clique."""
+    return _frozenset_view(_sdr_image_masks, LA)
+
+
+def _frozenset_view(
+    kernel: Callable[[Sequence[int]], tuple[int, ...]], LA: Sequence[frozenset[int]]
+) -> list[frozenset[int]]:
+    palette, masks = _ranked(LA)
+    return [frozenset(palette[c] for c in bits_of(T)) for T in kernel(masks)]
 
 
 # ---------------------------------------------------------------------------
@@ -322,34 +365,101 @@ class _Budget:
 
 
 def _blocking_family(
-    targets: list[frozenset[int]], size_counts: Counter, budget: _Budget
-) -> list[frozenset[int]] | None:
-    """Distinct blocker sets, at most size_counts[s] of each size s, covering
-    every target (each target must contain some blocker); None if impossible."""
-    counts = Counter(size_counts)
+    targets: Sequence[int], q_live: SizeFunction, budget: _Budget
+) -> tuple[int, ...] | None:
+    """Distinct blocker masks, at most as many of each size as q_live holds,
+    covering every target mask (each target must contain some blocker); None
+    if impossible.  The targets left to cover are one mask over their
+    positions, so a blocker clears every target containing it at once.  Each
+    search node ticks ``budget``."""
+    sizes = sorted(set(q_live))
+    counts = [q_live.count(s) for s in sizes]
+    colors = [[1 << c for c in bits_of(T)] for T in targets]
+    inside: dict[int, int] = {}  # blocker -> positions of the targets holding it
 
-    def rec(uncovered: list[frozenset[int]], chosen: list[frozenset[int]]):
+    def rec(uncovered: int, chosen: tuple[int, ...]) -> tuple[int, ...] | None:
         budget.tick()
         if not uncovered:
             return chosen
-        if not counts:
+        if len(chosen) == len(q_live):
             return None
-        T = uncovered[0]
-        for size in sorted(counts):
-            if counts[size] <= 0 or size > len(T):
+        first = colors[(uncovered & -uncovered).bit_length() - 1]
+        for k, size in enumerate(sizes):
+            if size > len(first):
+                break
+            if not counts[k]:
                 continue
-            for combo in itertools.combinations(sorted(T), size):
-                e = frozenset(combo)
-                counts[size] -= 1
-                if counts[size] == 0:
-                    del counts[size]
-                got = rec([U for U in uncovered if not e <= U], chosen + [e])
-                counts[size] += 1
+            counts[k] -= 1
+            for combo in itertools.combinations(first, size):
+                e = sum(combo)
+                hit = inside.get(e)
+                if hit is None:
+                    hit = inside[e] = sum(1 << i for i, T in enumerate(targets) if T & e == e)
+                got = rec(uncovered & ~hit, chosen + (e,))
                 if got is not None:
                     return got
+            counts[k] += 1
         return None
 
-    return rec(targets, [])
+    return rec((1 << len(targets)) - 1, ())
+
+
+class _SearchMemo:
+    """The transversal work that the oracle calls of one top-level search
+    share; every bare public call makes its own.
+
+    Per (core A-sizes, clique): the A-shapes walked so far, as list masks,
+    each with the id of its interned target family.  Per (family, sorted
+    live Q-sizes): the blocker search's result and the number of nodes it
+    ticked.  A reused search ticks that many again, or left + 1 when fewer
+    are left, so it runs out of budget exactly where its first run would:
+    ``checked`` and ``budget_used`` do not depend on what was reused.
+    """
+
+    __slots__ = ("shapes", "families", "targets", "searches")
+
+    def __init__(self) -> None:
+        self.shapes: dict[tuple[SizeFunction, bool], tuple[list, Iterator[ListAssignment]]] = {}
+        self.families: dict[tuple[int, ...], int] = {}
+        self.targets: list[tuple[int, ...]] = []
+        self.searches: dict[tuple[int, SizeFunction], tuple[tuple[int, ...] | None, int]] = {}
+
+    def a_shapes(self, core_a: SizeFunction, clique: bool) -> Iterator[tuple[tuple[int, ...], int]]:
+        """(A-list masks, family id) for each class of
+        ``enumerate_canonical_assignments(core_a)`` in its order; the target
+        family (SDR images when ``clique``, else minimal transversals) is
+        computed once per shape.  The classes come through the public
+        enumerator, once per shape per search, so a trace of it still counts
+        this path's shapes."""
+        key = (core_a, clique)
+        if key not in self.shapes:
+            self.shapes[key] = ([], enumerate_canonical_assignments(core_a))
+        seen, fresh = self.shapes[key]
+        for i in itertools.count():
+            if i == len(seen):
+                lists = next(fresh, None)
+                if lists is None:
+                    return
+                LA = tuple(sum(1 << c for c in L) for L in lists)
+                targets = (_sdr_image_masks if clique else _minimal_transversal_masks)(LA)
+                family = self.families.setdefault(targets, len(self.targets))
+                if family == len(self.targets):
+                    self.targets.append(targets)
+                seen.append((LA, family))
+            yield seen[i]
+
+    def blockers(self, family: int, q_live: SizeFunction, meter: _Budget) -> tuple[int, ...] | None:
+        """``_blocking_family`` of the family's targets at the sorted Q-sizes
+        ``q_live``, run once and replayed on ``meter`` after that."""
+        key = (family, q_live)
+        if key in self.searches:
+            found, nodes = self.searches[key]
+            meter.tick(min(nodes, meter.left + 1))
+            return found
+        start = meter.used
+        found = _blocking_family(self.targets[family], q_live, meter)
+        self.searches[key] = (found, meter.used - start)
+        return found
 
 
 def bipartite_is_sufficient(
@@ -364,7 +474,8 @@ def bipartite_is_sufficient(
     shapes up to color relabeling; for each, searches for Q-lists (inside
     the A universe, the core's sizes) blocking every minimal transversal.
     """
-    return _transversal_is_sufficient(a_sizes, q_sizes, budget, minimal_transversal_sets)
+    a_sizes, q_sizes = validate_sizes(a_sizes), validate_sizes(q_sizes)
+    return _transversal_is_sufficient(a_sizes, q_sizes, budget, False, _SearchMemo())
 
 
 def split_is_sufficient(
@@ -373,45 +484,41 @@ def split_is_sufficient(
     """Same adversarial search on the complete split graph G_{a,q}: the
     A-side is a clique, so candidate color sets are SDR images instead of
     minimal transversals."""
-    return _transversal_is_sufficient(a_sizes, q_sizes, budget, sdr_image_sets)
+    a_sizes, q_sizes = validate_sizes(a_sizes), validate_sizes(q_sizes)
+    return _transversal_is_sufficient(a_sizes, q_sizes, budget, True, _SearchMemo())
 
 
 def _transversal_is_sufficient(
-    a_sizes: Sequence[int],
-    q_sizes: Sequence[int],
-    budget: int,
-    targets_of: Callable[[ListAssignment], list[frozenset[int]]],
+    a_sizes: SizeFunction, q_sizes: SizeFunction, budget: int, clique: bool, memo: _SearchMemo
 ) -> Verdict:
-    """The shared search: ``targets_of(LA)`` gives the candidate A-color
-    sets that the Q-lists must all block.
+    """The shared search: the Q-lists must block every candidate A-color
+    set of the A-shape (SDR images when A is a ``clique``, else minimal
+    transversals).
 
     First the peel of ``peel_order``, by part: a Q-vertex with f > |A alive|
     and an A-vertex with f > |Q alive| (plus |A alive| - 1 when A is a
-    clique, ``targets_of is sdr_image_sets``) color last, so they drop until
-    none is left.  The core is again a K_{a',q'} or G_{a',q'}, searched on
-    its sizes; an empty A-side makes f sufficient with no work, and a
-    failing core assignment lifts by fresh colors at the peeled vertices.
+    clique) color last, so they drop until none is left.  The core is again
+    a K_{a',q'} or G_{a',q'}, searched on its sizes with the shapes and
+    blocker searches of ``memo``; an empty A-side makes f sufficient with no
+    work, and a failing core assignment lifts by fresh colors at the peeled
+    vertices.
     """
-    a_sizes = validate_sizes(a_sizes)
-    q_sizes = validate_sizes(q_sizes)
-    clique = targets_of is sdr_image_sets
     # Each round keeps the vertices under a threshold that only falls, so
     # the core is A up to deg and Q up to |A core|.
     core_a = a_sizes
     while True:
         if not core_a:
             return Verdict("sufficient", None, 0)
-        q_live = [s for s in q_sizes if s <= len(core_a)]
+        q_live = tuple(sorted(s for s in q_sizes if s <= len(core_a)))
         deg = len(q_live) + (len(core_a) - 1 if clique else 0)
         if max(core_a) <= deg:
             break
-        core_a = [s for s in a_sizes if s <= deg]
-    counts = Counter(q_live)
+        core_a = tuple(s for s in a_sizes if s <= deg)
     meter = _Budget(budget)
     try:
-        for LA in enumerate_canonical_assignments(core_a):
+        for LA, family in memo.a_shapes(core_a, clique):
             meter.tick()
-            blockers = _blocking_family(targets_of(LA), counts, meter)
+            blockers = memo.blockers(family, q_live, meter)
             if blockers is not None:
                 break
         else:
@@ -423,11 +530,12 @@ def _transversal_is_sufficient(
     # takes one), and fresh colors everywhere else: canonical LA colors, and
     # so the blockers' too, are below sum(core_a).
     sizes = a_sizes + q_sizes
-    fixed = dict(zip((i for i, s in enumerate(a_sizes) if s <= deg), LA))
+    core = [i for i, s in enumerate(a_sizes) if s <= deg]
+    fixed = {i: frozenset(bits_of(L)) for i, L in zip(core, LA)}
     for e in blockers:
         for j in range(len(a_sizes), len(sizes)):
-            if sizes[j] == len(e) and j not in fixed:
-                fixed[j] = e
+            if sizes[j] == e.bit_count() and j not in fixed:
+                fixed[j] = frozenset(bits_of(e))
                 break
         else:
             raise AssertionError("unplaced blockers")
@@ -490,17 +598,8 @@ def is_sufficient(
     if any(s == 0 for s in f):
         return Verdict("insufficient", pad_witness({}, f, 0), 0)
 
-    structure = detect_structure(g)
-    if structure in ("complete_bipartite", "complete_split"):
-        a_side, q_side = g.parts  # type: ignore[misc]
-        a_sizes = tuple(f[v] for v in a_side)
-        q_sizes = tuple(f[v] for v in q_side)
-        decide = bipartite_is_sufficient if structure == "complete_bipartite" else split_is_sufficient
-        verdict = decide(a_sizes, q_sizes, budget=budget)
-        if verdict.witness is None:
-            return verdict
-        per_vertex = dict(zip(a_side + q_side, verdict.witness))
-        return Verdict(verdict.status, tuple(per_vertex[v] for v in range(g.n)), verdict.checked)
+    if detect_structure(g) is not None:
+        return _labeled_is_sufficient(g, f, budget, _SearchMemo())
 
     meter = _Budget(budget)
     try:
@@ -510,6 +609,21 @@ def is_sufficient(
     if witness is None:
         return Verdict("sufficient", None, meter.used)
     return Verdict("insufficient", witness, meter.used)
+
+
+def _labeled_is_sufficient(g: Graph, f: SizeFunction, budget: int, memo: _SearchMemo) -> Verdict:
+    """``is_sufficient`` on a labeled K_{a,q} or G_{a,q} with every f >= 1:
+    the transversal search on the parts' sizes with ``memo``, its witness
+    put back in vertex order."""
+    a_side, q_side = g.parts  # type: ignore[misc]
+    clique = g.structure == "complete_split"
+    verdict = _transversal_is_sufficient(
+        tuple(f[v] for v in a_side), tuple(f[v] for v in q_side), budget, clique, memo
+    )
+    if verdict.witness is None:
+        return verdict
+    per_vertex = dict(zip(a_side + q_side, verdict.witness))
+    return Verdict(verdict.status, tuple(per_vertex[v] for v in range(g.n)), verdict.checked)
 
 
 def _generic_witness(

@@ -20,7 +20,9 @@ from .choosability import (
     BudgetExceededError,
     ListAssignment,
     SizeFunction,
-    bipartite_is_sufficient,
+    _labeled_is_sufficient,
+    _SearchMemo,
+    _transversal_is_sufficient,
     detect_structure,
     is_sufficient,
 )
@@ -115,11 +117,19 @@ def sum_choice_exact(
     caps = tuple(g.degree(v) + 1 for v in range(g.n))
     upper = sum(greedy_sufficient_f(g))
     blocks = g.parts if detect_structure(g) else ()
+    memo = _SearchMemo()
     used = 0
     witnesses: dict[SizeFunction, ListAssignment] | None = {} if record_witnesses else None
     for k in range(g.n, upper + 1):
         for f in _vectors_with_sum(k, caps, blocks):
-            verdict = is_sufficient(g, f, budget=budget - used)
+            left = budget - used
+            # a labeled K_{a,q} / G_{a,q} goes straight to the transversal
+            # search, with the memo all its candidates share; the generic
+            # path keeps nothing across calls
+            if blocks:
+                verdict = _labeled_is_sufficient(g, f, left, memo)
+            else:
+                verdict = is_sufficient(g, f, budget=left)
             used += verdict.checked
             if verdict.status == "sufficient":
                 return SumChoiceResult(k, f, False, (k, k), used, witnesses)
@@ -154,12 +164,14 @@ def type2_profile_search(a: int, q: int, insufficient: Callable[[SizeFunction], 
 def sum_choice_type2_exact(a: int, q: int, *, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum total over sufficient type-II functions on K_{a,q}
     (every Q-vertex pinned to list size 2), via the transversal oracle.
-    Each oracle call gets the budget the earlier ones left."""
+    Each oracle call gets the budget the earlier ones left, and all of them
+    share one memo of A-shapes and blocker searches."""
+    memo = _SearchMemo()
     used = 0
 
     def insufficient(fa: SizeFunction) -> bool:
         nonlocal used
-        verdict = bipartite_is_sufficient(fa, (2,) * q, budget=budget - used)
+        verdict = _transversal_is_sufficient(fa, (2,) * q, budget - used, False, memo)
         used += verdict.checked
         if verdict.status == "undecided":
             raise BudgetExceededError("sufficiency search budget exceeded")

@@ -50,6 +50,7 @@ from .choosability import (
     _atoms,
     _Budget,
     _minimal_covers,
+    _ranked,
     normalize_lists,
     pad_witness,
     transversal_check,
@@ -227,7 +228,7 @@ def symmetrize(
     LA = normalize_lists(LA)
     if not all(LA):
         raise ValueError("every A-list must be nonempty")
-    colors = sorted(set().union(*LA))
+    colors, masks = _ranked(LA)
     adj: dict[int, set[int]] = {c: set() for c in colors}
     for u, v in conflict.edges:
         if u in adj and v in adj:  # conflicts on colors outside every list are inert
@@ -236,7 +237,7 @@ def symmetrize(
     if not _assignment_insufficient(LA, adj):
         raise ValueError("assignment is sufficient; nothing to symmetrize")
 
-    atoms = _atoms(LA)
+    atoms = {pattern: [colors[c] for c in cs] for pattern, cs in _atoms(masks).items()}
 
     for _ in range(4 * len(colors) * len(colors) + 16):
         changed = False

@@ -1,6 +1,7 @@
 """Exact sum choice numbers, the greedy bound, and type-II optimum."""
 
 import functools
+import hashlib
 import itertools
 import random
 
@@ -140,6 +141,69 @@ def test_record_witnesses_labeled(perm):
     for f, witness in res.witnesses.items():
         assert tuple(len(L) for L in witness) == f
         assert color_from_lists(g, witness) is None
+
+
+def reference_exact(g, budget):
+    """The driver's candidate walk with a fresh public is_sufficient call per
+    candidate, as (value, optimal_f, undecided, bracket, budget_used,
+    witnesses)."""
+    caps = tuple(g.degree(v) + 1 for v in range(g.n))
+    upper = sum(greedy_sufficient_f(g))
+    used, witnesses = 0, {}
+    for k in range(g.n, upper + 1):
+        for f in _vectors_with_sum(k, caps, g.parts):
+            verdict = is_sufficient(g, f, budget=budget - used)
+            used += verdict.checked
+            if verdict.status == "sufficient":
+                return k, f, False, (k, k), used, witnesses
+            if verdict.status == "undecided":
+                return None, None, True, (k, upper), used, witnesses
+            witnesses[f] = verdict.witness
+    raise AssertionError("greedy f is sufficient")
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "make, a, q", [(complete_bipartite, 3, 3), (complete_bipartite, 2, 5), (complete_split, 3, 3)]
+)
+def test_shared_search_matches_fresh_calls_on_relabeled_graphs(make, a, q, seed):
+    # Vertices shuffled over the whole graph, so the A side is not 0..a-1 and
+    # each part lists its vertices out of order: f along the parts is then
+    # not sorted, and shapes shared between candidates must keep positions.
+    perm = random.Random(seed).sample(range(a + q), a + q)
+    g = relabeled(make(a, q), perm)
+    full = sum_choice_exact(g).budget_used
+    for budget in (0, 7, full // 3, full - 1, full):
+        res = sum_choice_exact(g, budget=budget, record_witnesses=True)
+        got = (res.value, res.optimal_f, res.undecided, res.bracket, res.budget_used, res.witnesses)
+        assert got == reference_exact(g, budget), (perm, budget)
+    for f, witness in res.witnesses.items():
+        assert tuple(len(L) for L in witness) == f
+        assert color_from_lists(g, witness) is None
+
+
+# Every budget below 60 and every 241st up to the full run of three labeled
+# graphs (budget_used 8845, 8143, 3834), one line per run, pinned by one
+# sha256.  A memoized blocker search replays its ticks, so a run must stop
+# at the same tick, with the same bracket and witnesses, wherever its budget
+# runs out.
+BUDGET_SWEEP = [
+    (complete_bipartite(4, 4), 8845),
+    (complete_split(3, 4), 8143),
+    (complete_bipartite(3, 5), 3834),
+]
+BUDGET_SWEEP_DIGEST = "e318101641659ec13d0b228c1019d7e83ae813ca2e9e514519905eb912a22739"
+
+
+def test_budget_sweep_pinned():
+    h = hashlib.sha256()
+    for g, full in BUDGET_SWEEP:
+        for budget in sorted({*range(60), *range(60, full + 1, 241), full - 1, full}):
+            r = sum_choice_exact(g, budget=budget, record_witnesses=True)
+            witnesses = [(f, [sorted(L) for L in w]) for f, w in r.witnesses.items()]
+            line = (budget, r.value, r.optimal_f, r.undecided, r.bracket, r.budget_used, witnesses)
+            h.update(repr(line).encode() + b"\n")
+    assert h.hexdigest() == BUDGET_SWEEP_DIGEST
 
 
 def test_undecided_bracket():
