@@ -14,17 +14,20 @@ insufficient at once.  Otherwise every v is tried with f unchanged: f
 sufficient on the core implies it on core-v.  A failing assignment of
 core-v lifts the same way in both cases, by fresh colors c, c+1, ... in
 L(v) and, when f(v) = 1, c in every neighbor's list.  Once every core-v is
-sufficient, a class in which some color lies in one list L(v) only is
-colorable (color core-v, then give v that color), so only classes whose
-patterns all have two or more vertices are enumerated.  For labeled
-complete bipartite / complete split graphs it switches to a transversal
-formulation.  The same peel first drops every vertex with more colors than
-live neighbors, part by part, which leaves a smaller K_{a',q'} or G_{a',q'}
-(or nothing: sufficient at no cost).  On that core it walks the shapes
-of the A-side lists, computes the candidate A-color sets (minimal
-transversals on K_{a,q}, SDR images on G_{a,q}; the search is otherwise one
-and the same), and searches for Q-side lists that block them all; the core
-A-lists and the blockers become a witness by fresh colors everywhere else.
+sufficient, a class in which some color c has an independent pattern P is
+colorable: give every vertex of P the color c, which lies in no other list,
+and color core-P, an induced subgraph of a sufficient core-v, from its own
+lists.  So only classes whose every pattern spans an edge of the core are
+enumerated and colored; each pattern is tested on first sight, once per
+walk.  For labeled complete bipartite / complete split graphs it switches
+to a transversal formulation.  The same peel first drops every vertex with
+more colors than live neighbors, part by part, which leaves a smaller
+K_{a',q'} or G_{a',q'} (or nothing: sufficient at no cost).  On that core
+it walks the shapes of the A-side lists, computes the candidate A-color
+sets (minimal transversals on K_{a,q}, SDR images on G_{a,q}; the search is
+otherwise one and the same), and searches for Q-side lists that block them
+all; the core A-lists and the blockers become a witness by fresh colors
+everywhere else.
 The minimal transversals are picks from the minimal covers of the atom
 patterns, the one cover routine ``type2`` uses too.  Shapes, targets and
 blockers are int masks; the shapes are read once per search from
@@ -75,13 +78,15 @@ class Verdict:
     ``status`` is one of ``sufficient``, ``insufficient``, ``undecided``;
     a witness (an f-assignment with no proper coloring) accompanies every
     insufficient verdict.  ``checked`` counts the work that ticks the
-    budget: enumerated classes on the generic path (the exact removal of
-    f = 1 vertices ticks none), A-side shapes and blocker-search nodes on
-    the transversal path.  A blocker search reused from the memo of the
-    top-level search counts the nodes of its first run, so ``checked`` does
-    not depend on reuse; the target families behind it are computed outside
-    the budget, once per distinct shape per search.  The peel ticks none on
-    either path.
+    budget: A-side shapes and blocker-search nodes on the transversal path,
+    enumerated classes on the generic path.  Those are only the classes
+    whose every pattern spans an edge of the core: once every core-v is
+    sufficient, a class with an independent pattern is colorable, so it is
+    never enumerated.  The exact removal of f = 1 vertices ticks none.  A
+    blocker search reused from the memo of the top-level search counts the
+    nodes of its first run, so ``checked`` does not depend on reuse; the
+    target families behind it are computed outside the budget, once per
+    distinct shape per search.  The peel ticks none on either path.
     """
 
     status: str
@@ -142,22 +147,29 @@ def _color_masks(adj: Sequence[int], lists: Sequence[int]) -> list[int] | None:
         if not left:
             return True
         pick, fewest = -1, None
-        for v in bits_of(left):
+        m = left
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
             k = opts[v].bit_count()
             if fewest is None or k < fewest:
                 if not k:
                     return False
                 pick, fewest = v, k
         rest = left ^ (1 << pick)
-        near = bits_of(adj[pick] & rest)
+        near = adj[pick] & rest
         untried = opts[pick]
         while untried:
             c = untried & -untried
             untried ^= c
             color[pick] = c
             nxt = opts[:]
-            for u in near:
-                nxt[u] &= ~c
+            m = near
+            while m:
+                low = m & -m
+                m ^= low
+                nxt[low.bit_length() - 1] &= ~c
             if walk(rest, nxt):
                 return True
         return False
@@ -187,16 +199,21 @@ def enumerate_canonical_assignments(
     ``min_pattern_size=2`` yields, in the same order, exactly the classes in
     which no color lies in a single list.
     """
-    for masks in _class_masks(validate_sizes(f), min_pattern_size):
+    allowed = None if min_pattern_size <= 1 else lambda pattern: pattern.bit_count() >= min_pattern_size
+    for masks in _class_masks(validate_sizes(f), allowed):
         yield tuple(frozenset(bits_of(m)) for m in masks)
 
 
-def _class_masks(f: SizeFunction, min_pattern_size: int) -> Iterator[tuple[int, ...]]:
+def _class_masks(f: SizeFunction, allowed: Callable[[int], bool] | None) -> Iterator[tuple[int, ...]]:
     """The classes of ``enumerate_canonical_assignments``, in its order, as
-    one list mask per vertex: bit c is color c."""
+    one list mask per vertex: bit c is color c.  Only patterns that pass
+    ``allowed`` are used (every pattern when it is None), so the classes are
+    exactly those of the full stream whose every pattern passes, in the same
+    order."""
     n = len(f)
     rem = list(f)
     lists = [0] * n
+    members_of = functools.cache(bits_of)  # read-only lists, one per pattern
 
     def rec(live: int, below: int, color: int) -> Iterator[tuple[int, ...]]:
         # The next pattern is a submask of the vertices still needing colors
@@ -208,8 +225,8 @@ def _class_masks(f: SizeFunction, min_pattern_size: int) -> Iterator[tuple[int, 
         top = 1 << (live.bit_length() - 1)
         pattern = live
         while pattern >= top:
-            if pattern < below and pattern.bit_count() >= min_pattern_size:
-                members = bits_of(pattern)
+            if pattern < below and (allowed is None or allowed(pattern)):
+                members = members_of(pattern)
                 for k in range(min(rem[v] for v in members), 0, -1):
                     block = ((1 << k) - 1) << color
                     done = 0
@@ -225,6 +242,15 @@ def _class_masks(f: SizeFunction, min_pattern_size: int) -> Iterator[tuple[int, 
             pattern = (pattern - 1) & live
 
     yield from rec((1 << n) - 1, 1 << n, 0)
+
+
+def _edge_spanning_classes(g: Graph, f: SizeFunction) -> Iterator[tuple[int, ...]]:
+    """The classes of ``_class_masks`` in which every pattern spans an edge
+    of g, in stream order: the ones left to color on a core whose every
+    core-v is sufficient.  Each pattern is tested on first sight, so the
+    cache grows only with the walk."""
+    spans = functools.cache(lambda pattern: any(g.adj[v] & pattern for v in bits_of(pattern)))
+    return _class_masks(f, spans)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +325,21 @@ def _minimal_covers(verts: tuple[int, ...], a: int) -> tuple[int, ...]:
     )
 
 
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _by_size_then_colors(masks: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(masks, key=lambda T: (T.bit_count(), bits_of(T))))
+    """The masks by size, then by their ascending colors compared as lists.
+    Of two masks of one size, the one holding the lowest color that they do
+    not share comes first: that is descending order of the masks with their
+    bits reversed, over a byte width that holds every mask."""
+    masks = list(masks)
+    width = (max(masks, default=0).bit_length() + 7) // 8
+
+    def key(T: int) -> tuple[int, int]:
+        return T.bit_count(), -int.from_bytes(T.to_bytes(width, "little").translate(_REVERSED_BYTE), "big")
+
+    return tuple(sorted(masks, key=key))
 
 
 def _minimal_transversal_masks(LA: Sequence[int]) -> tuple[int, ...]:
@@ -664,7 +703,7 @@ def _generic_witness(
             fixed[core[i]] = frozenset(range(c, c + core_f[i]))
             return pad_witness(fixed, f, sum(core_f))
     if not exact:
-        for masks in _class_masks(core_f, 2):
+        for masks in _edge_spanning_classes(sub, core_f):
             meter.tick()
             if _color_masks(sub.adj, masks) is None:
                 lists = (frozenset(bits_of(m)) for m in masks)

@@ -1,8 +1,11 @@
 """The sufficiency oracle: coloring search, canonical enumeration, fast paths."""
 
+import functools
 import hashlib
 import itertools
+import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +14,9 @@ from hypothesis import strategies as st
 from sumchoice.bipartite import constr_assignment
 from sumchoice.choosability import (
     Verdict,
+    _by_size_then_colors,
+    _class_masks,
+    _edge_spanning_classes,
     bipartite_is_sufficient,
     color_from_lists,
     detect_structure,
@@ -25,7 +31,7 @@ from sumchoice.choosability import (
     split_is_sufficient,
     transversal_check,
 )
-from sumchoice.graphs import generate, make_graph
+from sumchoice.graphs import bits_of, complete_bipartite, cycle, generate, make_graph, random_graph
 
 PROPERTY_SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -211,6 +217,58 @@ def test_class_count_all_twos_on_six_vertices():
     assert sum(1 for _ in enumerate_canonical_assignments((2,) * 6)) == 29_388
 
 
+def graphs_up_to_isomorphism(n):
+    """One labeled graph per isomorphism class on n vertices."""
+    pairs = list(itertools.combinations(range(n), 2))
+    seen = set()
+    for bits in range(1 << len(pairs)):
+        edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
+        key = min(
+            tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
+            for perm in itertools.permutations(range(n))
+        )
+        if key not in seen:
+            seen.add(key)
+            yield make_graph(n, edges)
+
+
+def cores_up_to_isomorphism(g, cap):
+    """Every f on g with 1 <= f(v) <= min(cap, deg(v)), one per orbit under
+    the automorphisms of g.  These (g, f) are exactly the peeled cores: no
+    vertex has more colors than neighbors."""
+    autos = [p for p in itertools.permutations(range(g.n)) if all(g.has_edge(p[u], p[v]) for u, v in g.edges)]
+    for f in itertools.product(*[range(1, min(cap, g.degree(v)) + 1) for v in range(g.n)]):
+        if f == min(tuple(f[v] for v in p) for p in autos):
+            yield f
+
+
+def test_edge_spanning_walk_is_the_filtered_stream():
+    # The generic oracle walks only the classes whose every color lies in
+    # both ends of some edge.  On every core with at most five vertices and
+    # f <= 3, up to isomorphism, and on seeded six-vertex cores with f <= 2,
+    # that walk must be the full stream (the one
+    # enumerate_canonical_assignments views) filtered to those classes, in
+    # its order.
+    full_stream = functools.cache(lambda f: list(_class_masks(f, None)))
+    cases = [(g, 3) for n in range(1, 6) for g in graphs_up_to_isomorphism(n)]
+    for seed in range(2):
+        rng = random.Random(f"edge-spanning-walk:{seed}")
+        cases.append((make_graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if rng.random() < 0.5]), 2))
+    dropped = kept = 0
+    for g, cap in cases:
+        for f in cores_up_to_isomorphism(g, cap):
+            want = [
+                masks
+                for masks in full_stream(f)
+                if functools.reduce(operator.or_, (masks[u] & masks[v] for u, v in g.edges), 0)
+                == functools.reduce(operator.or_, masks)
+            ]
+            assert list(_edge_spanning_classes(g, f)) == want, (g, f)
+            dropped += len(full_stream(f)) - len(want)
+            kept += len(want)
+    assert dropped > kept > 0
+
+
 # ---------------------------------------------------------------------------
 # is_sufficient
 
@@ -247,6 +305,22 @@ def test_budget_exhaustion_reports_undecided():
     verdict = is_sufficient(g, (2, 2, 2, 2), budget=2)
     assert verdict.status == "undecided"
     assert is_sufficient(g, (2, 2, 2, 2)).status == "sufficient"
+
+
+@pytest.mark.parametrize("g, f", [(cycle(22), (2,) * 22), (random_graph(22, 60, 0), (3,) * 22)])
+def test_large_core_runs_out_of_budget_without_a_pattern_table(g, f):
+    # The pattern test fills as the walk meets patterns.  Every core-v of
+    # C_22 peels away, so its own walk starts at once: a table over its
+    # 2**22 patterns, built before the first class, would take far more
+    # than the bound below.
+    tracemalloc.start()
+    try:
+        verdict = is_sufficient(g, f, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (verdict.status, verdict.checked) == ("undecided", 1001)
+    assert peak < 4 * 2**20
 
 
 def test_witness_always_fails_coloring():
@@ -298,6 +372,24 @@ def test_generic_oracle_matches_reference_on_random_graphs():
     assert ("insufficient", True, None) in tested
     assert {("sufficient", False, k) for k in (0, 4, 5, 6)} <= tested
     assert {("insufficient", False, k) for k in (2, 3, 4, 5, 6)} <= tested
+
+
+def test_generic_sufficient_work_pinned():
+    # Classes walked on the sufficient queries of the generic_sufficient
+    # bench workload (before the walk kept only edge-spanning patterns:
+    # 2,691 / 189 / 215 / 329 / 189).  A class with an independent pattern
+    # that came back into the walk would raise these counts.
+    cases = [(cycle(6), (2,) * 6, 543)]
+    for q, f, checked in [
+        (3, (2, 2, 2, 2, 2), 68),
+        (3, (3, 2, 2, 2, 2), 93),
+        (3, (3, 3, 2, 2, 2), 125),
+        (4, (2, 2, 2, 2, 2, 3), 68),
+    ]:
+        labeled = complete_bipartite(2, q)
+        cases.append((make_graph(labeled.n, labeled.edges), f, checked))
+    for g, f, checked in cases:
+        assert is_sufficient(g, f) == Verdict("sufficient", None, checked), (g, f)
 
 
 def test_exact_removal_of_size_one_vertices_matches_reference():
@@ -506,6 +598,21 @@ def test_minimal_transversals_are_minimal_and_complete():
         ]
         minimal = [T for T in all_tr if not any(S < T for S in all_tr)]
         assert minimal_transversal_sets(LA) == sorted(minimal, key=lambda T: (len(T), sorted(T))), LA
+
+
+def test_size_then_colors_order_is_the_color_list_order():
+    # The sort key of the candidate families: by size, then by the colors
+    # in ascending order compared as lists, on every mask below 2**12 and
+    # on masks past bit 64.
+    def by_color_lists(masks):
+        return tuple(sorted(masks, key=lambda T: (T.bit_count(), bits_of(T))))
+
+    every = list(range(1 << 12))
+    random.Random(0).shuffle(every)
+    assert _by_size_then_colors(every) == by_color_lists(every)
+    wide = [1 << 64, (1 << 64) | 1, 3 << 63, 1 << 63, (1 << 70) | 5, (1 << 65) | 8, (1 << 100) | (1 << 64), 7, 0]
+    assert _by_size_then_colors(wide) == by_color_lists(wide)
+    assert _by_size_then_colors([]) == ()
 
 
 def test_sdr_image_sets_match_brute_force():

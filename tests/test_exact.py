@@ -106,11 +106,11 @@ GOLDEN = [
     (complete_bipartite(3, 6), 21, (3, 3, 3, 2, 2, 2, 2, 2, 2), 5903),
     (complete_bipartite(4, 4), 20, (2, 2, 2, 2, 3, 3, 3, 3), 8845),
     (complete_split(3, 4), 20, (2, 4, 6, 2, 2, 2, 2), 8143),
-    (random_graph(6, 8, 1), 14, (1, 1, 1, 3, 3, 5), 80),
+    (random_graph(6, 8, 1), 14, (1, 1, 1, 3, 3, 5), 68),
     (random_graph(6, 8, 7), 14, (1, 2, 1, 2, 3, 5), 20),
     (disjoint_cliques(3, 3, 2), 15, (1, 2, 3, 1, 2, 3, 1, 2), 0),
     (cycle(7), 14, (1, 2, 2, 2, 2, 2, 3), 0),
-    (random_graph(7, 10, 0), 16, (1, 2, 2, 2, 4, 3, 2), 26329),
+    (random_graph(7, 10, 0), 16, (1, 2, 2, 2, 4, 3, 2), 7275),
 ]
 
 
