@@ -206,12 +206,10 @@ def row_random_process() -> tuple[bool, str]:
 
 
 def row_turan() -> tuple[bool, str]:
+    table = _min_clique_edges(20, 6)
     for s in range(0, 21):
         for k in range(1, 7):
-            best = min(
-                sum(math.comb(d, 2) for d in parts)
-                for parts in _compositions(s, k)
-            )
+            best = table[k][s]
             if t_balanced(s, k) != best:
                 return False, f"t({s},{k})={t_balanced(s, k)} but brute force gives {best}"
     for i in range(500):
@@ -290,31 +288,47 @@ def row_split() -> tuple[bool, str]:
     return True, f"upper_f sufficient on G_2,5 and G_3,4; {produced} split witnesses all fail coloring"
 
 
-def _compositions(s: int, k: int):
-    if k == 1:
-        yield (s,)
-        return
-    for first in range(s + 1):
-        for rest in _compositions(s - first, k - 1):
-            yield (first,) + rest
+def _min_clique_edges(s_max: int, k_max: int) -> list[list[int]]:
+    """``table[k][s]``: the least sum of C(d_i, 2) over all compositions of
+    s into k nonnegative parts, for 1 <= k <= k_max and 0 <= s <= s_max
+    (row 0 is unused).
+
+    The objective is a sum over parts, so fixing the last part d leaves the
+    same problem on k-1 parts summing to s-d:
+    ``best_1(s) = C(s,2)`` and ``best_k(s) = min over d = 0..s of
+    C(d,2) + best_{k-1}(s-d)``.  Every composition is one path through this
+    recurrence, so the table is exactly the brute-force minimum.  It never
+    uses the convexity of C(d,2) that makes the balanced split optimal, so
+    it checks ``t_balanced`` independently.
+    """
+    table = [[], [math.comb(s, 2) for s in range(s_max + 1)]]
+    for _ in range(2, k_max + 1):
+        prev = table[-1]
+        table.append(
+            [min(math.comb(d, 2) + prev[s - d] for d in range(s + 1)) for s in range(s_max + 1)]
+        )
+    return table
 
 
 def _has_independent_sdr(g: Graph, lists) -> bool:
+    """Exhaustive search for distinct, pairwise non-adjacent representatives,
+    one from each list, taken in list order.  ``closed`` holds the chosen
+    vertices and their neighborhoods: exactly the vertices no later list may
+    use."""
     options = [sorted(L) for L in lists]
+    adj = g.adj
 
-    def rec(i: int, chosen: tuple[int, ...]) -> bool:
+    def rec(i: int, closed: int) -> bool:
         if i == len(options):
             return True
         for v in options[i]:
-            if v in chosen:
+            if closed >> v & 1:
                 continue
-            if any(g.has_edge(v, u) for u in chosen):
-                continue
-            if rec(i + 1, chosen + (v,)):
+            if rec(i + 1, closed | 1 << v | adj[v]):
                 return True
         return False
 
-    return rec(0, ())
+    return rec(0, 0)
 
 
 CRITERIA: list[tuple[str, str, Callable[[], tuple[bool, str]]]] = [

@@ -335,6 +335,42 @@ def test_verify_tables_trees_and_beta_rows_pinned(capsys):
     )
 
 
+def test_verify_tables_stdout_pinned(capsys):
+    code, out = run(capsys, ["verify-tables"])
+    assert code == 0
+    assert out == (
+        "ROW  1 PASS closed forms vs exact search on K_{2,q} and K_{3,q}: "
+        "exact==closed on [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), "
+        "(3, 3)] -> [5, 8, 10, 13, 7, 10, 13]\n"
+        "ROW  2 PASS trees on up to 6 vertices have sum choice number 2n-1: "
+        "all 14 tree classes n<=6 give 2n-1\n"
+        "ROW  3 PASS greedy back-degree bound on triangulations and random "
+        "graphs: 5 triangulations within 4n-6 / max 6; greedy f sufficient "
+        "on 50 random graphs\n"
+        "ROW  4 PASS doubling construction is insufficient with the stated "
+        "sizes: constr(2,1) and constr(2,2) insufficient; |L| = sqrt(q log2 "
+        "a) exactly\n"
+        "ROW  5 PASS lower bound <= closed form <= upper bound: (2,12): "
+        "24.346 <= 32 <= 76; (2,20): 40.447 <= 50 <= 106; (3,100): 201.887 "
+        "<= 235 <= 446\n"
+        "ROW  6 PASS random transversal process succeeds on type-II "
+        "assignments: 100 assignments (a=4,q=64,r=70,p=0.2731) all succeed "
+        "with proper colorings\n"
+        "ROW  7 PASS balanced Turan counts, greedy SDR, and sharp families: "
+        "t(s,k) matches brute force (s<=20,k<=6); 500 SDR instances; sharp "
+        "families blocked\n"
+        "ROW  8 PASS type-II reduced criterion matches brute force: reduced "
+        "criterion == brute force for a=2, q<=6, entries<=6; chi_sc2 "
+        "agrees\n"
+        "ROW  9 PASS beta(2)=2 and beta(3)=2*sqrt(3) within tolerance: "
+        "beta(2)=2.0, beta(3)=3.46421 (target 2*sqrt(3)=3.46410)\n"
+        "ROW 10 PASS split-graph sufficiency and insufficiency witnesses: "
+        "upper_f sufficient on G_2,5 and G_3,4; 152 split witnesses all "
+        "fail coloring\n"
+        "OK (0 failing rows)\n"
+    )
+
+
 def test_verify_tables_unknown_row(capsys):
     assert main(["verify-tables", "--only", "99"]) == 2
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from sumchoice.acceptance import _has_independent_sdr, _min_clique_edges
 from sumchoice.choosability import color_from_lists, split_is_sufficient
 from sumchoice.graphs import complete_split, generate, make_graph, random_graph
 from sumchoice.rng import derive_rng
@@ -123,6 +124,36 @@ def test_sharp_family_has_no_independent_sdr():
         g, lists = sharp_family(s, a)
         assert independent_sdr(g, lists) is None
         assert not has_independent_sdr_brute(g, lists)
+    # the rest of acceptance row 7's families; too large for the brute force
+    for s, a in [(8, 4), (10, 6)]:
+        g, lists = sharp_family(s, a)
+        assert independent_sdr(g, lists) is None
+
+
+def test_min_clique_edges_is_the_composition_minimum():
+    # acceptance row 7's full range against the literal enumeration
+    table = _min_clique_edges(20, 6)
+    for s in range(0, 21):
+        for k in range(1, 7):
+            assert table[k][s] == brute_t(s, k), (s, k)
+
+
+def test_acceptance_sdr_search_matches_brute_force():
+    outcomes = {True: 0, False: 0}
+    for i in range(300):
+        rng = derive_rng(17, "acceptance-sdr", i)
+        n = rng.randint(2, 9)
+        a = rng.randint(1, min(4, n))
+        g = random_graph(n, rng.randint(0, n * (n - 1) // 2), seed=i)
+        lists = [frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(a)]
+        want = has_independent_sdr_brute(g, lists)
+        assert _has_independent_sdr(g, lists) == want, (i, lists)
+        outcomes[want] += 1
+    assert outcomes[True] >= 50 and outcomes[False] >= 50, outcomes
+    for s, a in [(3, 2), (4, 3), (5, 3), (6, 4), (8, 4)]:
+        g, lists = sharp_family(s, a)
+        assert _has_independent_sdr(g, lists) == has_independent_sdr_brute(g, lists)
+    assert not _has_independent_sdr(*sharp_family(10, 6))
 
 
 # ---------------------------------------------------------------------------
