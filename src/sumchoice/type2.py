@@ -10,6 +10,17 @@ list sums covering f and pair cost sum x_I x_J over E(R) at most q.  Extra
 edges only raise that cost, so only the edge-minimal blocking graphs of
 each vertex set are searched (61 of the 1158 for a=3).
 
+The integer point is searched atom by atom on a plan of index lists built
+once per edge-minimal graph, on the first query for a: the multi-index
+atoms in branch order with the slots of their earlier neighbours, the
+atoms of each index, and the edges touching a singleton.  The pair cost of
+the atoms fixed so far is carried down as an integer, and fixing one more
+atom adds its value times the sum of its earlier neighbours, so each
+branch's range of values is one division; singletons are forced to the
+residual demand at the leaf.  The nodes visited, in order, are those of a
+search recomputing every partial cost from scratch, so budgets and the
+brackets they give are unchanged.
+
 R blocks exactly when every minimal cover of its pattern hypergraph holds
 an edge.  ``is_blocking`` and the one walk over labeled vertex sets that
 lists every blocking graph take those covers from the cached
@@ -42,7 +53,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .choosability import (
     DEFAULT_BUDGET,
@@ -283,62 +294,94 @@ def symmetrize(
 # Integer witness search
 
 
-def _cost(r: ReducedGraph, x: Mapping[int, int]) -> int:
-    return sum(x.get(u, 0) * x.get(v, 0) for u, v in r.edges)
+class _Plan(NamedTuple):
+    """Index lists of one blocking graph for ``_integer_point``.  Slot k < m
+    holds the k-th multi-index atom in branch order (-popcount, mask); the
+    singleton atoms follow in mask order."""
+
+    masks: tuple[int, ...]  # the atom in each slot
+    back: tuple[tuple[int, ...], ...]  # per multi slot: the slots of its earlier multi neighbours
+    rows: tuple[tuple[tuple[int, ...], int | None], ...]  # per index: its multi slots, its singleton slot
+    single_edges: tuple[tuple[int, int], ...]  # slot pairs of the edges touching a singleton
+
+
+def _plan(r: ReducedGraph, a: int) -> _Plan:
+    multi = sorted((v for v in r.vertices if v.bit_count() >= 2), key=lambda v: (-v.bit_count(), v))
+    masks = tuple(multi + sorted(v for v in r.vertices if v.bit_count() == 1))
+    slot = {v: k for k, v in enumerate(masks)}
+    nbrs: list[list[int]] = [[] for _ in masks]
+    for u, v in r.edges:
+        nbrs[slot[u]].append(slot[v])
+        nbrs[slot[v]].append(slot[u])
+    back = tuple(tuple(sorted(j for j in nbrs[k] if j < k)) for k in range(len(multi)))
+    rows = tuple(
+        (tuple(k for k, v in enumerate(multi) if v >> i & 1), slot.get(1 << i)) for i in range(a)
+    )
+    single_edges = tuple(
+        (slot[u], slot[v]) for u, v in r.edges if u.bit_count() == 1 or v.bit_count() == 1
+    )
+    return _Plan(masks, back, rows, single_edges)
+
+
+@functools.cache
+def _minimal_plans(a: int) -> tuple[_Plan, ...]:
+    """The plan of each graph of _minimal_blocking(a), in its order; built on
+    the first type-II query for a."""
+    return tuple(_plan(r, a) for r in _minimal_blocking(a))
 
 
 def _integer_point(
-    r: ReducedGraph, f: Sequence[int], q: int, meter: _Budget
-) -> dict[int, int] | None:
-    """Integer x >= 0 supported on V(r) with phi(x) >= f and cost <= q.
+    plan: _Plan, f: Sequence[int], q: int, meter: _Budget
+) -> tuple[tuple[tuple[int, int], ...], int] | None:
+    """(positive atoms, cost) of the first integer x >= 0 supported on the
+    plan's graph with phi(x) >= f and pair cost sum x_I x_J over its edges
+    at most q; None if there is none.
 
     Branches only over atoms of two or more indices; singleton atoms are
     forced to the residual demand afterwards.  Coordinates are capped at
     max(f): any larger coordinate alone already covers its rows, so
-    truncating it keeps phi(x) >= f and can only lower the cost.  Every
-    cost coefficient is >= 0, so the partial cost never falls as a value
-    rises, and a branch stops at the first value that puts it above q.
-    Each search node ticks the meter.
+    truncating it keeps phi(x) >= f and can only lower the cost.  The cost
+    of the edges among the atoms fixed so far is carried down the search:
+    fixing the next atom to val adds val * s, with s the sum of its earlier
+    neighbours' values, so the values tried are 0..cap when s = 0 and
+    otherwise stop at the last one keeping that cost at most q: a
+    value-by-value search stopping at the first value above q visits the
+    same nodes in the same order.  The singleton edges are added once the
+    singletons are forced.  Each search node ticks the meter.
     """
-    a = len(f)
+    masks, back, rows, single_edges = plan
     cap = max(f)
-    verts = r.vertices
-    multi = sorted((v for v in verts if v.bit_count() >= 2), key=lambda v: (-v.bit_count(), v))
-    singles = {v: v.bit_length() - 1 for v in verts if v.bit_count() == 1}
+    m = len(back)
+    x = [0] * len(masks)
 
-    x: dict[int, int] = {}
-
-    def finish() -> dict[int, int] | None:
-        got = dict(x)
-        for mask, i in sorted(singles.items()):
-            need = f[i] - sum(c for I, c in got.items() if I >> i & 1)
-            got[mask] = max(0, need)
-        for i in range(a):
-            if sum(c for I, c in got.items() if I >> i & 1) < f[i]:
-                return None
-        if _cost(r, got) <= q:
-            return got
-        return None
-
-    def rec(idx: int) -> dict[int, int] | None:
+    def rec(idx: int, partial: int) -> int | None:
         meter.tick()
-        if idx == len(multi):
-            return finish()
-        v = multi[idx]
-        for val in range(cap + 1):
-            x[v] = val
-            partial = sum(
-                x.get(u1, 0) * x.get(u2, 0) for u1, u2 in r.edges if u1 in x and u2 in x
-            )
-            if partial > q:
-                break
-            got = rec(idx + 1)
-            if got is not None:
-                return got
-        del x[v]
+        if idx == m:  # force the singletons, then check coverage and cost
+            for need, (slots, single) in zip(f, rows):
+                for k in slots:
+                    need -= x[k]
+                if single is not None:
+                    x[single] = need if need > 0 else 0
+                elif need > 0:
+                    return None
+            for u, v in single_edges:
+                partial += x[u] * x[v]
+            return partial if partial <= q else None
+        s = 0
+        for k in back[idx]:
+            s += x[k]
+        top = cap if s == 0 else min(cap, (q - partial) // s)
+        for val in range(top + 1):
+            x[idx] = val
+            cost = rec(idx + 1, partial + s * val)
+            if cost is not None:
+                return cost
         return None
 
-    return rec(0)
+    cost = rec(0, 0)
+    if cost is None:
+        return None
+    return tuple(sorted((v, c) for v, c in zip(masks, x) if c > 0)), cost
 
 
 def type2_insufficient(
@@ -367,11 +410,10 @@ def type2_insufficient(
     if q < 0:
         raise ValueError(f"need q >= 0, got {q}")
     meter = budget if isinstance(budget, _Budget) else _Budget(budget)
-    for r in _minimal_blocking(len(f)):
-        x = _integer_point(r, f, q, meter)
-        if x is not None:
-            atoms = tuple(sorted((mask, c) for mask, c in x.items() if c > 0))
-            return ReducedWitness(r, atoms, _cost(r, x))
+    for r, plan in zip(_minimal_blocking(len(f)), _minimal_plans(len(f))):
+        found = _integer_point(plan, f, q, meter)
+        if found is not None:
+            return ReducedWitness(r, *found)
     return None
 
 

@@ -1,5 +1,6 @@
 """Reduced graphs, blocking enumeration, the integer criterion, and beta."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -20,7 +21,9 @@ from sumchoice.type2 import (
     ReducedGraph,
     ReducedWitness,
     _FaceCost,
+    _integer_point,
     _minimal_blocking,
+    _minimal_plans,
     _min_bilinear,
     _prep_relaxations,
     atom_label,
@@ -307,6 +310,107 @@ def test_type2_insufficient_matches_full_scan():
     assert sizes == {None, 2, 3, 4}
 
 
+def _cost(r, x):
+    return sum(x.get(u, 0) * x.get(v, 0) for u, v in r.edges)
+
+
+def reference_integer_point(r, f, q, meter):
+    """The integer-point search as first written: dict state, every partial
+    cost and the final cost summed over all edges of r."""
+    a = len(f)
+    cap = max(f)
+    verts = r.vertices
+    multi = sorted((v for v in verts if v.bit_count() >= 2), key=lambda v: (-v.bit_count(), v))
+    singles = {v: v.bit_length() - 1 for v in verts if v.bit_count() == 1}
+
+    x = {}
+
+    def finish():
+        got = dict(x)
+        for mask, i in sorted(singles.items()):
+            need = f[i] - sum(c for I, c in got.items() if I >> i & 1)
+            got[mask] = max(0, need)
+        for i in range(a):
+            if sum(c for I, c in got.items() if I >> i & 1) < f[i]:
+                return None
+        if _cost(r, got) <= q:
+            return got
+        return None
+
+    def rec(idx):
+        meter.tick()
+        if idx == len(multi):
+            return finish()
+        v = multi[idx]
+        for val in range(cap + 1):
+            x[v] = val
+            partial = sum(
+                x.get(u1, 0) * x.get(u2, 0) for u1, u2 in r.edges if u1 in x and u2 in x
+            )
+            if partial > q:
+                break
+            got = rec(idx + 1)
+            if got is not None:
+                return got
+        del x[v]
+        return None
+
+    return rec(0)
+
+
+def _both_kernels(r, plan, f, q, budget):
+    """(result, nodes) of the reference kernel and of _integer_point; a
+    result is (positive atoms, cost), None, or BudgetExceededError."""
+    out = []
+    for kernel, arg in ((reference_integer_point, r), (_integer_point, plan)):
+        meter = _Budget(budget)
+        try:
+            got = kernel(arg, f, q, meter)
+        except BudgetExceededError:
+            got = BudgetExceededError
+        if isinstance(got, dict):
+            got = (tuple(sorted((mask, c) for mask, c in got.items() if c > 0)), _cost(r, got))
+        out.append((got, meter.used))
+    return out
+
+
+def test_integer_point_matches_reference_kernel():
+    grids = {
+        2: list(itertools.product(range(1, 6), repeat=2)),
+        3: list(itertools.combinations_with_replacement(range(1, 5), 3))
+        + [(2, 1, 1), (3, 1, 2), (1, 4, 2), (4, 2, 1), (3, 3, 1), (2, 4, 3)],
+    }
+    cases = found = 0
+    for a, fs in grids.items():
+        for r, plan in zip(_minimal_blocking(a), _minimal_plans(a)):
+            for f in fs:
+                for q in range(9):
+                    want, got = _both_kernels(r, plan, f, q, 10**9)
+                    assert got == want, (r, f, q)
+                    cases += 1
+                    found += want[0] is not None
+                    if cases % 199 == 0:  # one node short, both stop at the same tick
+                        nodes = want[1]
+                        short = _both_kernels(r, plan, f, q, nodes - 1)
+                        assert short == [(BudgetExceededError, nodes)] * 2, (r, f, q)
+    assert cases > 10000 and found > 1000
+
+
+def test_type2_node_counts_pinned():
+    # every sorted f in [1, q+1]^3 for q = 2..8: witnesses and search nodes,
+    # hashed as first recorded by the reference kernel (653,433 nodes)
+    digest = hashlib.sha256()
+    nodes = 0
+    for q in range(2, 9):
+        for f in itertools.combinations_with_replacement(range(1, q + 2), 3):
+            meter = _Budget(10**9)
+            w = type2_insufficient(f, q, budget=meter)
+            nodes += meter.used
+            digest.update(repr((f, q, w, meter.used)).encode())
+    assert nodes == 653433
+    assert digest.hexdigest() == "faa192deb2bc1b8ce6f9430ce2898d35827e472d48ac4bf747769330736f8c9a"
+
+
 def test_reduced_criterion_matches_oracle_a2():
     for q in range(1, 6):
         for f in itertools.product(range(1, 6), repeat=2):
@@ -370,6 +474,19 @@ def test_chi_sc2_reduced_one_budget_for_all_profiles():
 def test_chi_sc2_matches_exact():
     for q in range(1, 7):
         assert chi_sc2_reduced(2, q) == sum_choice_type2_exact(2, q)
+
+
+def test_chi_sc2_a3_matches_exact_beyond_bench():
+    for q in (11, 12):
+        assert chi_sc2_reduced(3, q) == sum_choice_type2_exact(3, q)
+
+
+def test_chi_sc2_a3_values_pinned():
+    # recorded with the reference kernel; they equal closed_form(3, q) here
+    # and up to q = 60, an observation rather than a theorem
+    want = [34, 37, 39, 42, 44, 47, 49, 51, 54, 56, 59, 61, 63, 66, 68]
+    want += [70, 73, 75, 77, 80, 82, 84, 87, 89, 91, 93, 96, 98, 100, 103]
+    assert [chi_sc2_reduced(3, q) for q in range(11, 41)] == want
 
 
 def test_chi_sc2_touches_closed_form_at_special_q():
