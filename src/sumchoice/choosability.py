@@ -6,8 +6,10 @@ is a multiset of membership patterns, walked as submasks of the vertices
 still needing colors) and backtracks a coloring for each, both on bitmasks:
 a list is an int with bit c set for color c.  Before that it takes one
 vertex-deletion step on the peeled core, recursively and memoized within
-the call.  If a core vertex v has f(v) = 1, only the first such v is
-deleted, with f one less on N(v), and that answer is final: f is sufficient
+the call; each subproblem is a tuple of neighbour masks (entry v: v's
+neighbours among 0..k-1) with its f, so none builds a ``Graph``.  If a
+core vertex v has f(v) = 1, only the first such v is deleted, with f one
+less on N(v), and that answer is final: f is sufficient
 on the core iff the lowered f is on core-v (color v first and drop its
 color from the neighbors' lists), and a neighbor left at 0 makes f
 insufficient at once.  Otherwise every v is tried with f unchanged: f
@@ -186,21 +188,14 @@ def _color_masks(adj: Sequence[int], lists: Sequence[int]) -> list[int] | None:
 # sum(f) colors ever occur, so the enumeration below is complete.
 
 
-def enumerate_canonical_assignments(
-    f: Sequence[int], *, min_pattern_size: int = 1
-) -> Iterator[ListAssignment]:
+def enumerate_canonical_assignments(f: Sequence[int]) -> Iterator[ListAssignment]:
     """One representative per color-relabeling class of f-assignments.
 
     Patterns are emitted in decreasing bitmask order with multiplicities
     tried high-to-low; colors are numbered in order of first appearance.
     The stream order is deterministic.
-
-    Only patterns of at least ``min_pattern_size`` vertices are used, so
-    ``min_pattern_size=2`` yields, in the same order, exactly the classes in
-    which no color lies in a single list.
     """
-    allowed = None if min_pattern_size <= 1 else lambda pattern: pattern.bit_count() >= min_pattern_size
-    for masks in _class_masks(validate_sizes(f), allowed):
+    for masks in _class_masks(validate_sizes(f), None):
         yield tuple(frozenset(bits_of(m)) for m in masks)
 
 
@@ -244,12 +239,12 @@ def _class_masks(f: SizeFunction, allowed: Callable[[int], bool] | None) -> Iter
     yield from rec((1 << n) - 1, 1 << n, 0)
 
 
-def _edge_spanning_classes(g: Graph, f: SizeFunction) -> Iterator[tuple[int, ...]]:
+def _edge_spanning_classes(adj: Sequence[int], f: SizeFunction) -> Iterator[tuple[int, ...]]:
     """The classes of ``_class_masks`` in which every pattern spans an edge
-    of g, in stream order: the ones left to color on a core whose every
-    core-v is sufficient.  Each pattern is tested on first sight, so the
-    cache grows only with the walk."""
-    spans = functools.cache(lambda pattern: any(g.adj[v] & pattern for v in bits_of(pattern)))
+    of the graph with neighbour masks adj, in stream order: the ones left to
+    color on a core whose every core-v is sufficient.  Each pattern is
+    tested on first sight, so the cache grows only with the walk."""
+    spans = functools.cache(lambda pattern: any(adj[v] & pattern for v in bits_of(pattern)))
     return _class_masks(f, spans)
 
 
@@ -592,25 +587,25 @@ def detect_structure(g: Graph) -> str | None:
     return g.structure
 
 
-def peel_order(g: Graph, f: Sequence[int]) -> list[int]:
-    """Vertices removable because f(v) exceeds their remaining degree.
+def peel_order(adj: Sequence[int], f: Sequence[int]) -> list[int]:
+    """The core, sorted: the vertices left after repeatedly removing every
+    vertex v with f(v) above its live degree (adj[v] is v's neighbour mask).
 
-    A vertex with f(v) >= deg(v)+1 can always be colored last, so sufficiency
-    of f on g is equivalent to sufficiency of the restriction to the core
-    that survives repeated removal.  Returns the surviving core, sorted.
+    A vertex with f(v) >= deg(v)+1 can always be colored last, so f is
+    sufficient on the graph iff its restriction is sufficient on the core.
     """
-    alive = (1 << g.n) - 1
+    alive = (1 << len(adj)) - 1
     while True:
-        drop = sum(1 << v for v in bits_of(alive) if f[v] > (g.adj[v] & alive).bit_count())
+        drop = sum(1 << v for v in bits_of(alive) if f[v] > (adj[v] & alive).bit_count())
         if not drop:
             return bits_of(alive)
         alive &= ~drop
 
 
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
-    return Graph(n=len(vertices), edges=tuple(sorted(edges)))
+def _induced(adj: Sequence[int], vertices: Sequence[int]) -> tuple[int, ...]:
+    """The neighbour masks of the subgraph induced on vertices, each vertex
+    renumbered by its position in vertices."""
+    return tuple(sum(1 << j for j, u in enumerate(vertices) if adj[v] >> u & 1) for v in vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +637,7 @@ def is_sufficient(
 
     meter = _Budget(budget)
     try:
-        witness = _generic_witness(g, f, meter, set())
+        witness = _generic_witness(g.adj, f, meter, set())
     except BudgetExceededError:
         return Verdict("undecided", None, meter.used)
     if witness is None:
@@ -666,36 +661,37 @@ def _labeled_is_sufficient(g: Graph, f: SizeFunction, budget: int, memo: _Search
 
 
 def _generic_witness(
-    g: Graph, f: SizeFunction, meter: _Budget, settled: set[tuple]
+    adj: tuple[int, ...], f: SizeFunction, meter: _Budget, settled: set[tuple]
 ) -> ListAssignment | None:
-    """A failing f-assignment of g (all f >= 1), or None when f is sufficient.
+    """A failing f-assignment (all f >= 1) of the graph with neighbour masks
+    adj, or None when f is sufficient.
 
     One deletion step on the peeled core (see the module docstring): the
     first vertex i with f(i) = 1 alone, f lowered by one on N(i), and its
     answer is final; with no such vertex, every i with f unchanged.  The
     witness of core-i lifts by L(i) = range(c, c + f(i)), c = sum(rest_f),
     plus c on each neighbor's list when f(i) = 1, in one ``pad_witness``
-    call.  ``settled`` holds the cores found sufficient so far in this
-    top-level call; each enumerated class ticks ``meter``, the deletion
-    step does not.
+    call.  ``settled`` holds the (core masks, core f) found sufficient so
+    far in this top-level call; each enumerated class ticks ``meter``, the
+    deletion step does not.
     """
-    core = peel_order(g, f)
+    core = peel_order(adj, f)
     if not core:
         return None
-    sub = induced_subgraph(g, core)
+    sub = _induced(adj, core)
     core_f = tuple(f[v] for v in core)
-    key = (sub.n, sub.edges, core_f)
+    key = (sub, core_f)
     if key in settled:
         return None
     exact = 1 in core_f
-    for i in [core_f.index(1)] if exact else range(sub.n):
-        rest = [u for u in range(sub.n) if u != i]
-        near = sub.adj[i] if exact else 0
+    for i in [core_f.index(1)] if exact else range(len(sub)):
+        rest = [u for u in range(len(sub)) if u != i]
+        near = sub[i] if exact else 0
         rest_f = tuple(core_f[u] - (near >> u & 1) for u in rest)
         if 0 in rest_f:  # a neighbor also has f = 1: both get the same color
             lists = pad_witness({}, rest_f, 0)
         else:
-            lists = _generic_witness(induced_subgraph(sub, rest), rest_f, meter, settled)
+            lists = _generic_witness(_induced(sub, rest), rest_f, meter, settled)
         if lists is not None:
             # the witness of (core-i, rest_f) keeps its colors below sum(rest_f)
             c = sum(rest_f)
@@ -705,7 +701,7 @@ def _generic_witness(
     if not exact:
         for masks in _edge_spanning_classes(sub, core_f):
             meter.tick()
-            if _color_masks(sub.adj, masks) is None:
+            if _color_masks(sub, masks) is None:
                 lists = (frozenset(bits_of(m)) for m in masks)
                 return pad_witness(dict(zip(core, lists)), f, sum(core_f))
     settled.add(key)

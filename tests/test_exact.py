@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sumchoice.bipartite import closed_form
-from sumchoice.choosability import color_from_lists, enumerate_canonical_assignments, is_sufficient
+from sumchoice.choosability import color_from_lists, enumerate_canonical_assignments, is_sufficient, peel_order
 from sumchoice.exact import (
     _vectors_with_sum,
     edge_bound,
@@ -119,6 +119,32 @@ def test_exact_golden(g, value, optimal_f, budget_used):
     res = sum_choice_exact(g)
     assert (res.value, res.optimal_f, res.budget_used) == (value, optimal_f, budget_used)
     assert res.bracket == (value, value) and not res.undecided
+
+
+@pytest.mark.parametrize(
+    "g, value, optimal_f, budget_used, witnesses",
+    [
+        (random_graph(8, 12, 1), 20, (1, 2, 2, 2, 3, 3, 5, 2), 13660, 18349),
+        (random_graph(9, 12, 0), 21, (1, 2, 1, 2, 3, 2, 2, 2, 6), 6518, 25716),
+    ],
+)
+def test_exact_value_certified_without_the_class_walk(g, value, optimal_f, budget_used, witnesses):
+    # A second path for the value: the peel alone empties the graph at
+    # optimal_f, so it is sufficient (color the vertices in reverse peel
+    # order), and every capped candidate tried before it, every one of a
+    # smaller total included, has a recorded witness that color_from_lists
+    # cannot color.  (random_graph(8, 12, 0) has no such proof: its optimal
+    # f keeps all eight vertices in the core.)
+    res = sum_choice_exact(g, record_witnesses=True)
+    assert (res.value, res.optimal_f, res.budget_used) == (value, optimal_f, budget_used)
+    assert peel_order(g.adj, optimal_f) == []
+    caps = tuple(g.degree(v) + 1 for v in range(g.n))
+    tried = [f for k in range(g.n, value + 1) for f in _vectors_with_sum(k, caps)]
+    assert list(res.witnesses) == tried[: tried.index(optimal_f)]
+    assert len(res.witnesses) == witnesses
+    for f, lists in res.witnesses.items():
+        assert tuple(len(L) for L in lists) == f
+        assert color_from_lists(g, lists) is None, f
 
 
 def test_labeled_candidates_follow_part_labels():
