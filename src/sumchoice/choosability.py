@@ -36,11 +36,11 @@ blockers are int masks; the shapes are read once per search from
 ``enumerate_canonical_assignments``, and otherwise frozensets are built only
 for a witness.  One memo (``_SearchMemo``) lives for one top-level search:
 ``sum_choice_exact``, ``sum_choice_type2_exact``, or one bare public oracle
-call.  It keeps the shapes walked per core A-sizes, each with its interned
-target family, and the result of each blocker search per (family, live
-Q-sizes).  A reused blocker search counts the nodes of its first run
-against the budget.  The target families are computed outside the budget,
-once per distinct shape per search.
+call.  It keeps the shapes walked per core A-sizes, each with its target
+family, and the result of each blocker search per (family, live Q-sizes).
+A reused blocker search counts the nodes of its first run against the
+budget.  The target families are computed outside the budget, once per
+distinct shape per search.
 Both paths report an explicit ``undecided`` verdict when the budget runs out.
 
 Every witness in the package, here and in the constructions of the other
@@ -443,23 +443,21 @@ class _SearchMemo:
     share; every bare public call makes its own.
 
     Per (core A-sizes, clique): the A-shapes walked so far, as list masks,
-    each with the id of its interned target family.  Per (family, sorted
-    live Q-sizes): the blocker search's result and the number of nodes it
-    ticked.  A reused search ticks that many again, or left + 1 when fewer
-    are left, so it runs out of budget exactly where its first run would:
-    ``checked`` and ``budget_used`` do not depend on what was reused.
+    each with its target family.  Per (family, sorted live Q-sizes): the
+    blocker search's result and the number of nodes it ticked.  A reused
+    search ticks that many again, or left + 1 when fewer are left, so it
+    runs out of budget exactly where its first run would: ``checked`` and
+    ``budget_used`` do not depend on what was reused.
     """
 
-    __slots__ = ("shapes", "families", "targets", "searches")
+    __slots__ = ("shapes", "searches")
 
     def __init__(self) -> None:
         self.shapes: dict[tuple[SizeFunction, bool], tuple[list, Iterator[ListAssignment]]] = {}
-        self.families: dict[tuple[int, ...], int] = {}
-        self.targets: list[tuple[int, ...]] = []
-        self.searches: dict[tuple[int, SizeFunction], tuple[tuple[int, ...] | None, int]] = {}
+        self.searches: dict[tuple[tuple[int, ...], SizeFunction], tuple[tuple[int, ...] | None, int]] = {}
 
-    def a_shapes(self, core_a: SizeFunction, clique: bool) -> Iterator[tuple[tuple[int, ...], int]]:
-        """(A-list masks, family id) for each class of
+    def a_shapes(self, core_a: SizeFunction, clique: bool) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(A-list masks, target family) for each class of
         ``enumerate_canonical_assignments(core_a)`` in its order; the target
         family (SDR images when ``clique``, else minimal transversals) is
         computed once per shape.  The classes come through the public
@@ -475,23 +473,19 @@ class _SearchMemo:
                 if lists is None:
                     return
                 LA = tuple(sum(1 << c for c in L) for L in lists)
-                targets = (_sdr_image_masks if clique else _minimal_transversal_masks)(LA)
-                family = self.families.setdefault(targets, len(self.targets))
-                if family == len(self.targets):
-                    self.targets.append(targets)
-                seen.append((LA, family))
+                seen.append((LA, (_sdr_image_masks if clique else _minimal_transversal_masks)(LA)))
             yield seen[i]
 
-    def blockers(self, family: int, q_live: SizeFunction, meter: _Budget) -> tuple[int, ...] | None:
-        """``_blocking_family`` of the family's targets at the sorted Q-sizes
+    def blockers(self, targets: tuple[int, ...], q_live: SizeFunction, meter: _Budget) -> tuple[int, ...] | None:
+        """``_blocking_family`` of the target family at the sorted Q-sizes
         ``q_live``, run once and replayed on ``meter`` after that."""
-        key = (family, q_live)
+        key = (targets, q_live)
         if key in self.searches:
             found, nodes = self.searches[key]
             meter.tick(min(nodes, meter.left + 1))
             return found
         start = meter.used
-        found = _blocking_family(self.targets[family], q_live, meter)
+        found = _blocking_family(targets, q_live, meter)
         self.searches[key] = (found, meter.used - start)
         return found
 
@@ -550,9 +544,9 @@ def _transversal_is_sufficient(
         core_a = tuple(s for s in a_sizes if s <= deg)
     meter = _Budget(budget)
     try:
-        for LA, family in memo.a_shapes(core_a, clique):
+        for LA, targets in memo.a_shapes(core_a, clique):
             meter.tick()
-            blockers = memo.blockers(family, q_live, meter)
+            blockers = memo.blockers(targets, q_live, meter)
             if blockers is not None:
                 break
         else:

@@ -215,28 +215,31 @@ def disjoint_cliques(*sizes: int) -> Graph:
     return make_graph(base, edges)
 
 
-_FAMILIES = {
-    "complete_bipartite": lambda p: complete_bipartite(p[0], p[1]),
-    "complete_split": lambda p: complete_split(p[0], p[1]),
-    "path": lambda p: path(p[0]),
-    "cycle": lambda p: cycle(p[0]),
-    "complete": lambda p: complete(p[0]),
-    "star": lambda p: star(p[0]),
-    "random_tree": lambda p: random_tree(p[0], p[1]),
-    "random_graph": lambda p: random_graph(p[0], p[1], p[2]),
-    "disjoint_cliques": lambda p: disjoint_cliques(*p),
+_FAMILIES = {  # name -> (builder, parameter count; None for one or more)
+    "complete_bipartite": (complete_bipartite, 2),
+    "complete_split": (complete_split, 2),
+    "path": (path, 1),
+    "cycle": (cycle, 1),
+    "complete": (complete, 1),
+    "star": (star, 1),
+    "random_tree": (random_tree, 2),
+    "random_graph": (random_graph, 3),
+    "disjoint_cliques": (disjoint_cliques, None),
 }
 
 
 def generate(kind: str, params: Sequence[int]) -> Graph:
-    """Build a named-family graph; deterministic given the same parameters."""
+    """Build a named-family graph; deterministic given the same parameters.
+    A parameter count the family does not take is a GraphError."""
     if kind not in _FAMILIES:
         raise GraphError(f"unknown family {kind!r}; known: {sorted(_FAMILIES)}")
+    build, arity = _FAMILIES[kind]
     params = [int(p) for p in params]
-    try:
-        return _FAMILIES[kind](params)
-    except IndexError:
-        raise GraphError(f"family {kind!r} got too few parameters: {params}") from None
+    if len(params) < (arity or 1):
+        raise GraphError(f"family {kind!r} got too few parameters: {params}")
+    if arity is not None and len(params) > arity:
+        raise GraphError(f"family {kind!r} got too many parameters: {params} (takes {arity})")
+    return build(*params)
 
 
 def family_names() -> tuple[str, ...]:

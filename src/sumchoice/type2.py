@@ -22,12 +22,13 @@ search recomputing every partial cost from scratch, so budgets and the
 brackets they give are unchanged.
 
 R blocks exactly when every minimal cover of its pattern hypergraph holds
-an edge.  ``is_blocking`` and the one walk over labeled vertex sets that
-lists every blocking graph take those covers from the cached
-``choosability._minimal_covers``, the routine behind the K_{a,q} oracle's
-minimal transversals; the canonical representatives and the edge-minimal
-graphs are views of that list.  ``symmetrize`` groups colors into atoms
-with the oracle's ``_atoms``.
+an edge.  ``is_blocking`` and one walk over labeled vertex sets take those
+covers from the cached ``choosability._minimal_covers``, the routine behind
+the K_{a,q} oracle's minimal transversals.  The walk asks the same routine
+for the edge-minimal blocking graphs, the minimal edge sets meeting every
+cover; every other blocking graph adds edges to one of them, and the
+canonical representatives are a view of that list.  ``symmetrize`` groups
+colors into atoms with the oracle's ``_atoms``.
 
 Normalizing by sqrt(q) turns the same geometry into a real coverage problem
 whose critical simplex size is the limit of (chi_sc2 - 2q)/sqrt(q); ``beta``
@@ -53,7 +54,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .choosability import (
     DEFAULT_BUDGET,
@@ -155,16 +156,17 @@ def _in_scan_order(keys: Iterable[tuple]) -> tuple[ReducedGraph, ...]:
     )
 
 
-@functools.cache
-def blocking_orbits(a: int) -> tuple[ReducedGraph, ...]:
-    """Every blocking reduced graph for a, labeled, in scan order.
+def _blocking_edge_sets(a: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]], tuple[int, ...]]]:
+    """(vertices, atom pairs, edge-minimal blocking edge sets as masks over
+    the pairs) for each labeled vertex set carrying a blocking graph.
 
-    One walk over the vertex sets: the edge sets with a pair inside every
-    minimal cover are exactly the blocking ones.  A vertex set leaving an
-    index uncovered has no covers, and one with a single-atom minimal cover
-    blocks nothing, so both are skipped and a=1 is empty.  a=4 would mean
-    walking every graph on up to 14 atoms, beyond any budget, so a > 3 is a
-    ValueError, as in ``beta``.
+    An edge set blocks iff every minimal cover holds one of its pairs, so
+    the edge-minimal ones are the minimal covers of the hypergraph whose
+    row c holds the pairs inside cover c.  A vertex set leaving an index
+    uncovered has no covers and is skipped; a single-atom cover holds no
+    pair, so nothing blocks on its vertex set, and a=1 yields nothing.
+    a=4 would mean walking every graph on up to 14 atoms, beyond any
+    budget, so a > 3 is a ValueError, as in ``beta``.
     """
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
@@ -173,22 +175,29 @@ def blocking_orbits(a: int) -> tuple[ReducedGraph, ...]:
             f"blocking graphs are enumerated for a <= 3, got {a} "
             f"(a universe of {(1 << a) - 1} atom patterns)"
         )
-    found = []
     for pick in range(1, 1 << ((1 << a) - 1)):
         verts = tuple(j + 1 for j in bits_of(pick))
         covers = _minimal_covers(verts, a)
-        if not covers or any(c.bit_count() == 1 for c in covers):
+        if not covers:
             continue
         pairs = list(itertools.combinations(range(len(verts)), 2))
-        pair_in_cover = [
-            sum(1 << k for k, (x, y) in enumerate(pairs) if c >> x & 1 and c >> y & 1)
-            for c in covers
-        ]
-        for emask in range(1, 1 << len(pairs)):
-            if all(emask & pc for pc in pair_in_cover):
-                edges = tuple((verts[x], verts[y]) for k, (x, y) in enumerate(pairs) if emask >> k & 1)
-                found.append((verts, edges))
-    return _in_scan_order(found)
+        held = tuple(sum(1 << i for i, c in enumerate(covers) if c >> x & 1 and c >> y & 1) for x, y in pairs)
+        minimal = _minimal_covers(held, len(covers))
+        if minimal:
+            yield verts, [(verts[x], verts[y]) for x, y in pairs], minimal
+
+
+@functools.cache
+def blocking_orbits(a: int) -> tuple[ReducedGraph, ...]:
+    """Every blocking reduced graph for a, labeled, in scan order: on each
+    vertex set of ``_blocking_edge_sets``, every edge set holding one of its
+    edge-minimal ones (blocking is closed upward in edges)."""
+    return _in_scan_order(
+        (verts, tuple(pairs[k] for k in bits_of(emask)))
+        for verts, pairs, minimal in _blocking_edge_sets(a)
+        for emask in range(1, 1 << len(pairs))
+        if any(emask & m == m for m in minimal)
+    )
 
 
 def enumerate_blocking(a: int) -> tuple[ReducedGraph, ...]:
@@ -199,18 +208,14 @@ def enumerate_blocking(a: int) -> tuple[ReducedGraph, ...]:
 
 @functools.cache
 def _minimal_blocking(a: int) -> tuple[ReducedGraph, ...]:
-    """The edge-minimal graphs of blocking_orbits(a), in its order: those
-    where no one-edge deletion still blocks (blocking is closed upward in
-    edges on a fixed vertex set, so no blocking proper edge-subset exists
-    either).  Deleting an edge only lowers the pair cost, so these decide
-    every type-II question; 61 of the 1158 graphs for a=3."""
-    return tuple(
-        r
-        for r in blocking_orbits(a)
-        if not any(
-            is_blocking(ReducedGraph(r.vertices, r.edges[:k] + r.edges[k + 1 :]), a)
-            for k in range(len(r.edges))
-        )
+    """The edge-minimal blocking graphs of ``_blocking_edge_sets`` for a,
+    labeled, in scan order (their order in blocking_orbits(a)).  Deleting an
+    edge only lowers the pair cost, so these decide every type-II question;
+    61 of the 1158 graphs for a=3."""
+    return _in_scan_order(
+        (verts, tuple(pairs[k] for k in bits_of(m)))
+        for verts, pairs, minimal in _blocking_edge_sets(a)
+        for m in minimal
     )
 
 

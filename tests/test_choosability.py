@@ -17,6 +17,7 @@ from sumchoice.choosability import (
     _by_size_then_colors,
     _class_masks,
     _edge_spanning_classes,
+    _minimal_covers,
     bipartite_is_sufficient,
     color_from_lists,
     detect_structure,
@@ -586,6 +587,28 @@ def test_minimal_transversals_are_minimal_and_complete():
         ]
         minimal = [T for T in all_tr if not any(S < T for S in all_tr)]
         assert minimal_transversal_sets(LA) == sorted(minimal, key=lambda T: (len(T), sorted(T))), LA
+
+
+def test_minimal_covers_match_brute_force():
+    # Atoms are index masks below 2**a; a cover is a mask over atom
+    # positions whose atoms together hold every index, and the routine
+    # returns the inclusion-minimal ones, ascending.
+    assert _minimal_covers((), 0) == (0,) and _minimal_covers((1, 2), 0) == (0,)
+    assert _minimal_covers((1, 1, 3), 3) == ()  # index 2 in no atom
+    rng = random.Random(0)
+    cases = [((), 2), ((0,), 1), ((3, 3), 2), ((1, 1, 2, 0), 2), ((7, 1, 2, 4), 3)]
+    for _ in range(400):
+        a = rng.randint(0, 4)
+        cases.append((tuple(rng.randrange(1 << a) for _ in range(rng.randint(0, 7))), a))
+    for verts, a in cases:
+        full = (1 << a) - 1
+        hitting = [
+            c
+            for c in range(1 << len(verts))
+            if functools.reduce(operator.or_, (verts[j] for j in bits_of(c)), 0) == full
+        ]
+        minimal = [c for c in hitting if not any(d != c and d & c == d for d in hitting)]
+        assert _minimal_covers(verts, a) == tuple(sorted(minimal)), (verts, a)
 
 
 def test_size_then_colors_order_is_the_color_list_order():

@@ -102,6 +102,21 @@ def test_negative_budget_exits_usage(capsys, argv):
     assert captured.err == f"error: --budget must be >= 0, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--family", "path", "--params", "3,9"],
+        ["sumchoice", "--family", "cycle", "--params", "5,1,2"],
+    ],
+)
+def test_surplus_family_parameters_exit_usage(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: family ") and "too many parameters" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_check_zero_budget_peels_split_graph(capsys, tmp_path):
     # every A-vertex of G_{3,4} has f = 8 > its degree 6, so the transversal
     # oracle peels the whole graph and spends no budget

@@ -69,6 +69,18 @@ def test_nonpositive_parameter_rejected():
         generate("complete_bipartite", [2, -1])
 
 
+def test_wrong_parameter_count_rejected():
+    with pytest.raises(GraphError, match="too many parameters"):
+        generate("path", [3, 9])
+    with pytest.raises(GraphError, match="too many parameters"):
+        generate("cycle", [5, 1, 2])
+    with pytest.raises(GraphError, match="too few parameters"):
+        generate("random_graph", [5, 3])
+    with pytest.raises(GraphError, match="too few parameters"):
+        generate("disjoint_cliques", [])
+    assert generate("disjoint_cliques", [1, 2, 3, 4]).n == 10
+
+
 def test_self_loop_rejected():
     with pytest.raises(GraphError):
         make_graph(2, [(1, 1)])
