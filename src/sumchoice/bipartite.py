@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .choosability import ListAssignment, normalize_lists, pad_witness
+from .choosability import ListAssignment, _int_size, normalize_lists, pad_witness
 from .graphs import Graph, complete_bipartite
 from .rng import derive_rng
 
@@ -281,8 +281,7 @@ def lb_witness(
     the exact sizes (shrinking keeps an assignment insufficient), and pad
     everything else with fresh colors.
     """
-    f_A = tuple(int(s) for s in f_A)
-    f_Q = tuple(int(s) for s in f_Q)
+    f_A, f_Q = tuple(map(_int_size, f_A)), tuple(map(_int_size, f_Q))
     if len(f_Q) != q:
         raise ValueError(f"f_Q has {len(f_Q)} entries but q={q}")
     if any(s < 1 for s in f_A + f_Q):

@@ -34,13 +34,13 @@ The minimal transversals are picks from the minimal covers of the atom
 patterns, the one cover routine ``type2`` uses too.  Shapes, targets and
 blockers are int masks; the shapes are read once per search from
 ``enumerate_canonical_assignments``, and otherwise frozensets are built only
-for a witness.  One memo (``_SearchMemo``) lives for one top-level search:
-``sum_choice_exact``, ``sum_choice_type2_exact``, or one bare public oracle
-call.  It keeps the shapes walked per core A-sizes, each with its target
-family, and the result of each blocker search per (family, live Q-sizes).
-A reused blocker search counts the nodes of its first run against the
-budget.  The target families are computed outside the budget, once per
-distinct shape per search.
+for a witness.  One meter (``_Budget``) lives for one top-level search:
+``sum_choice_exact``, ``sum_choice_type2_exact``, ``chi_sc2_reduced``, or
+one bare public oracle call.  Every oracle call of the search ticks it, and
+it keeps the shapes walked per core A-sizes, each with its target family,
+and the result of each blocker search per (family, live Q-sizes): a reused
+search ticks the nodes of its first run again.  The target families are
+computed outside the budget, once per distinct shape per search.
 Both paths report an explicit ``undecided`` verdict when the budget runs out.
 
 Every witness in the package, here and in the constructions of the other
@@ -79,16 +79,13 @@ class Verdict:
 
     ``status`` is one of ``sufficient``, ``insufficient``, ``undecided``;
     a witness (an f-assignment with no proper coloring) accompanies every
-    insufficient verdict.  ``checked`` counts the work that ticks the
-    budget: A-side shapes and blocker-search nodes on the transversal path,
-    enumerated classes on the generic path.  Those are only the classes
-    whose every pattern spans an edge of the core: once every core-v is
-    sufficient, a class with an independent pattern is colorable, so it is
-    never enumerated.  The exact removal of f = 1 vertices ticks none.  A
-    blocker search reused from the memo of the top-level search counts the
-    nodes of its first run, so ``checked`` does not depend on reuse; the
-    target families behind it are computed outside the budget, once per
-    distinct shape per search.  The peel ticks none on either path.
+    insufficient verdict.  ``checked`` is the units the call ticked on its
+    meter (``_Budget``): A-side shapes and blocker-search nodes on the
+    transversal path, enumerated classes on the generic path (see the module
+    docstring); the peel and the exact removal of f = 1 vertices tick none.
+    A blocker search replayed from the meter's memo ticks the nodes of its
+    first run, so ``checked`` depends neither on reuse nor on what other
+    calls ticked the same meter.
     """
 
     status: str
@@ -107,8 +104,16 @@ def normalize_lists(lists: Iterable[Iterable[int]], n: int | None = None) -> Lis
     return out
 
 
+def _int_size(s: object) -> int:
+    """s by ``operator.index``: a float or a string is a ValueError, never truncated."""
+    try:
+        return operator.index(s)
+    except TypeError:
+        raise ValueError(f"list sizes must be integers, got {s!r}") from None
+
+
 def validate_sizes(f: Sequence[int], n: int | None = None, minimum: int = 1) -> SizeFunction:
-    out = tuple(int(s) for s in f)
+    out = tuple(map(_int_size, f))
     if n is not None and len(out) != n:
         raise ValueError(f"expected {n} list sizes, got {len(out)}")
     if any(s < minimum for s in out):
@@ -385,62 +390,8 @@ def _frozenset_view(
 
 
 class _Budget:
-    __slots__ = ("left", "used")
-
-    def __init__(self, cap: int):
-        self.left = cap
-        self.used = 0
-
-    def tick(self, amount: int = 1) -> None:
-        self.left -= amount
-        self.used += amount
-        if self.left < 0:
-            raise BudgetExceededError("sufficiency search budget exceeded")
-
-
-def _blocking_family(
-    targets: Sequence[int], q_live: SizeFunction, budget: _Budget
-) -> tuple[int, ...] | None:
-    """Distinct blocker masks, at most as many of each size as q_live holds,
-    covering every target mask (each target must contain some blocker); None
-    if impossible.  The targets left to cover are one mask over their
-    positions, so a blocker clears every target containing it at once.  Each
-    search node ticks ``budget``."""
-    sizes = sorted(set(q_live))
-    counts = [q_live.count(s) for s in sizes]
-    colors = [[1 << c for c in bits_of(T)] for T in targets]
-    inside: dict[int, int] = {}  # blocker -> positions of the targets holding it
-
-    def rec(uncovered: int, chosen: tuple[int, ...]) -> tuple[int, ...] | None:
-        budget.tick()
-        if not uncovered:
-            return chosen
-        if len(chosen) == len(q_live):
-            return None
-        first = colors[(uncovered & -uncovered).bit_length() - 1]
-        for k, size in enumerate(sizes):
-            if size > len(first):
-                break
-            if not counts[k]:
-                continue
-            counts[k] -= 1
-            for combo in itertools.combinations(first, size):
-                e = sum(combo)
-                hit = inside.get(e)
-                if hit is None:
-                    hit = inside[e] = sum(1 << i for i, T in enumerate(targets) if T & e == e)
-                got = rec(uncovered & ~hit, chosen + (e,))
-                if got is not None:
-                    return got
-            counts[k] += 1
-        return None
-
-    return rec((1 << len(targets)) - 1, ())
-
-
-class _SearchMemo:
-    """The transversal work that the oracle calls of one top-level search
-    share; every bare public call makes its own.
+    """The meter of one top-level search: its units left and used, and the
+    transversal work that its oracle calls share.
 
     Per (core A-sizes, clique): the A-shapes walked so far, as list masks,
     each with its target family.  Per (family, sorted live Q-sizes): the
@@ -450,11 +401,19 @@ class _SearchMemo:
     ``budget_used`` do not depend on what was reused.
     """
 
-    __slots__ = ("shapes", "searches")
+    __slots__ = ("left", "used", "shapes", "searches")
 
-    def __init__(self) -> None:
+    def __init__(self, cap: int):
+        self.left = cap
+        self.used = 0
         self.shapes: dict[tuple[SizeFunction, bool], tuple[list, Iterator[ListAssignment]]] = {}
         self.searches: dict[tuple[tuple[int, ...], SizeFunction], tuple[tuple[int, ...] | None, int]] = {}
+
+    def tick(self, amount: int = 1) -> None:
+        self.left -= amount
+        self.used += amount
+        if self.left < 0:
+            raise BudgetExceededError("sufficiency search budget exceeded")
 
     def a_shapes(self, core_a: SizeFunction, clique: bool) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         """(A-list masks, target family) for each class of
@@ -476,22 +435,68 @@ class _SearchMemo:
                 seen.append((LA, (_sdr_image_masks if clique else _minimal_transversal_masks)(LA)))
             yield seen[i]
 
-    def blockers(self, targets: tuple[int, ...], q_live: SizeFunction, meter: _Budget) -> tuple[int, ...] | None:
+    def blockers(self, targets: tuple[int, ...], q_live: SizeFunction) -> tuple[int, ...] | None:
         """``_blocking_family`` of the target family at the sorted Q-sizes
-        ``q_live``, run once and replayed on ``meter`` after that."""
+        ``q_live``, run once on this meter and replayed on it after that."""
         key = (targets, q_live)
         if key in self.searches:
             found, nodes = self.searches[key]
-            meter.tick(min(nodes, meter.left + 1))
+            self.tick(min(nodes, self.left + 1))
             return found
-        start = meter.used
-        found = _blocking_family(targets, q_live, meter)
-        self.searches[key] = (found, meter.used - start)
+        start = self.used
+        found = _blocking_family(targets, q_live, self)
+        self.searches[key] = (found, self.used - start)
         return found
 
 
+def _meter(budget: int | _Budget) -> _Budget:
+    """The caller's meter, shared with its other calls, or a fresh one."""
+    return budget if isinstance(budget, _Budget) else _Budget(budget)
+
+
+def _blocking_family(
+    targets: Sequence[int], q_live: SizeFunction, meter: _Budget
+) -> tuple[int, ...] | None:
+    """Distinct blocker masks, at most as many of each size as q_live holds,
+    covering every target mask (each target must contain some blocker); None
+    if impossible.  The targets left to cover are one mask over their
+    positions, so a blocker clears every target containing it at once.  Each
+    search node ticks ``meter``, an argument of ``rec``: a closure over it
+    would tie the meter and its memo into ``rec``'s reference cycle."""
+    sizes = sorted(set(q_live))
+    counts = [q_live.count(s) for s in sizes]
+    colors = [[1 << c for c in bits_of(T)] for T in targets]
+    inside: dict[int, int] = {}  # blocker -> positions of the targets holding it
+
+    def rec(uncovered: int, chosen: tuple[int, ...], meter: _Budget) -> tuple[int, ...] | None:
+        meter.tick()
+        if not uncovered:
+            return chosen
+        if len(chosen) == len(q_live):
+            return None
+        first = colors[(uncovered & -uncovered).bit_length() - 1]
+        for k, size in enumerate(sizes):
+            if size > len(first):
+                break
+            if not counts[k]:
+                continue
+            counts[k] -= 1
+            for combo in itertools.combinations(first, size):
+                e = sum(combo)
+                hit = inside.get(e)
+                if hit is None:
+                    hit = inside[e] = sum(1 << i for i, T in enumerate(targets) if T & e == e)
+                got = rec(uncovered & ~hit, chosen + (e,), meter)
+                if got is not None:
+                    return got
+            counts[k] += 1
+        return None
+
+    return rec((1 << len(targets)) - 1, (), meter)
+
+
 def bipartite_is_sufficient(
-    a_sizes: Sequence[int], q_sizes: Sequence[int], *, budget: int = DEFAULT_BUDGET
+    a_sizes: Sequence[int], q_sizes: Sequence[int], *, budget: int | _Budget = DEFAULT_BUDGET
 ) -> Verdict:
     """Exhaustive sufficiency decision on K_{a,q} via the transversal view.
 
@@ -503,21 +508,21 @@ def bipartite_is_sufficient(
     the A universe, the core's sizes) blocking every minimal transversal.
     """
     a_sizes, q_sizes = validate_sizes(a_sizes), validate_sizes(q_sizes)
-    return _transversal_is_sufficient(a_sizes, q_sizes, budget, False, _SearchMemo())
+    return _transversal_is_sufficient(a_sizes, q_sizes, False, _meter(budget))
 
 
 def split_is_sufficient(
-    a_sizes: Sequence[int], q_sizes: Sequence[int], *, budget: int = DEFAULT_BUDGET
+    a_sizes: Sequence[int], q_sizes: Sequence[int], *, budget: int | _Budget = DEFAULT_BUDGET
 ) -> Verdict:
     """Same adversarial search on the complete split graph G_{a,q}: the
     A-side is a clique, so candidate color sets are SDR images instead of
     minimal transversals."""
     a_sizes, q_sizes = validate_sizes(a_sizes), validate_sizes(q_sizes)
-    return _transversal_is_sufficient(a_sizes, q_sizes, budget, True, _SearchMemo())
+    return _transversal_is_sufficient(a_sizes, q_sizes, True, _meter(budget))
 
 
 def _transversal_is_sufficient(
-    a_sizes: SizeFunction, q_sizes: SizeFunction, budget: int, clique: bool, memo: _SearchMemo
+    a_sizes: SizeFunction, q_sizes: SizeFunction, clique: bool, meter: _Budget
 ) -> Verdict:
     """The shared search: the Q-lists must block every candidate A-color
     set of the A-shape (SDR images when A is a ``clique``, else minimal
@@ -527,7 +532,7 @@ def _transversal_is_sufficient(
     and an A-vertex with f > |Q alive| (plus |A alive| - 1 when A is a
     clique) color last, so they drop until none is left.  The core is again
     a K_{a',q'} or G_{a',q'}, searched on its sizes with the shapes and
-    blocker searches of ``memo``; an empty A-side makes f sufficient with no
+    blocker searches of ``meter``; an empty A-side makes f sufficient with no
     work, and a failing core assignment lifts by fresh colors at the peeled
     vertices.
     """
@@ -542,17 +547,17 @@ def _transversal_is_sufficient(
         if max(core_a) <= deg:
             break
         core_a = tuple(s for s in a_sizes if s <= deg)
-    meter = _Budget(budget)
+    start = meter.used
     try:
-        for LA, targets in memo.a_shapes(core_a, clique):
+        for LA, targets in meter.a_shapes(core_a, clique):
             meter.tick()
-            blockers = memo.blockers(targets, q_live, meter)
+            blockers = meter.blockers(targets, q_live)
             if blockers is not None:
                 break
         else:
-            return Verdict("sufficient", None, meter.used)
+            return Verdict("sufficient", None, meter.used - start)
     except BudgetExceededError:
-        return Verdict("undecided", None, meter.used)
+        return Verdict("undecided", None, meter.used - start)
     # The core A-lists, then each blocker at the first free Q-vertex of its
     # size (a blocker lies inside a core A-color set, so no peeled Q-vertex
     # takes one), and fresh colors everywhere else: canonical LA colors, and
@@ -567,7 +572,7 @@ def _transversal_is_sufficient(
                 break
         else:
             raise AssertionError("unplaced blockers")
-    return Verdict("insufficient", pad_witness(fixed, sizes, sum(core_a)), meter.used)
+    return Verdict("insufficient", pad_witness(fixed, sizes, sum(core_a)), meter.used - start)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +615,7 @@ def is_sufficient(
     g: Graph,
     f: Sequence[int],
     *,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | _Budget = DEFAULT_BUDGET,
 ) -> Verdict:
     """Decide whether every f-assignment of g is colorable.
 
@@ -620,33 +625,33 @@ def is_sufficient(
     bipartite and complete split graphs take the transversal fast path; an
     unlabeled copy, ``make_graph(g.n, g.edges)``, takes the generic one.
     Both paths first peel the vertices with f(v) > deg(v) (see
-    ``peel_order``), so neither spends budget on them.
+    ``peel_order``), so neither spends budget on them.  ``budget`` may be a
+    meter (``_Budget``) that the calls of one search share.
     """
     f = validate_sizes(f, g.n, minimum=0)
     if any(s == 0 for s in f):
         return Verdict("insufficient", pad_witness({}, f, 0), 0)
 
+    meter = _meter(budget)
     if detect_structure(g) is not None:
-        return _labeled_is_sufficient(g, f, budget, _SearchMemo())
-
-    meter = _Budget(budget)
+        return _labeled_is_sufficient(g, f, meter)
+    start = meter.used
     try:
         witness = _generic_witness(g.adj, f, meter, set())
+        status = "sufficient" if witness is None else "insufficient"
     except BudgetExceededError:
-        return Verdict("undecided", None, meter.used)
-    if witness is None:
-        return Verdict("sufficient", None, meter.used)
-    return Verdict("insufficient", witness, meter.used)
+        witness, status = None, "undecided"
+    return Verdict(status, witness, meter.used - start)
 
 
-def _labeled_is_sufficient(g: Graph, f: SizeFunction, budget: int, memo: _SearchMemo) -> Verdict:
+def _labeled_is_sufficient(g: Graph, f: SizeFunction, meter: _Budget) -> Verdict:
     """``is_sufficient`` on a labeled K_{a,q} or G_{a,q} with every f >= 1:
-    the transversal search on the parts' sizes with ``memo``, its witness
+    the transversal search on the parts' sizes on ``meter``, its witness
     put back in vertex order."""
     a_side, q_side = g.parts  # type: ignore[misc]
     clique = g.structure == "complete_split"
     verdict = _transversal_is_sufficient(
-        tuple(f[v] for v in a_side), tuple(f[v] for v in q_side), budget, clique, memo
+        tuple(f[v] for v in a_side), tuple(f[v] for v in q_side), clique, meter
     )
     if verdict.witness is None:
         return verdict

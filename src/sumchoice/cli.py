@@ -71,18 +71,13 @@ def _graph_from_args(args: argparse.Namespace) -> graphs.Graph:
     family = args.family
     if family is None:
         raise ValueError("either --graph or --family is required")
+    names = graphs._FAMILIES[family][1]
     if args.params is not None:
         params = _int_list(args.params)
-    elif family in ("complete_bipartite", "complete_split"):
-        params = [args.a, args.q]
-    elif family in ("path", "cycle", "complete", "star"):
-        params = [args.n]
-    elif family == "random_tree":
-        params = [args.n, args.seed]
-    elif family == "random_graph":
-        params = [args.n, args.m, args.seed]
-    else:
+    elif names is None:
         raise ValueError(f"family {family!r} needs --params")
+    else:
+        params = [getattr(args, name) for name in names]
     if any(p is None for p in params):
         raise ValueError(f"family {family!r} is missing parameters (use --params or the named flags)")
     return generate(family, params)
@@ -106,13 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
     def sub(name: str, **kwargs) -> argparse.ArgumentParser:
         return subparsers.add_parser(name, parents=[common], **kwargs)
 
+    def family_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--params", help="comma-separated integer parameters")
+        for flag in ("--a", "--q", "--n", "--m"):
+            p.add_argument(flag, type=int)
+
     p = sub("generate", help="emit a named-family graph as JSON")
     p.add_argument("--family", required=True, choices=graphs.family_names())
-    p.add_argument("--params", help="comma-separated integer parameters")
-    p.add_argument("--a", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
+    family_flags(p)
     p.add_argument("--out", help="write to file instead of stdout")
 
     p = sub("check", help="test a size function or a concrete list assignment")
@@ -123,11 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("sumchoice", help="exact sum choice number")
     p.add_argument("--graph")
     p.add_argument("--family", choices=graphs.family_names())
-    p.add_argument("--params")
-    p.add_argument("--a", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
+    family_flags(p)
 
     p = sub("bounds", help="closed form and bounds for K_{a,q}")
     p.add_argument("--a", type=int, required=True)

@@ -20,9 +20,9 @@ from .choosability import (
     BudgetExceededError,
     ListAssignment,
     SizeFunction,
+    _Budget,
     _labeled_is_sufficient,
-    _SearchMemo,
-    _transversal_is_sufficient,
+    bipartite_is_sufficient,
     detect_structure,
     is_sufficient,
 )
@@ -117,24 +117,20 @@ def sum_choice_exact(
     caps = tuple(g.degree(v) + 1 for v in range(g.n))
     upper = sum(greedy_sufficient_f(g))
     blocks = g.parts if detect_structure(g) else ()
-    memo = _SearchMemo()
-    used = 0
+    meter = _Budget(budget)
     witnesses: dict[SizeFunction, ListAssignment] | None = {} if record_witnesses else None
     for k in range(g.n, upper + 1):
         for f in _vectors_with_sum(k, caps, blocks):
-            left = budget - used
-            # a labeled K_{a,q} / G_{a,q} goes straight to the transversal
-            # search, with the memo all its candidates share; the generic
-            # path keeps nothing across calls
+            # every candidate ticks one meter; a labeled K_{a,q} / G_{a,q} goes
+            # straight to the transversal search, which shares its memo
             if blocks:
-                verdict = _labeled_is_sufficient(g, f, left, memo)
+                verdict = _labeled_is_sufficient(g, f, meter)
             else:
-                verdict = is_sufficient(g, f, budget=left)
-            used += verdict.checked
+                verdict = is_sufficient(g, f, budget=meter)
             if verdict.status == "sufficient":
-                return SumChoiceResult(k, f, False, (k, k), used, witnesses)
+                return SumChoiceResult(k, f, False, (k, k), meter.used, witnesses)
             if verdict.status == "undecided":
-                return SumChoiceResult(None, None, True, (k, upper), used, witnesses)
+                return SumChoiceResult(None, None, True, (k, upper), meter.used, witnesses)
             if witnesses is not None and verdict.witness is not None:
                 witnesses[f] = verdict.witness
     raise AssertionError("greedy sufficient f lies within the search space")
@@ -164,15 +160,12 @@ def type2_profile_search(a: int, q: int, insufficient: Callable[[SizeFunction], 
 def sum_choice_type2_exact(a: int, q: int, *, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum total over sufficient type-II functions on K_{a,q}
     (every Q-vertex pinned to list size 2), via the transversal oracle.
-    Each oracle call gets the budget the earlier ones left, and all of them
-    share one memo of A-shapes and blocker searches."""
-    memo = _SearchMemo()
-    used = 0
+    All calls tick one meter, and so share its memo of A-shapes and blocker
+    searches."""
+    meter = _Budget(budget)
 
     def insufficient(fa: SizeFunction) -> bool:
-        nonlocal used
-        verdict = _transversal_is_sufficient(fa, (2,) * q, budget - used, False, memo)
-        used += verdict.checked
+        verdict = bipartite_is_sufficient(fa, (2,) * q, budget=meter)
         if verdict.status == "undecided":
             raise BudgetExceededError("sufficiency search budget exceeded")
         return verdict.status == "insufficient"

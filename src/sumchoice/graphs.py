@@ -215,15 +215,17 @@ def disjoint_cliques(*sizes: int) -> Graph:
     return make_graph(base, edges)
 
 
-_FAMILIES = {  # name -> (builder, parameter count; None for one or more)
-    "complete_bipartite": (complete_bipartite, 2),
-    "complete_split": (complete_split, 2),
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "complete": (complete, 1),
-    "star": (star, 1),
-    "random_tree": (random_tree, 2),
-    "random_graph": (random_graph, 3),
+# name -> (builder, its parameters named as the CLI flags that give them;
+# None for one or more, given only by --params)
+_FAMILIES = {
+    "complete_bipartite": (complete_bipartite, ("a", "q")),
+    "complete_split": (complete_split, ("a", "q")),
+    "path": (path, ("n",)),
+    "cycle": (cycle, ("n",)),
+    "complete": (complete, ("n",)),
+    "star": (star, ("n",)),
+    "random_tree": (random_tree, ("n", "seed")),
+    "random_graph": (random_graph, ("n", "m", "seed")),
     "disjoint_cliques": (disjoint_cliques, None),
 }
 
@@ -233,12 +235,12 @@ def generate(kind: str, params: Sequence[int]) -> Graph:
     A parameter count the family does not take is a GraphError."""
     if kind not in _FAMILIES:
         raise GraphError(f"unknown family {kind!r}; known: {sorted(_FAMILIES)}")
-    build, arity = _FAMILIES[kind]
+    build, names = _FAMILIES[kind]
     params = [int(p) for p in params]
-    if len(params) < (arity or 1):
+    if len(params) < (len(names) if names else 1):
         raise GraphError(f"family {kind!r} got too few parameters: {params}")
-    if arity is not None and len(params) > arity:
-        raise GraphError(f"family {kind!r} got too many parameters: {params} (takes {arity})")
+    if names is not None and len(params) > len(names):
+        raise GraphError(f"family {kind!r} got too many parameters: {params} (takes {len(names)})")
     return build(*params)
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .choosability import ListAssignment, pad_witness
+from .choosability import ListAssignment, _int_size, pad_witness
 from .graphs import Graph, bits_of, disjoint_cliques
 
 
@@ -151,7 +151,7 @@ def split_witness(s_vec: Sequence[int], q: int) -> ListAssignment | None:
     q >= C(s_1,2) + s_1 (s_2 - s_1), the first color block dominates the
     rest, pinning the first two A-vertices against each other.
     """
-    s_vec = tuple(int(s) for s in s_vec)
+    s_vec = tuple(map(_int_size, s_vec))
     if any(s < 1 for s in s_vec):
         raise ValueError("A-list sizes must be positive")
     if list(s_vec) != sorted(s_vec):

@@ -61,6 +61,8 @@ from .choosability import (
     ListAssignment,
     _atoms,
     _Budget,
+    _int_size,
+    _meter,
     _minimal_covers,
     _ranked,
     normalize_lists,
@@ -409,12 +411,12 @@ def type2_insufficient(
     ``budget`` caps the search nodes; a meter shared by several calls may
     be passed instead, and each call draws it down.
     """
-    f = tuple(int(s) for s in f_A)
+    f = tuple(map(_int_size, f_A))
     if any(s < 1 for s in f):
         raise ValueError("A-list sizes must be positive")
     if q < 0:
         raise ValueError(f"need q >= 0, got {q}")
-    meter = budget if isinstance(budget, _Budget) else _Budget(budget)
+    meter = _meter(budget)
     for r, plan in zip(_minimal_blocking(len(f)), _minimal_plans(len(f))):
         found = _integer_point(plan, f, q, meter)
         if found is not None:
@@ -429,7 +431,7 @@ def materialize_reduced_witness(
     K_{a,q}: atoms become color blocks, each reduced edge becomes the full
     set of cross pairs as Q-lists, A-lists shrink to the exact sizes, and
     surplus Q-vertices get fresh pairs."""
-    f = tuple(int(s) for s in f_A)
+    f = tuple(map(_int_size, f_A))
     a = len(f)
     counts = dict(witness.atoms)
     start: dict[int, int] = {}

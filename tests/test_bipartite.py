@@ -233,3 +233,11 @@ def test_lb_witness_shrinks_lists_to_exact_sizes():
 def test_lb_witness_validates_lengths():
     with pytest.raises(ValueError):
         lb_witness((2, 2), (2, 2), 3)
+
+
+@pytest.mark.parametrize("f_A, f_Q", [((1.5, 5), (1, 2)), ((1, 5), (1, 2.0)), (("1", 5), (1, 2))])
+def test_lb_witness_sizes_must_be_integers(f_A, f_Q):
+    with pytest.raises(ValueError, match="list sizes must be integers"):
+        lb_witness(f_A, f_Q, 2)
+    with pytest.raises(ValueError, match="list sizes must be positive"):
+        lb_witness((0, 5), (1, 2), 2)

@@ -1,10 +1,12 @@
 """The sufficiency oracle: coloring search, canonical enumeration, fast paths."""
 
 import functools
+import gc
 import hashlib
 import itertools
 import operator
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -13,7 +15,9 @@ from hypothesis import strategies as st
 
 from sumchoice.bipartite import constr_assignment
 from sumchoice.choosability import (
+    BudgetExceededError,
     Verdict,
+    _Budget,
     _by_size_then_colors,
     _class_masks,
     _edge_spanning_classes,
@@ -31,7 +35,16 @@ from sumchoice.choosability import (
     split_is_sufficient,
     transversal_check,
 )
-from sumchoice.graphs import bits_of, complete_bipartite, cycle, generate, make_graph, random_graph
+from sumchoice.graphs import (
+    bits_of,
+    complete_bipartite,
+    complete_split,
+    cycle,
+    generate,
+    make_graph,
+    random_graph,
+)
+from sumchoice.type2 import type2_insufficient
 
 PROPERTY_SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -691,3 +704,103 @@ def test_fast_path_with_noncontiguous_parts():
     assert verdict.status == "insufficient"
     assert tuple(len(L) for L in verdict.witness) == (1, 1, 1, 1)
     assert color_from_lists(g, verdict.witness) is None
+
+
+# ---------------------------------------------------------------------------
+# one meter per top-level search: every public oracle takes an int or a meter
+
+
+# Labeled and unlabeled graphs and every transversal entry, with repeats that
+# replay blocker searches from the meter's memo (K_{3,3} at f = 2 is the
+# same core as bipartite_is_sufficient((2, 2, 2), (2, 2, 2))).
+SHARED_CALLS = [
+    (is_sufficient, (complete_bipartite(3, 3), (2,) * 6)),
+    (bipartite_is_sufficient, ((2, 2, 2), (2, 2, 2))),
+    (is_sufficient, (cycle(5), (2,) * 5)),
+    (is_sufficient, (cycle(4), (2,) * 4)),
+    (is_sufficient, (complete_split(2, 3), (3, 2, 2, 2, 2))),
+    (split_is_sufficient, ((3, 2), (2, 2, 2))),
+    (is_sufficient, (random_graph(6, 8, 1), (1, 2, 2, 2, 2, 3))),
+    (bipartite_is_sufficient, ((3, 3, 3), (2,) * 4)),
+    (type2_insufficient, ((2, 2, 2), 4)),
+    (is_sufficient, (make_graph(6, complete_bipartite(3, 3).edges), (2,) * 6)),
+    (bipartite_is_sufficient, ((2, 2, 2), (2, 2, 2))),
+    (type2_insufficient, ((3, 3, 3), 8)),
+    (type2_insufficient, ((3, 3, 3), 4)),
+    (split_is_sufficient, ((3, 2), (2, 2, 2))),
+]
+
+
+def _ticked(fn, args, meter):
+    """(answer, units ticked) of one call on meter; a budget that runs out
+    answers "undecided" for type2_insufficient, which raises instead."""
+    start = meter.used
+    try:
+        answer = fn(*args, budget=meter)
+    except BudgetExceededError:
+        answer = "undecided"
+    return answer, meter.used - start
+
+
+def test_shared_meter_matches_bare_calls():
+    meter = _Budget(10**9)
+    total = 0
+    for fn, args in SHARED_CALLS:
+        bare = fn(*args)
+        shared, ticked = _ticked(fn, args, meter)
+        assert shared == bare, (fn.__name__, args)  # a Verdict compares checked too
+        if isinstance(bare, Verdict):
+            assert ticked == bare.checked, (fn.__name__, args)
+        else:  # type2_insufficient reports no count: compare a fresh meter's
+            assert ticked == _ticked(fn, args, _Budget(10**9))[1], args
+        total += ticked
+    assert meter.used == total > 0
+    assert meter.searches  # the transversal calls shared one memo
+
+
+def test_meter_with_k_units_left_runs_out_like_budget_k():
+    warmup = (bipartite_is_sufficient, ((2, 2), (2, 2, 2)))
+    spent = _ticked(*warmup, _Budget(10**9))[1]
+    for fn, args in SHARED_CALLS:
+        need = _ticked(fn, args, _Budget(10**9))[1]
+        for k in sorted({0, 1, need // 2, need - 1} & set(range(need))):
+            meter = _Budget(spent + k)
+            _ticked(*warmup, meter)  # leaves exactly k units, and a memo
+            assert meter.left == k
+            shared, ticked = _ticked(fn, args, meter)
+            bare = _ticked(fn, args, _Budget(k))[0]
+            if isinstance(shared, Verdict):
+                assert shared == Verdict("undecided", None, k + 1) == bare, (fn.__name__, args, k)
+            else:
+                assert shared == "undecided" == bare, (args, k)
+            assert ticked == k + 1, (fn.__name__, args, k)
+
+
+def test_finished_search_holds_no_reference_to_its_meter():
+    # the blocker search's recursion takes the meter as an argument; a closure
+    # over it would keep the meter, and its memo, in a reference cycle
+    meter = _Budget(10**9)
+    gc.disable()
+    try:
+        before = sys.getrefcount(meter)
+        bipartite_is_sufficient((2, 2), (2, 2, 2), budget=meter)
+        after = sys.getrefcount(meter)
+    finally:
+        gc.enable()
+    assert meter.used > 0 and after == before
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: is_sufficient(cycle(4), f),
+        lambda f: bipartite_is_sufficient(f, (2, 2)),
+        lambda f: split_is_sufficient(f, (2, 2)),
+        lambda f: list(enumerate_canonical_assignments(f)),
+    ],
+)
+@pytest.mark.parametrize("bad", [1.9, 2.0, "2"])
+def test_non_integer_sizes_are_rejected(call, bad):
+    with pytest.raises(ValueError, match=f"list sizes must be integers, got {bad!r}"):
+        call((bad, 2, 2, 2))
+    assert call((True, 2, 2, 2)) == call((1, 2, 2, 2))

@@ -117,6 +117,23 @@ def test_surplus_family_parameters_exit_usage(capsys, argv):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sumchoice", "--family", "disjoint_cliques"], "family 'disjoint_cliques' needs --params"),
+        (
+            ["sumchoice", "--family", "random_graph", "--n", "6"],
+            "family 'random_graph' is missing parameters (use --params or the named flags)",
+        ),
+    ],
+)
+def test_missing_family_parameters_exit_usage(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_check_zero_budget_peels_split_graph(capsys, tmp_path):
     # every A-vertex of G_{3,4} has f = 8 > its degree 6, so the transversal
     # oracle peels the whole graph and spends no budget

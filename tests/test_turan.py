@@ -216,6 +216,14 @@ def test_split_witness_requires_sorted_input():
         split_witness((3, 2), 4)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2"])
+def test_split_witness_sizes_must_be_integers(bad):
+    with pytest.raises(ValueError, match=f"list sizes must be integers, got {bad!r}"):
+        split_witness((bad, 3), 4)
+    with pytest.raises(ValueError, match="A-list sizes must be positive"):
+        split_witness((0, 3), 4)
+
+
 def test_split_witness_always_insufficient_sweep():
     for a in (2, 3):
         for svec in itertools.combinations_with_replacement(range(1, 5), a):

@@ -252,6 +252,19 @@ def test_type2_insufficient_examples():
     assert w is not None and w.cost <= 5
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2"])
+def test_type2_sizes_must_be_integers(bad):
+    # a float was truncated before: (1.5, 2) answered for (1, 2)
+    message = f"list sizes must be integers, got {bad!r}"
+    with pytest.raises(ValueError, match=message):
+        type2_insufficient((bad, 2), 3)
+    w = type2_insufficient((2, 2), 4)
+    with pytest.raises(ValueError, match=message):
+        materialize_reduced_witness(w, (2, bad), 4)
+    with pytest.raises(ValueError, match="A-list sizes must be positive"):
+        type2_insufficient((0, 2), 3)
+
+
 def test_type2_phi_dominates_f():
     w = type2_insufficient((2, 2), 4)
     f = phi(dict(w.atoms), 2)
