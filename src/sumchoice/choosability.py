@@ -56,7 +56,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .graphs import Graph, bits_of
+from .graphs import Graph, as_int, bits_of
 
 SizeFunction = tuple[int, ...]
 ListAssignment = tuple[frozenset[int], ...]
@@ -98,18 +98,15 @@ class Verdict:
 
 
 def normalize_lists(lists: Iterable[Iterable[int]], n: int | None = None) -> ListAssignment:
-    out = tuple(frozenset(int(c) for c in L) for L in lists)
+    out = tuple(frozenset(as_int(c, "colors", ValueError) for c in L) for L in lists)
     if n is not None and len(out) != n:
         raise ValueError(f"expected {n} lists, got {len(out)}")
     return out
 
 
 def _int_size(s: object) -> int:
-    """s by ``operator.index``: a float or a string is a ValueError, never truncated."""
-    try:
-        return operator.index(s)
-    except TypeError:
-        raise ValueError(f"list sizes must be integers, got {s!r}") from None
+    """s by ``as_int``: a float or a string is a ValueError, never truncated."""
+    return as_int(s, "list sizes", ValueError)
 
 
 def validate_sizes(f: Sequence[int], n: int | None = None, minimum: int = 1) -> SizeFunction:
@@ -263,31 +260,15 @@ def transversal_check(
     """A set T hitting every A-list with no Q-list fully inside T, or None.
 
     On K_{a,q} such a T exists iff the assignment is colorable: color A from
-    T and each Q-vertex from its list's leftover.  Q-lists of any size are
-    allowed; T must merely avoid containing one whole.
+    T and each Q-vertex from its list's leftover.  Any such T holds one of the
+    ``_minimal_transversal_masks`` of LA; the first holding no Q-list is T.
     """
-    LA = [frozenset(L) for L in LA]
-    LQ = [frozenset(L) for L in LQ]
-    if any(not L for L in LA) or any(not L for L in LQ):
-        return None  # an empty list can never be satisfied
-    order = sorted(range(len(LA)), key=lambda i: (len(LA[i]), i))
-
-    def rec(idx: int, T: set[int]) -> frozenset[int] | None:
-        if idx == len(order):
-            return frozenset(T)
-        L = LA[order[idx]]
-        if T & L:
-            return rec(idx + 1, T)
-        for c in sorted(L):
-            T.add(c)
-            if not any(Lq <= T for Lq in LQ):
-                got = rec(idx + 1, T)
-                if got is not None:
-                    return got
-            T.remove(c)
-        return None
-
-    return rec(0, set())
+    LA, LQ = list(map(frozenset, LA)), list(map(frozenset, LQ))
+    palette, masks = _ranked(LA + LQ)
+    for T in _minimal_transversal_masks(masks[: len(LA)]):
+        if all(L & T != L for L in masks[len(LA):]):
+            return frozenset(palette[c] for c in bits_of(T))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 The search walks candidate totals k upward from n; the first sufficient size
 function wins, so the reported optimum is the lexicographically smallest
-sufficient f at the smallest achievable total.  On a labeled K_{a,q} or
-G_{a,q} only f nondecreasing along each part, the lex-least of its orbit, is
-tried: one size-vector generator takes the parts as blocks of
-interchangeable positions.  The greedy back-degree function caps the search:
-it is always sufficient and lies inside the per-vertex degree+1 cap, so
-termination needs no separate argument.
+sufficient f at the smallest achievable total.  Only f nondecreasing along
+each twin class (``Graph.twin_classes``), the lex-least of its orbit under
+swaps of twins, is tried: one size-vector generator takes the classes as
+blocks of interchangeable positions.  The greedy back-degree function caps
+the search: it is always sufficient and lies inside the per-vertex degree+1
+cap, so termination needs no separate argument.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .choosability import (
     _Budget,
     _labeled_is_sufficient,
     bipartite_is_sufficient,
-    detect_structure,
     is_sufficient,
 )
 from .graphs import Graph, degeneracy_order
@@ -103,9 +102,10 @@ def sum_choice_exact(
     """Minimum of sum f over sufficient f, with the achieving f.
 
     Candidates are capped at f(v) <= deg(v)+1 (a vertex with that many
-    choices colors last, so the cap never moves the optimum) and tested in
-    lexicographic order for a deterministic optimal_f.  Budget exhaustion
-    returns an undecided result bracketing the answer.
+    choices colors last, so the cap never moves the optimum), sorted within
+    each twin class (twins share a cap), and tested in lexicographic order
+    for a deterministic optimal_f; ``record_witnesses`` keeps twin-sorted
+    candidates only.  Budget exhaustion returns an undecided bracket.
 
     No candidate is skipped as dominated by a known-insufficient c: totals
     rise and each candidate is tested once, so every earlier c has
@@ -116,14 +116,13 @@ def sum_choice_exact(
         return SumChoiceResult(0, (), False, (0, 0), 0)
     caps = tuple(g.degree(v) + 1 for v in range(g.n))
     upper = sum(greedy_sufficient_f(g))
-    blocks = g.parts if detect_structure(g) else ()
     meter = _Budget(budget)
     witnesses: dict[SizeFunction, ListAssignment] | None = {} if record_witnesses else None
     for k in range(g.n, upper + 1):
-        for f in _vectors_with_sum(k, caps, blocks):
+        for f in _vectors_with_sum(k, caps, g.twin_classes):
             # every candidate ticks one meter; a labeled K_{a,q} / G_{a,q} goes
             # straight to the transversal search, which shares its memo
-            if blocks:
+            if g.structure:
                 verdict = _labeled_is_sufficient(g, f, meter)
             else:
                 verdict = is_sufficient(g, f, budget=meter)

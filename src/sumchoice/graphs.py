@@ -9,6 +9,7 @@ Adjacency is kept as one bitmask per vertex; everything here is desk scale.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -55,6 +56,17 @@ class Graph:
             return "complete_split"
         return None
 
+    @cached_property
+    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The classes, ascending, of two or more vertices with equal open
+        (``adj[v]``) or closed (``adj[v] | 1 << v``) neighbour masks: swapping
+        two twins is an automorphism.  No vertex is in both kinds of class."""
+        classes: dict[tuple[bool, int], list[int]] = {}
+        for v, mask in enumerate(self.adj):
+            classes.setdefault((False, mask), []).append(v)
+            classes.setdefault((True, mask | 1 << v), []).append(v)
+        return tuple(tuple(c) for c in classes.values() if len(c) > 1)
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -94,6 +106,14 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
+def as_int(value: object, what: str, error: type[ValueError] = GraphError) -> int:
+    """value by ``operator.index``: ints and bools pass, anything else is ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be integers, got {value!r}") from None
+
+
 def make_graph(
     n: int,
     edges: Iterable[Sequence[int]],
@@ -104,7 +124,7 @@ def make_graph(
         raise GraphError(f"vertex count must be a nonnegative integer, got {n!r}")
     norm: set[Edge] = set()
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        u, v = as_int(e[0], "edge ends"), as_int(e[1], "edge ends")
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -112,7 +132,7 @@ def make_graph(
         norm.add((min(u, v), max(u, v)))
     norm_parts = None
     if parts is not None:
-        a_side, q_side = (tuple(int(v) for v in side) for side in parts)
+        a_side, q_side = (tuple(as_int(v, "part labels") for v in side) for side in parts)
         seen = set(a_side) | set(q_side)
         if len(seen) != len(a_side) + len(q_side) or any(not 0 <= v < n for v in seen):
             raise GraphError("part labels must be disjoint vertex sets within range")
@@ -236,7 +256,7 @@ def generate(kind: str, params: Sequence[int]) -> Graph:
     if kind not in _FAMILIES:
         raise GraphError(f"unknown family {kind!r}; known: {sorted(_FAMILIES)}")
     build, names = _FAMILIES[kind]
-    params = [int(p) for p in params]
+    params = [as_int(p, "family parameters") for p in params]
     if len(params) < (len(names) if names else 1):
         raise GraphError(f"family {kind!r} got too few parameters: {params}")
     if names is not None and len(params) > len(names):

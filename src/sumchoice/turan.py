@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .choosability import ListAssignment, _int_size, pad_witness
-from .graphs import Graph, bits_of, disjoint_cliques
+from .graphs import Graph, as_int, bits_of, disjoint_cliques
 
 
 def balanced_parts(s: int, k: int) -> tuple[int, ...]:
@@ -62,7 +62,7 @@ def independent_sdr(g: Graph, lists: Sequence[Iterable[int]]) -> SdrResult | Non
     to the lowest-index unused list containing it.  Guaranteed to finish
     whenever |E(g)| < t(s, a-1) for lists of common size s.
     """
-    lists = [frozenset(int(v) for v in L) for L in lists]
+    lists = [frozenset(as_int(v, "list entries", ValueError) for v in L) for L in lists]
     if not lists:
         raise ValueError("need at least one list")
     sizes = {len(L) for L in lists}

@@ -30,6 +30,7 @@ from sumchoice.choosability import (
     lists_from_json,
     lists_to_json,
     minimal_transversal_sets,
+    normalize_lists,
     peel_order,
     sdr_image_sets,
     split_is_sufficient,
@@ -804,3 +805,10 @@ def test_non_integer_sizes_are_rejected(call, bad):
     with pytest.raises(ValueError, match=f"list sizes must be integers, got {bad!r}"):
         call((bad, 2, 2, 2))
     assert call((True, 2, 2, 2)) == call((1, 2, 2, 2))
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+def test_non_integer_colors_are_rejected(bad):
+    with pytest.raises(ValueError, match=f"colors must be integers, got {bad!r}"):
+        normalize_lists([[bad, 2]])
+    assert normalize_lists([[True, 2]]) == (frozenset({1, 2}),)

@@ -80,8 +80,8 @@ def test_sumchoice_k22(capsys):
 
 def test_sumchoice_undecided_exit_code(capsys):
     # unlabeled K_4 needs enumerated classes below its optimum, so a budget
-    # of 3 runs out (cycles are decided by the exact removal at no cost)
-    code, doc = run_json(capsys, ["sumchoice", "--family", "complete", "--n", "4", "--budget", "3"])
+    # of 1 runs out (cycles are decided by the exact removal at no cost)
+    code, doc = run_json(capsys, ["sumchoice", "--family", "complete", "--n", "4", "--budget", "1"])
     assert code == 3
     assert doc["undecided"] is True and doc["chi_sc"] is None
     lo, hi = doc["bracket"]

@@ -107,7 +107,7 @@ GOLDEN = [
     (complete_bipartite(4, 4), 20, (2, 2, 2, 2, 3, 3, 3, 3), 8845),
     (complete_split(3, 4), 20, (2, 4, 6, 2, 2, 2, 2), 8143),
     (random_graph(6, 8, 1), 14, (1, 1, 1, 3, 3, 5), 68),
-    (random_graph(6, 8, 7), 14, (1, 2, 1, 2, 3, 5), 20),
+    (random_graph(6, 8, 7), 14, (1, 2, 1, 2, 3, 5), 16),
     (disjoint_cliques(3, 3, 2), 15, (1, 2, 3, 1, 2, 3, 1, 2), 0),
     (cycle(7), 14, (1, 2, 2, 2, 2, 2, 3), 0),
     (random_graph(7, 10, 0), 16, (1, 2, 2, 2, 4, 3, 2), 7275),
@@ -124,27 +124,57 @@ def test_exact_golden(g, value, optimal_f, budget_used):
 @pytest.mark.parametrize(
     "g, value, optimal_f, budget_used, witnesses",
     [
-        (random_graph(8, 12, 1), 20, (1, 2, 2, 2, 3, 3, 5, 2), 13660, 18349),
-        (random_graph(9, 12, 0), 21, (1, 2, 1, 2, 3, 2, 2, 2, 6), 6518, 25716),
+        (random_graph(8, 12, 1), 20, (1, 2, 2, 2, 3, 3, 5, 2), 7398, 11496),
+        (random_graph(9, 12, 0), 21, (1, 2, 1, 2, 3, 2, 2, 2, 6), 4888, 19305),
     ],
 )
 def test_exact_value_certified_without_the_class_walk(g, value, optimal_f, budget_used, witnesses):
     # A second path for the value: the peel alone empties the graph at
     # optimal_f, so it is sufficient (color the vertices in reverse peel
-    # order), and every capped candidate tried before it, every one of a
-    # smaller total included, has a recorded witness that color_from_lists
-    # cannot color.  (random_graph(8, 12, 0) has no such proof: its optimal
-    # f keeps all eight vertices in the core.)
+    # order), and every capped twin-sorted candidate tried before it, every
+    # one of a smaller total included, has a recorded witness that
+    # color_from_lists cannot color.  Every other capped candidate before
+    # optimal_f sorts within the twin classes to one of those, and swapping
+    # twins is an automorphism, so the proof covers it too.
+    # (random_graph(8, 12, 0) has no such proof: its optimal f keeps all
+    # eight vertices in the core.)
     res = sum_choice_exact(g, record_witnesses=True)
     assert (res.value, res.optimal_f, res.budget_used) == (value, optimal_f, budget_used)
     assert peel_order(g.adj, optimal_f) == []
     caps = tuple(g.degree(v) + 1 for v in range(g.n))
-    tried = [f for k in range(g.n, value + 1) for f in _vectors_with_sum(k, caps)]
+    tried = [f for k in range(g.n, value + 1) for f in _vectors_with_sum(k, caps, g.twin_classes)]
     assert list(res.witnesses) == tried[: tried.index(optimal_f)]
     assert len(res.witnesses) == witnesses
+    every = [f for k in range(g.n, value + 1) for f in _vectors_with_sum(k, caps)]
+    for f in every[: every.index(optimal_f)]:
+        twin_sorted = list(f)
+        for block in g.twin_classes:
+            for v, s in zip(block, sorted(f[v] for v in block)):
+                twin_sorted[v] = s
+        assert tuple(twin_sorted) in res.witnesses, f
     for f, lists in res.witnesses.items():
         assert tuple(len(L) for L in lists) == f
         assert color_from_lists(g, lists) is None, f
+
+
+def reference_optimum(g):
+    """(value, optimal_f): the first sufficient f over every capped
+    candidate, by total, then lexicographically, with no symmetry."""
+    caps = [g.degree(v) + 1 for v in range(g.n)]
+    every = itertools.product(*(range(1, c + 1) for c in caps))
+    for f in sorted(every, key=lambda f: (sum(f), f)):
+        if is_sufficient(g, f).status == "sufficient":
+            return sum(f), f
+
+
+def test_twin_sorted_search_matches_full_walk():
+    # All 1,099 labeled graphs on one to five vertices.
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            g = make_graph(n, itertools.compress(pairs, chosen))
+            res = sum_choice_exact(g)
+            assert (res.value, res.optimal_f) == reference_optimum(g), g.edges
 
 
 def test_labeled_candidates_follow_part_labels():
@@ -234,7 +264,7 @@ def test_budget_sweep_pinned():
 
 def test_undecided_bracket():
     g = generate("complete", [4])
-    res = sum_choice_exact(g, budget=3)
+    res = sum_choice_exact(g, budget=1)
     assert res.undecided and res.value is None
     lo, hi = res.bracket
     assert lo <= sum_choice_exact(g).value <= hi

@@ -11,13 +11,19 @@ from hypothesis import strategies as st
 from sumchoice.choosability import lists_from_json
 from sumchoice.graphs import (
     GraphError,
+    complete_bipartite,
+    complete_split,
     degeneracy_order,
+    disjoint_cliques,
     generate,
     graph_from_json,
     graph_to_json,
     load_graph,
     make_graph,
+    path,
     prufer_edges,
+    random_graph,
+    star,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -84,6 +90,53 @@ def test_wrong_parameter_count_rejected():
 def test_self_loop_rejected():
     with pytest.raises(GraphError):
         make_graph(2, [(1, 1)])
+
+
+@pytest.mark.parametrize("bad", [4.7, 4.0, "4"])
+def test_generate_parameters_must_be_integers(bad):
+    with pytest.raises(GraphError, match=f"family parameters must be integers, got {bad!r}"):
+        generate("cycle", [bad])
+    assert generate("path", [True]) == generate("path", [1])
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+def test_make_graph_labels_must_be_integers(bad):
+    with pytest.raises(GraphError, match=f"edge ends must be integers, got {bad!r}"):
+        make_graph(3, [(0, bad)])
+    with pytest.raises(GraphError, match=f"part labels must be integers, got {bad!r}"):
+        make_graph(3, [(0, 1)], parts=((0,), (bad, 2)))
+    assert make_graph(2, [(False, True)], parts=((False,), (True,))) == complete_bipartite(1, 1)
+
+
+@pytest.mark.parametrize(
+    "g, classes",
+    [
+        (complete_bipartite(1, 1), ((0, 1),)),
+        (complete_split(3, 1), ((0, 1, 2, 3),)),
+        (make_graph(4, complete_bipartite(2, 2).edges), ((0, 1), (2, 3))),
+        (complete_bipartite(2, 3), ((0, 1), (2, 3, 4))),
+        (complete_split(2, 3), ((0, 1), (2, 3, 4))),
+        (disjoint_cliques(3, 2, 1), ((0, 1, 2), (3, 4))),
+        (star(3), ((1, 2, 3),)),
+        (path(4), ()),
+        (make_graph(3, []), ((0, 1, 2),)),
+    ]
+    + [(random_graph(6, m, seed), None) for m in (4, 7, 10) for seed in range(4)],
+)
+def test_twin_classes_are_the_swappable_pairs(g, classes):
+    # Two vertices lie in one class iff swapping them maps the edge set onto
+    # itself; the classes are disjoint, ascending and of two or more.
+    if classes is not None:
+        assert g.twin_classes == classes
+    edges = set(g.edges)
+    members = [v for c in g.twin_classes for v in c]
+    assert len(members) == len(set(members))
+    assert all(len(c) > 1 and list(c) == sorted(c) for c in g.twin_classes)
+    together = {p for c in g.twin_classes for p in itertools.combinations(c, 2)}
+    for u, v in itertools.combinations(range(g.n), 2):
+        swap = {u: v, v: u}
+        image = {tuple(sorted((swap.get(x, x), swap.get(y, y)))) for x, y in edges}
+        assert (image == edges) == ((u, v) in together), (g.edges, u, v)
 
 
 def test_generate_deterministic():

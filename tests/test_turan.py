@@ -89,6 +89,14 @@ def test_sdr_validates_sizes():
         independent_sdr(g, [{0, 1}, {2}])
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1"])
+def test_sdr_entries_must_be_integers(bad):
+    g = make_graph(3, [])
+    with pytest.raises(ValueError, match=f"list entries must be integers, got {bad!r}"):
+        independent_sdr(g, [[0, bad]])
+    assert independent_sdr(g, [[False, True]]) == independent_sdr(g, [[0, 1]])
+
+
 def test_sdr_trace_invariants():
     for i in range(60):
         rng = derive_rng(21, "turan-test", i)
