@@ -5,13 +5,13 @@ generic path enumerates list assignments up to color relabeling (each class
 is a multiset of membership patterns, walked as submasks of the vertices
 still needing colors) and backtracks a coloring for each, both on bitmasks:
 a list is an int with bit c set for color c.  Before that it takes one
-vertex-deletion step on the peeled core, recursively and memoized within
-the call; each subproblem is a tuple of neighbour masks (entry v: v's
-neighbours among 0..k-1) with its f, so none builds a ``Graph``.  If a
-core vertex v has f(v) = 1, only the first such v is deleted, with f one
-less on N(v), and that answer is final: f is sufficient
-on the core iff the lowered f is on core-v (color v first and drop its
-color from the neighbors' lists), and a neighbor left at 0 makes f
+vertex-deletion step on the peeled core, recursively, with the cores found
+sufficient memoized on the search's meter; each subproblem is a tuple of
+neighbour masks (entry v: v's neighbours among 0..k-1) with its f, so none
+builds a ``Graph``.  If a core vertex v has f(v) = 1, only the first such v
+is deleted, with f one less on N(v), and that answer is final: f is
+sufficient on the core iff the lowered f is on core-v (color v first and
+drop its color from the neighbors' lists), and a neighbor left at 0 makes f
 insufficient at once.  Otherwise every v is tried with f unchanged: f
 sufficient on the core implies it on core-v.  A failing assignment of
 core-v lifts the same way in both cases, by fresh colors c, c+1, ... in
@@ -38,9 +38,11 @@ for a witness.  One meter (``_Budget``) lives for one top-level search:
 ``sum_choice_exact``, ``sum_choice_type2_exact``, ``chi_sc2_reduced``, or
 one bare public oracle call.  Every oracle call of the search ticks it, and
 it keeps the shapes walked per core A-sizes, each with its target family,
-and the result of each blocker search per (family, live Q-sizes): a reused
-search ticks the nodes of its first run again.  The target families are
-computed outside the budget, once per distinct shape per search.
+the result of each blocker search per (family, live Q-sizes), and the
+generic cores found sufficient per (core masks, core f).  One memo rule
+holds for both: a hit ticks the units of its first run again, so the units
+of a search are those of the same search with no memo.  The target families
+are computed outside the budget, once per distinct shape per search.
 Both paths report an explicit ``undecided`` verdict when the budget runs out.
 
 Every witness in the package, here and in the constructions of the other
@@ -83,9 +85,10 @@ class Verdict:
     meter (``_Budget``): A-side shapes and blocker-search nodes on the
     transversal path, enumerated classes on the generic path (see the module
     docstring); the peel and the exact removal of f = 1 vertices tick none.
-    A blocker search replayed from the meter's memo ticks the nodes of its
-    first run, so ``checked`` depends neither on reuse nor on what other
-    calls ticked the same meter.
+    A blocker search or a sufficient generic core replayed from the meter's
+    memo ticks the units of its first run, so ``checked`` is the work of the
+    call with no memo: it depends neither on reuse nor on what other calls
+    ticked the same meter.
     """
 
     status: str
@@ -306,21 +309,11 @@ def _minimal_covers(verts: tuple[int, ...], a: int) -> tuple[int, ...]:
     )
 
 
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
 def _by_size_then_colors(masks: Iterable[int]) -> tuple[int, ...]:
-    """The masks by size, then by their ascending colors compared as lists.
-    Of two masks of one size, the one holding the lowest color that they do
-    not share comes first: that is descending order of the masks with their
-    bits reversed, over a byte width that holds every mask."""
-    masks = list(masks)
-    width = (max(masks, default=0).bit_length() + 7) // 8
-
-    def key(T: int) -> tuple[int, int]:
-        return T.bit_count(), -int.from_bytes(T.to_bytes(width, "little").translate(_REVERSED_BYTE), "big")
-
-    return tuple(sorted(masks, key=key))
+    """The masks by size, then by their ascending colors compared as lists:
+    of two masks of one size, the one holding the lowest color that they do
+    not share comes first."""
+    return tuple(sorted(masks, key=lambda T: (T.bit_count(), bits_of(T))))
 
 
 def _minimal_transversal_masks(LA: Sequence[int]) -> tuple[int, ...]:
@@ -372,29 +365,36 @@ def _frozenset_view(
 
 class _Budget:
     """The meter of one top-level search: its units left and used, and the
-    transversal work that its oracle calls share.
+    work that its oracle calls share.
 
     Per (core A-sizes, clique): the A-shapes walked so far, as list masks,
     each with its target family.  Per (family, sorted live Q-sizes): the
-    blocker search's result and the number of nodes it ticked.  A reused
-    search ticks that many again, or left + 1 when fewer are left, so it
-    runs out of budget exactly where its first run would: ``checked`` and
-    ``budget_used`` do not depend on what was reused.
+    blocker search's result and the number of nodes it ticked.  Per (core
+    masks, core f) of the generic path: the units that a core found
+    sufficient ticked.  A hit in either memo ticks that many again through
+    ``replay``, so it runs out of budget exactly where its first run would:
+    ``checked`` and ``budget_used`` do not depend on what was reused.
     """
 
-    __slots__ = ("left", "used", "shapes", "searches")
+    __slots__ = ("left", "used", "shapes", "searches", "settled")
 
     def __init__(self, cap: int):
         self.left = cap
         self.used = 0
         self.shapes: dict[tuple[SizeFunction, bool], tuple[list, Iterator[ListAssignment]]] = {}
         self.searches: dict[tuple[tuple[int, ...], SizeFunction], tuple[tuple[int, ...] | None, int]] = {}
+        self.settled: dict[tuple[tuple[int, ...], SizeFunction], int] = {}
 
     def tick(self, amount: int = 1) -> None:
         self.left -= amount
         self.used += amount
         if self.left < 0:
             raise BudgetExceededError("sufficiency search budget exceeded")
+
+    def replay(self, units: int) -> None:
+        """Tick again the units of a run kept in a memo, or left + 1 when
+        fewer are left: the search runs out exactly where that run would."""
+        self.tick(min(units, self.left + 1))
 
     def a_shapes(self, core_a: SizeFunction, clique: bool) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         """(A-list masks, target family) for each class of
@@ -422,7 +422,7 @@ class _Budget:
         key = (targets, q_live)
         if key in self.searches:
             found, nodes = self.searches[key]
-            self.tick(min(nodes, self.left + 1))
+            self.replay(nodes)
             return found
         start = self.used
         found = _blocking_family(targets, q_live, self)
@@ -607,7 +607,8 @@ def is_sufficient(
     unlabeled copy, ``make_graph(g.n, g.edges)``, takes the generic one.
     Both paths first peel the vertices with f(v) > deg(v) (see
     ``peel_order``), so neither spends budget on them.  ``budget`` may be a
-    meter (``_Budget``) that the calls of one search share.
+    meter (``_Budget``) that the calls of one search share, with its memos;
+    an int starts a fresh meter, so the memos live for this call alone.
     """
     f = validate_sizes(f, g.n, minimum=0)
     if any(s == 0 for s in f):
@@ -618,7 +619,7 @@ def is_sufficient(
         return _labeled_is_sufficient(g, f, meter)
     start = meter.used
     try:
-        witness = _generic_witness(g.adj, f, meter, set())
+        witness = _generic_witness(g.adj, f, meter)
         status = "sufficient" if witness is None else "insufficient"
     except BudgetExceededError:
         witness, status = None, "undecided"
@@ -640,9 +641,7 @@ def _labeled_is_sufficient(g: Graph, f: SizeFunction, meter: _Budget) -> Verdict
     return Verdict(verdict.status, tuple(per_vertex[v] for v in range(g.n)), verdict.checked)
 
 
-def _generic_witness(
-    adj: tuple[int, ...], f: SizeFunction, meter: _Budget, settled: set[tuple]
-) -> ListAssignment | None:
+def _generic_witness(adj: tuple[int, ...], f: SizeFunction, meter: _Budget) -> ListAssignment | None:
     """A failing f-assignment (all f >= 1) of the graph with neighbour masks
     adj, or None when f is sufficient.
 
@@ -651,9 +650,9 @@ def _generic_witness(
     answer is final; with no such vertex, every i with f unchanged.  The
     witness of core-i lifts by L(i) = range(c, c + f(i)), c = sum(rest_f),
     plus c on each neighbor's list when f(i) = 1, in one ``pad_witness``
-    call.  ``settled`` holds the (core masks, core f) found sufficient so
-    far in this top-level call; each enumerated class ticks ``meter``, the
-    deletion step does not.
+    call.  Each enumerated class ticks ``meter``, the deletion step does
+    not; a core found sufficient is kept in ``meter.settled`` with the units
+    its walk ticked, and a later hit on it in the same search replays them.
     """
     core = peel_order(adj, f)
     if not core:
@@ -661,8 +660,10 @@ def _generic_witness(
     sub = _induced(adj, core)
     core_f = tuple(f[v] for v in core)
     key = (sub, core_f)
-    if key in settled:
+    if key in meter.settled:
+        meter.replay(meter.settled[key])
         return None
+    start = meter.used
     exact = 1 in core_f
     for i in [core_f.index(1)] if exact else range(len(sub)):
         rest = [u for u in range(len(sub)) if u != i]
@@ -671,7 +672,7 @@ def _generic_witness(
         if 0 in rest_f:  # a neighbor also has f = 1: both get the same color
             lists = pad_witness({}, rest_f, 0)
         else:
-            lists = _generic_witness(_induced(sub, rest), rest_f, meter, settled)
+            lists = _generic_witness(_induced(sub, rest), rest_f, meter)
         if lists is not None:
             # the witness of (core-i, rest_f) keeps its colors below sum(rest_f)
             c = sum(rest_f)
@@ -684,7 +685,7 @@ def _generic_witness(
             if _color_masks(sub, masks) is None:
                 lists = (frozenset(bits_of(m)) for m in masks)
                 return pad_witness(dict(zip(core, lists)), f, sum(core_f))
-    settled.add(key)
+    meter.settled[key] = meter.used - start
     return None
 
 

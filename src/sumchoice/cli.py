@@ -48,11 +48,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def _emit(doc: dict, args: argparse.Namespace, extra: dict | None = None) -> None:
-    config = {
-        "command": args.command,
-        "seed": args.seed,
-        "budget": args.budget,
-    }
+    config = {"command": args.command}
+    config.update((flag, getattr(args, flag)) for flag in ("seed", "budget") if hasattr(args, flag))
     if extra:
         config.update(extra)
     doc = dict(doc)
@@ -88,35 +85,33 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sumchoice",
         description="Sum choice numbers: exact values, bounds, constructions, witnesses.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base seed for randomized commands")
-    common.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_BUDGET,
-        help="search budget cap",
-    )
+    # Each subcommand takes only the flags it reads: --seed where a family
+    # or an experiment draws from it, --budget where an oracle runs.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="base seed for randomized commands")
+    budgeted = argparse.ArgumentParser(add_help=False)
+    budgeted.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search budget cap")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name: str, **kwargs) -> argparse.ArgumentParser:
-        return subparsers.add_parser(name, parents=[common], **kwargs)
+    def sub(name: str, *parents: argparse.ArgumentParser, **kwargs) -> argparse.ArgumentParser:
+        return subparsers.add_parser(name, parents=list(parents), **kwargs)
 
     def family_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--params", help="comma-separated integer parameters")
         for flag in ("--a", "--q", "--n", "--m"):
             p.add_argument(flag, type=int)
 
-    p = sub("generate", help="emit a named-family graph as JSON")
+    p = sub("generate", seeded, help="emit a named-family graph as JSON")
     p.add_argument("--family", required=True, choices=graphs.family_names())
     family_flags(p)
     p.add_argument("--out", help="write to file instead of stdout")
 
-    p = sub("check", help="test a size function or a concrete list assignment")
+    p = sub("check", budgeted, help="test a size function or a concrete list assignment")
     p.add_argument("--graph", required=True, help="graph JSON file (or inline JSON)")
     p.add_argument("--f", help="comma-separated list sizes per vertex")
     p.add_argument("--lists", help="list-assignment JSON file")
 
-    p = sub("sumchoice", help="exact sum choice number")
+    p = sub("sumchoice", seeded, budgeted, help="exact sum choice number")
     p.add_argument("--graph")
     p.add_argument("--family", choices=graphs.family_names())
     family_flags(p)
@@ -130,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
 
-    p = sub("experiment", help="randomized experiments (CSV)")
+    p = sub("experiment", seeded, help="randomized experiments (CSV)")
     p.add_argument("kind", choices=("rt",), help="rt: random transversal process")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
@@ -147,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
 
-    p = sub("type2", help="type-II insufficiency witness for K_{a,q}")
+    p = sub("type2", budgeted, help="type-II insufficiency witness for K_{a,q}")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--f", required=True, help="comma-separated A-side list sizes")
@@ -176,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.budget < 0:
+    if getattr(args, "budget", 0) < 0:
         raise ValueError(f"--budget must be >= 0, got {args.budget}")
 
     if args.command == "generate":

@@ -120,8 +120,8 @@ def sum_choice_exact(
     witnesses: dict[SizeFunction, ListAssignment] | None = {} if record_witnesses else None
     for k in range(g.n, upper + 1):
         for f in _vectors_with_sum(k, caps, g.twin_classes):
-            # every candidate ticks one meter; a labeled K_{a,q} / G_{a,q} goes
-            # straight to the transversal search, which shares its memo
+            # every candidate ticks one meter and shares its memos; a labeled
+            # K_{a,q} / G_{a,q} goes straight to the transversal search
             if g.structure:
                 verdict = _labeled_is_sufficient(g, f, meter)
             else:

@@ -381,13 +381,16 @@ def test_generic_sufficient_work_pinned():
     # Classes walked on the sufficient queries of the generic_sufficient
     # bench workload (before the walk kept only edge-spanning patterns:
     # 2,691 / 189 / 215 / 329 / 189).  A class with an independent pattern
-    # that came back into the walk would raise these counts.
+    # that came back into the walk would raise these counts.  A core met
+    # again counts the classes of its first walk, so these are the counts
+    # of the walk with no memo (68 for both (2, 2, 2, 2, 2) queries when a
+    # repeat within the call counted nothing).
     cases = [(cycle(6), (2,) * 6, 543)]
     for q, f, checked in [
-        (3, (2, 2, 2, 2, 2), 68),
+        (3, (2, 2, 2, 2, 2), 88),
         (3, (3, 2, 2, 2, 2), 93),
         (3, (3, 3, 2, 2, 2), 125),
-        (4, (2, 2, 2, 2, 2, 3), 68),
+        (4, (2, 2, 2, 2, 2, 3), 88),
     ]:
         labeled = complete_bipartite(2, q)
         cases.append((make_graph(labeled.n, labeled.edges), f, checked))
@@ -640,6 +643,33 @@ def test_size_then_colors_order_is_the_color_list_order():
     assert _by_size_then_colors([]) == ()
 
 
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def by_reversed_bytes(masks):
+    """The masks by size, then in descending order of the masks with their
+    bits reversed over a byte width that holds every mask: the byte-reversal
+    key the candidate families were once sorted by."""
+    masks = list(masks)
+    width = (max(masks, default=0).bit_length() + 7) // 8
+
+    def key(T):
+        return T.bit_count(), -int.from_bytes(T.to_bytes(width, "little").translate(_REVERSED_BYTE), "big")
+
+    return tuple(sorted(masks, key=key))
+
+
+def test_size_then_colors_order_matches_the_reversed_byte_key():
+    # Seeded mask families of several widths, past 2**64 too; the sparse
+    # masks make many of one size, where the two keys must agree.
+    rng = random.Random(0)
+    for width in (1, 3, 8, 9, 16, 63, 64, 65, 100, 130):
+        for _ in range(20):
+            masks = [rng.getrandbits(width) for _ in range(rng.randint(0, 30))]
+            masks += [sum(1 << rng.randrange(width) for _ in range(3)) for _ in range(rng.randint(0, 30))]
+            assert _by_size_then_colors(masks) == by_reversed_bytes(masks), (width, masks)
+
+
 def test_sdr_image_sets_match_brute_force():
     rng = random.Random(0)
     families = [
@@ -789,6 +819,67 @@ def test_finished_search_holds_no_reference_to_its_meter():
     finally:
         gc.enable()
     assert meter.used > 0 and after == before
+
+
+class _Forgetful(dict):
+    """A memo that drops every write."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class _Hits(dict):
+    """A memo that counts its hits."""
+
+    hits = 0
+
+    def __getitem__(self, key):
+        self.hits += 1
+        return super().__getitem__(key)
+
+
+def test_memo_reach_changes_no_verdict():
+    # Generic, bipartite and split calls, each once and then again in a
+    # shuffled order, on a meter that keeps its memos and on one whose
+    # generic and blocker memos drop every write.  A hit replays the units
+    # of its first run, so every Verdict, checked included, is that of the
+    # search with no memo.
+    rng = random.Random(0)
+    calls = []
+    for seed in range(40):
+        n = rng.randint(4, 6)
+        g = random_graph(n, rng.randint(n, min(n * (n - 1) // 2, 2 * n)), seed)
+        for _ in range(4):
+            calls.append((is_sufficient, (g, tuple(rng.randint(2, 3) for _ in range(n)))))
+    for fn in (bipartite_is_sufficient, split_is_sufficient):
+        for _ in range(60):
+            a_sizes = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+            calls.append((fn, (a_sizes, tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4))))))
+    calls += rng.sample(calls, len(calls))
+    kept, bare = _Budget(10**9), _Budget(10**9)
+    kept.settled, kept.searches = _Hits(), _Hits()
+    bare.settled, bare.searches = _Forgetful(), _Forgetful()
+    for fn, args in calls:
+        assert fn(*args, budget=kept) == fn(*args, budget=bare), (fn.__name__, args)
+    assert kept.used == bare.used and not bare.settled and not bare.searches
+    assert kept.settled.hits and kept.searches.hits
+
+
+def test_repeated_generic_call_replays_its_units():
+    labeled = complete_bipartite(2, 4)
+    g, f = make_graph(labeled.n, labeled.edges), (2, 2, 2, 2, 2, 3)
+    first = is_sufficient(g, f)
+    assert first == Verdict("sufficient", None, 88)
+    meter = _Budget(10**9)
+    assert is_sufficient(g, f, budget=meter) == first
+    settled = dict(meter.settled)
+    assert is_sufficient(g, f, budget=meter) == first  # a hit on the top core
+    assert meter.settled == settled and meter.used == 2 * first.checked
+    for k in (0, 1, 44, 87):
+        meter = _Budget(first.checked + k)
+        is_sufficient(g, f, budget=meter)
+        assert meter.left == k
+        assert is_sufficient(g, f, budget=meter) == Verdict("undecided", None, k + 1), k
 
 
 @pytest.mark.parametrize(

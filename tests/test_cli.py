@@ -105,6 +105,31 @@ def test_negative_budget_exits_usage(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["bounds", "--a", "2", "--q", "3", "--budget", "5"],
+        ["verify-tables", "--seed", "1"],
+    ],
+)
+def test_flag_the_subcommand_does_not_read_exits_usage(capsys, argv):
+    # --seed and --budget belong only to the subcommands that read them
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_config_echo_lists_the_subcommand_flags(capsys):
+    code, doc = run_json(capsys, ["bounds", "--a", "2", "--q", "3"])
+    assert code == 0
+    assert doc["config"] == {"command": "bounds", "log_base": "e"}
+    code, doc = run_json(capsys, ["sumchoice", "--family", "random_graph", "--n", "4", "--m", "3", "--seed", "2"])
+    assert code == 0
+    assert doc["config"] == {"budget": 100000000, "command": "sumchoice", "seed": 2}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["generate", "--family", "path", "--params", "3,9"],
         ["sumchoice", "--family", "cycle", "--params", "5,1,2"],
     ],
@@ -278,7 +303,7 @@ TYPE2_A3_GOLDEN = {
 def test_type2_cli_a3_golden(capsys, f, q):
     witness = TYPE2_A3_GOLDEN[f, q]
     doc = {"verdict": "sufficient"} if witness is None else {"verdict": "insufficient", "witness": witness}
-    doc["config"] = {"budget": 100000000, "command": "type2", "f": f, "q": q, "seed": 0}
+    doc["config"] = {"budget": 100000000, "command": "type2", "f": f, "q": q}
     code, out = run(capsys, ["type2", "--a", "3", "--q", str(q), "--f", f])
     assert code == 0
     assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -10,7 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sumchoice.bipartite import closed_form
-from sumchoice.choosability import color_from_lists, enumerate_canonical_assignments, is_sufficient, peel_order
+from sumchoice.choosability import (
+    DEFAULT_BUDGET,
+    color_from_lists,
+    enumerate_canonical_assignments,
+    is_sufficient,
+    peel_order,
+)
 from sumchoice.exact import (
     _vectors_with_sum,
     edge_bound,
@@ -110,7 +116,7 @@ GOLDEN = [
     (random_graph(6, 8, 7), 14, (1, 2, 1, 2, 3, 5), 16),
     (disjoint_cliques(3, 3, 2), 15, (1, 2, 3, 1, 2, 3, 1, 2), 0),
     (cycle(7), 14, (1, 2, 2, 2, 2, 2, 3), 0),
-    (random_graph(7, 10, 0), 16, (1, 2, 2, 2, 4, 3, 2), 7275),
+    (random_graph(7, 10, 0), 16, (1, 2, 2, 2, 4, 3, 2), 7687),
 ]
 
 
@@ -124,8 +130,8 @@ def test_exact_golden(g, value, optimal_f, budget_used):
 @pytest.mark.parametrize(
     "g, value, optimal_f, budget_used, witnesses",
     [
-        (random_graph(8, 12, 1), 20, (1, 2, 2, 2, 3, 3, 5, 2), 7398, 11496),
-        (random_graph(9, 12, 0), 21, (1, 2, 1, 2, 3, 2, 2, 2, 6), 4888, 19305),
+        (random_graph(8, 12, 1), 20, (1, 2, 2, 2, 3, 3, 5, 2), 8858, 11496),
+        (random_graph(9, 12, 0), 21, (1, 2, 1, 2, 3, 2, 2, 2, 6), 5344, 19305),
     ],
 )
 def test_exact_value_certified_without_the_class_walk(g, value, optimal_f, budget_used, witnesses):
@@ -200,14 +206,14 @@ def test_record_witnesses_labeled(perm):
 
 
 def reference_exact(g, budget):
-    """The driver's candidate walk with a fresh public is_sufficient call per
-    candidate, as (value, optimal_f, undecided, bracket, budget_used,
-    witnesses)."""
+    """The driver's candidate walk, twin-sorted, with a fresh public
+    is_sufficient call per candidate, as (value, optimal_f, undecided,
+    bracket, budget_used, witnesses)."""
     caps = tuple(g.degree(v) + 1 for v in range(g.n))
     upper = sum(greedy_sufficient_f(g))
     used, witnesses = 0, {}
     for k in range(g.n, upper + 1):
-        for f in _vectors_with_sum(k, caps, g.parts):
+        for f in _vectors_with_sum(k, caps, g.twin_classes):
             verdict = is_sufficient(g, f, budget=budget - used)
             used += verdict.checked
             if verdict.status == "sufficient":
@@ -236,6 +242,34 @@ def test_shared_search_matches_fresh_calls_on_relabeled_graphs(make, a, q, seed)
     for f, witness in res.witnesses.items():
         assert tuple(len(L) for L in witness) == f
         assert color_from_lists(g, witness) is None
+
+
+def exact_outcome(g, budget):
+    res = sum_choice_exact(g, budget=budget, record_witnesses=True)
+    return res.value, res.optimal_f, res.undecided, res.bracket, res.budget_used, res.witnesses
+
+
+def test_shared_memo_matches_fresh_calls_on_every_small_graph():
+    # All 1,099 labeled graphs on one to five vertices.  The search keeps
+    # one memo of sufficient generic cores, and a hit replays the units of
+    # its first walk, so the whole outcome, budget_used included, is that of
+    # a fresh oracle call per candidate.
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            g = make_graph(n, itertools.compress(pairs, chosen))
+            assert exact_outcome(g, DEFAULT_BUDGET) == reference_exact(g, DEFAULT_BUDGET), g.edges
+
+
+@pytest.mark.parametrize(
+    "g", [random_graph(7, 10, 0), make_graph(6, complete_bipartite(2, 4).edges), random_graph(6, 8, 1)]
+)
+def test_shared_memo_matches_fresh_calls_at_every_budget(g):
+    # A memo hit runs out of budget where its first walk would, so a search
+    # cut short stops at the same candidate with the same bracket.
+    full = sum_choice_exact(g).budget_used
+    for budget in sorted({0, 1, 7, full // 3, full // 2, full - 1, full}):
+        assert exact_outcome(g, budget) == reference_exact(g, budget), (g.edges, budget)
 
 
 # Every budget below 60 and every 241st up to the full run of three labeled
