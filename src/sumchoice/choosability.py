@@ -8,7 +8,11 @@ a list is an int with bit c set for color c.  Before that it takes one
 vertex-deletion step on the peeled core, recursively, with the cores found
 sufficient memoized on the search's meter; each subproblem is a tuple of
 neighbour masks (entry v: v's neighbours among 0..k-1) with its f, so none
-builds a ``Graph``.  If a core vertex v has f(v) = 1, only the first such v
+builds a ``Graph``.  The peel runs from a worklist (degrees counted once,
+then lowered as vertices drop), a core the peel leaves whole is its graph
+as given, and core-v comes from the core by deleting bit v from every other
+mask, so no subproblem is rebuilt by a scan over vertex pairs.  If a core
+vertex v has f(v) = 1, only the first such v
 is deleted, with f one less on N(v), and that answer is final: f is
 sufficient on the core iff the lowered f is on core-v (color v first and
 drop its color from the neighbors' lists), and a neighbor left at 0 makes f
@@ -573,19 +577,35 @@ def peel_order(adj: Sequence[int], f: Sequence[int]) -> list[int]:
 
     A vertex with f(v) >= deg(v)+1 can always be colored last, so f is
     sufficient on the graph iff its restriction is sufficient on the core.
+    The peel runs from a worklist: degrees are counted once, and dropping a
+    vertex pushes each live neighbour whose f it makes exceed its degree.
+    Dropping only lowers degrees, so the core is the same whatever the
+    order of removal.
     """
+    deg = [m.bit_count() for m in adj]
+    todo = [v for v, d in enumerate(deg) if f[v] > d]
     alive = (1 << len(adj)) - 1
-    while True:
-        drop = sum(1 << v for v in bits_of(alive) if f[v] > (adj[v] & alive).bit_count())
-        if not drop:
-            return bits_of(alive)
-        alive &= ~drop
+    while todo:
+        v = todo.pop()
+        alive ^= 1 << v
+        for u in bits_of(adj[v] & alive):
+            deg[u] -= 1
+            if deg[u] == f[u] - 1:  # f(u) has just passed deg(u)
+                todo.append(u)
+    return bits_of(alive)
 
 
 def _induced(adj: Sequence[int], vertices: Sequence[int]) -> tuple[int, ...]:
     """The neighbour masks of the subgraph induced on vertices, each vertex
     renumbered by its position in vertices."""
     return tuple(sum(1 << j for j, u in enumerate(vertices) if adj[v] >> u & 1) for v in vertices)
+
+
+def _without(adj: Sequence[int], i: int) -> tuple[int, ...]:
+    """``_induced(adj, every vertex but i)`` by one bit deletion per mask:
+    bit i dropped, the bits above it moved one down."""
+    low = (1 << i) - 1
+    return tuple((m & low) | (m >> (i + 1) << i) for u, m in enumerate(adj) if u != i)
 
 
 # ---------------------------------------------------------------------------
@@ -650,15 +670,20 @@ def _generic_witness(adj: tuple[int, ...], f: SizeFunction, meter: _Budget) -> L
     answer is final; with no such vertex, every i with f unchanged.  The
     witness of core-i lifts by L(i) = range(c, c + f(i)), c = sum(rest_f),
     plus c on each neighbor's list when f(i) = 1, in one ``pad_witness``
-    call.  Each enumerated class ticks ``meter``, the deletion step does
-    not; a core found sufficient is kept in ``meter.settled`` with the units
-    its walk ticked, and a later hit on it in the same search replays them.
+    call.  The core's masks are adj itself when the peel drops nothing, and
+    core-i's are the core's with bit i deleted (``_without``): no subproblem
+    is rebuilt by a scan over vertex pairs.  Each enumerated class ticks
+    ``meter``, the deletion step does not; a core found sufficient is kept
+    in ``meter.settled`` with the units its walk ticked, and a later hit on
+    it in the same search replays them.
     """
     core = peel_order(adj, f)
     if not core:
         return None
-    sub = _induced(adj, core)
-    core_f = tuple(f[v] for v in core)
+    if len(core) == len(adj):  # the peel dropped nothing
+        sub, core_f = adj, f
+    else:
+        sub, core_f = _induced(adj, core), tuple(f[v] for v in core)
     key = (sub, core_f)
     if key in meter.settled:
         meter.replay(meter.settled[key])
@@ -672,7 +697,7 @@ def _generic_witness(adj: tuple[int, ...], f: SizeFunction, meter: _Budget) -> L
         if 0 in rest_f:  # a neighbor also has f = 1: both get the same color
             lists = pad_witness({}, rest_f, 0)
         else:
-            lists = _generic_witness(_induced(sub, rest), rest_f, meter)
+            lists = _generic_witness(_without(sub, i), rest_f, meter)
         if lists is not None:
             # the witness of (core-i, rest_f) keeps its colors below sum(rest_f)
             c = sum(rest_f)

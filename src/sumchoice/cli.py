@@ -77,7 +77,10 @@ def _graph_from_args(args: argparse.Namespace) -> graphs.Graph:
         params = [getattr(args, name) for name in names]
     if any(p is None for p in params):
         raise ValueError(f"family {family!r} is missing parameters (use --params or the named flags)")
-    return generate(family, params)
+    g = generate(family, params)
+    if names is not None and "seed" in names:
+        args.seed = params[names.index("seed")]  # the config echo reports the seed used
+    return g
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -63,6 +63,10 @@ def _vectors_with_sum(
     Every value in a position's range extends to a full vector, so the walk
     never enters a dead branch."""
     n = len(caps)
+    if not n:
+        if total == 0:
+            yield ()
+        return
     # prev[i]: i's block-mate just before it, or n when there is none (vec[n]
     # is the floor 1); width[i]: i and its later block-mates.
     prev, width = [n] * n, [1] * n
@@ -70,25 +74,34 @@ def _vectors_with_sum(
         for k, i in enumerate(block):
             prev[i], width[i] = block[k - 1] if k else n, len(block) - k
     suffix = [sum(caps[i:]) for i in range(n + 1)]
-    vec = [0] * n + [1]
-
-    def rec(i: int, remaining: int, least: int) -> Iterator[tuple[int, ...]]:
-        # least: the smallest sum positions i.. can still take; others: the
-        # part of it outside i's block.  Each later block-mate takes >= v.
-        lo, w = vec[prev[i]], width[i]
-        others = least - w * lo
-        hi = min(caps[i], (remaining - others) // w)
-        for v in range(max(lo, remaining - suffix[i + 1]), hi + 1):
-            vec[i] = v
-            if i == n - 1:
-                yield tuple(vec[:n])
-            else:
-                yield from rec(i + 1, remaining - v, others + (w - 1) * v)
-
-    if n:
-        yield from rec(0, total, n)
-    elif total == 0:
-        yield ()
+    vec, last = [0] * n + [1], n - 1
+    # An odometer over the positions.  rem[i]: the sum left for positions
+    # i..; least[i]: the smallest sum they can still take; others[i]: the
+    # part of it outside i's block (each later block-mate takes >= vec[i]);
+    # top[i]: the largest value i can take.  v is the value to try at i, or
+    # None on entering i.
+    rem, least, others, top = [total] + [0] * last, [n] + [0] * last, [0] * n, [0] * n
+    i, v = 0, None
+    while True:
+        if v is None:
+            lo, w = vec[prev[i]], width[i]
+            others[i] = least[i] - w * lo
+            top[i] = min(caps[i], (rem[i] - others[i]) // w)
+            v = max(lo, rem[i] - suffix[i + 1])
+        if v > top[i]:
+            if not i:
+                return
+            i -= 1
+            v = vec[i] + 1
+            continue
+        vec[i] = v
+        if i == last:
+            yield tuple(vec[:n])
+            v += 1
+        else:
+            rem[i + 1] = rem[i] - v
+            least[i + 1] = others[i] + (width[i] - 1) * v
+            i, v = i + 1, None
 
 
 def sorted_profiles(total: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:

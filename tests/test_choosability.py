@@ -21,7 +21,9 @@ from sumchoice.choosability import (
     _by_size_then_colors,
     _class_masks,
     _edge_spanning_classes,
+    _induced,
     _minimal_covers,
+    _without,
     bipartite_is_sufficient,
     color_from_lists,
     detect_structure,
@@ -398,6 +400,52 @@ def test_generic_sufficient_work_pinned():
         assert is_sufficient(g, f) == Verdict("sufficient", None, checked), (g, f)
 
 
+def fixed_point_peel(adj, f):
+    """The core by the peel's definition: drop every vertex whose f exceeds
+    its degree among the vertices left, all at once, until none does."""
+    alive = set(range(len(adj)))
+    while True:
+        drop = {v for v in alive if f[v] > sum(adj[v] >> u & 1 for u in alive)}
+        if not drop:
+            return sorted(alive)
+        alive -= drop
+
+
+def peel_cases():
+    """(adj, f): every labeled graph on at most 4 vertices with every
+    f <= deg+1, then a seeded sample of graphs and f on 5-7 vertices."""
+    for n in range(5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = make_graph(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
+            for f in itertools.product(*[range(g.degree(v) + 2) for v in range(n)]):
+                yield g.adj, f
+    rng = random.Random("peel")
+    for _ in range(3000):
+        n = rng.randint(5, 7)
+        g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < rng.random()])
+        yield g.adj, tuple(rng.randint(0, g.degree(v) + 1) for v in range(n))
+
+
+def test_worklist_peel_matches_the_fixed_point_peel():
+    cores = set()
+    for adj, f in peel_cases():
+        core = peel_order(adj, f)
+        assert core == fixed_point_peel(adj, f), (adj, f)
+        cores.add(len(adj) - len(core))
+    assert cores == set(range(8))  # from nothing dropped to every vertex of 7
+
+
+def test_core_minus_a_vertex_by_bit_deletion_matches_induced():
+    seen = set()
+    for adj, f in peel_cases():
+        sub = _induced(adj, peel_order(adj, f))
+        for i in range(len(sub)):
+            assert _without(sub, i) == _induced(sub, [u for u in range(len(sub)) if u != i]), (sub, i)
+            seen.add(len(sub))
+    assert seen == set(range(1, 8))
+
+
 def test_exact_removal_of_size_one_vertices_matches_reference():
     # Every f <= min(3, deg+1) whose peeled core holds a vertex i with
     # f(i) = 1, the case the oracle answers by removing i exactly.  When a
@@ -628,21 +676,6 @@ def test_minimal_covers_match_brute_force():
         assert _minimal_covers(verts, a) == tuple(sorted(minimal)), (verts, a)
 
 
-def test_size_then_colors_order_is_the_color_list_order():
-    # The sort key of the candidate families: by size, then by the colors
-    # in ascending order compared as lists, on every mask below 2**12 and
-    # on masks past bit 64.
-    def by_color_lists(masks):
-        return tuple(sorted(masks, key=lambda T: (T.bit_count(), bits_of(T))))
-
-    every = list(range(1 << 12))
-    random.Random(0).shuffle(every)
-    assert _by_size_then_colors(every) == by_color_lists(every)
-    wide = [1 << 64, (1 << 64) | 1, 3 << 63, 1 << 63, (1 << 70) | 5, (1 << 65) | 8, (1 << 100) | (1 << 64), 7, 0]
-    assert _by_size_then_colors(wide) == by_color_lists(wide)
-    assert _by_size_then_colors([]) == ()
-
-
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
@@ -660,8 +693,14 @@ def by_reversed_bytes(masks):
 
 
 def test_size_then_colors_order_matches_the_reversed_byte_key():
-    # Seeded mask families of several widths, past 2**64 too; the sparse
-    # masks make many of one size, where the two keys must agree.
+    # Every mask below 2**12 shuffled, masks past bit 64, no mask, and seeded
+    # mask families of several widths, past 2**64 too; the sparse masks make
+    # many of one size, where the two keys must agree.
+    every = list(range(1 << 12))
+    random.Random(0).shuffle(every)
+    wide = [1 << 64, (1 << 64) | 1, 3 << 63, 1 << 63, (1 << 70) | 5, (1 << 65) | 8, (1 << 100) | (1 << 64), 7, 0]
+    for masks in (every, wide, []):
+        assert _by_size_then_colors(masks) == by_reversed_bytes(masks)
     rng = random.Random(0)
     for width in (1, 3, 8, 9, 16, 63, 64, 65, 100, 130):
         for _ in range(20):

@@ -127,6 +127,16 @@ def test_config_echo_lists_the_subcommand_flags(capsys):
     assert doc["config"] == {"budget": 100000000, "command": "sumchoice", "seed": 2}
 
 
+def test_config_echo_reports_the_seed_from_params(capsys):
+    # a random family given by --params takes its seed from them, not --seed
+    code, doc = run_json(capsys, ["generate", "--family", "random_graph", "--params", "5,4,1", "--seed", "9"])
+    assert code == 0 and doc["config"] == {"command": "generate", "seed": 1}
+    _, named = run_json(capsys, ["generate", "--family", "random_graph", "--n", "5", "--m", "4", "--seed", "1"])
+    assert doc["edges"] == named["edges"]
+    code, doc = run_json(capsys, ["sumchoice", "--family", "random_tree", "--params", "6,3"])
+    assert code == 0 and doc["config"]["seed"] == 3
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -489,6 +489,42 @@ def test_vector_generator_matches_product_filter():
             assert list(_vectors_with_sum(k, caps, blocks)) == [f for f in monotone if sum(f) == k]
 
 
+def set_partitions(items):
+    """Every partition of items into blocks, each block in increasing order."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in set_partitions(rest):
+        yield [[first]] + partition
+        for k in range(len(partition)):
+            yield partition[:k] + [[first] + partition[k]] + partition[k + 1 :]
+
+
+def test_vector_generator_matches_product_filter_exhaustively():
+    # Every caps in [1, 3]^n for n <= 4 with every partition into blocks of
+    # equal caps (singletons given as blocks or left out), every total, and
+    # sorted_profiles for every length <= 4 and cap <= 4: each stream equals
+    # the filtered product, element for element.
+    for n in range(5):
+        for caps in itertools.product(range(1, 4), repeat=n):
+            every = list(itertools.product(*[range(1, c + 1) for c in caps]))
+            for partition in set_partitions(list(range(n))):
+                if any(caps[i] != caps[b[0]] for b in partition for i in b):
+                    continue
+                for blocks in (partition, [b for b in partition if len(b) > 1]):
+                    monotone = [f for f in every if all(f[i] <= f[j] for b in blocks for i, j in zip(b, b[1:]))]
+                    for k in range(sum(caps) + 2):
+                        got = list(_vectors_with_sum(k, caps, blocks))
+                        assert got == [f for f in monotone if sum(f) == k], (caps, blocks, k)
+    for length in range(5):
+        for cap in range(1, 5):
+            every = list(itertools.product(range(1, cap + 1), repeat=length))
+            for total in range(length * cap + 2):
+                want = [f for f in every if sum(f) == total and list(f) == sorted(f)]
+                assert list(sorted_profiles(total, length, cap)) == want, (total, length, cap)
+
+
 def test_vector_generator_empty():
     assert list(_vectors_with_sum(0, ())) == [()]
     assert list(_vectors_with_sum(1, ())) == []
