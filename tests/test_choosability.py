@@ -676,6 +676,21 @@ def test_minimal_covers_match_brute_force():
         assert _minimal_covers(verts, a) == tuple(sorted(minimal)), (verts, a)
 
 
+def test_size_then_colors_order_is_the_color_list_order():
+    # The sort key of the candidate families: by size, then by the colors
+    # in ascending order compared as lists, on every mask below 2**12 and
+    # on masks past bit 64.
+    def by_color_lists(masks):
+        return tuple(sorted(masks, key=lambda T: (T.bit_count(), bits_of(T))))
+
+    every = list(range(1 << 12))
+    random.Random(0).shuffle(every)
+    assert _by_size_then_colors(every) == by_color_lists(every)
+    wide = [1 << 64, (1 << 64) | 1, 3 << 63, 1 << 63, (1 << 70) | 5, (1 << 65) | 8, (1 << 100) | (1 << 64), 7, 0]
+    assert _by_size_then_colors(wide) == by_color_lists(wide)
+    assert _by_size_then_colors([]) == ()
+
+
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
