@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from sumchoice.bipartite import bounds_report
+from sumchoice.bipartite import bounds_report, bounds_report_to_json
 
 
 def main() -> int:
@@ -20,31 +20,11 @@ def main() -> int:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args()
 
-    rows = []
-    for a in args.a:
-        for q in range(1, args.q_max + 1):
-            r = bounds_report(a, q, log_base=args.log_base)
-            rows.append(r)
-
+    q_range = range(1, args.q_max + 1)
+    rows = [bounds_report(a, q, log_base=args.log_base) for a in args.a for q in q_range]
     if args.format == "json":
-        sys.stdout.write(
-            json.dumps(
-                [
-                    {
-                        "a": r.a,
-                        "q": r.q,
-                        "closed_form": r.closed,
-                        "ub": r.upper,
-                        "lb": r.lower,
-                        "sandwich_ok": r.sandwich_ok,
-                    }
-                    for r in rows
-                ],
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        doc = [bounds_report_to_json(r) for r in rows]
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write("a,q,closed_form,ub,lb,sandwich_ok\n")
         for r in rows:

@@ -112,6 +112,18 @@ def bounds_report(a: int, q: int, log_base: str = "e") -> BoundsReport:
     return BoundsReport(a, q, closed, upper, lower, sandwich)
 
 
+def bounds_report_to_json(report: BoundsReport) -> dict:
+    """The report under the keys the CLI and `scripts/bounds_table.py` print."""
+    return {
+        "a": report.a,
+        "q": report.q,
+        "closed_form": report.closed,
+        "ub": report.upper,
+        "lb": report.lower,
+        "sandwich_ok": report.sandwich_ok,
+    }
+
+
 # ---------------------------------------------------------------------------
 # The doubling construction: an explicit insufficient assignment for
 # a = 2^t, q = t l^2, with |L| = t*l on A and 2 on Q.
@@ -216,14 +228,12 @@ def _trials(
         picked = {c for c in colors if rng.random() < p}
         hits = tuple(len(L & picked) for L in LA)
         spanned = sum(1 for L in LQ if L <= picked)
+        # one pass: deletions only shrink T, so a Q-list passed over while
+        # outside T never lies inside it later
         T = set(picked)
-        changed = True
-        while changed:
-            changed = False
-            for L in LQ:
-                if L <= T:
-                    T.remove(min(L))
-                    changed = True
+        for L in LQ:
+            if L <= T:
+                T.remove(min(L))
         success = all(T & L for L in LA)
         if success:
             # the induced coloring is proper by construction; keep it honest

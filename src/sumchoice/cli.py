@@ -17,6 +17,7 @@ from . import graphs
 from .acceptance import CRITERIA, run_rows
 from .bipartite import (
     bounds_report,
+    bounds_report_to_json,
     constr_assignment,
     default_pick_probability,
     random_type2_assignment,
@@ -43,8 +44,12 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
 
+def _int_str_list(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+    return [int(part) for part in _int_str_list(text)]
 
 
 def _emit(doc: dict, args: argparse.Namespace, extra: dict | None = None) -> None:
@@ -224,36 +229,16 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "bounds":
         report = bounds_report(args.a, args.q, log_base=args.log_base)
-        _emit(
-            {
-                "a": report.a,
-                "q": report.q,
-                "closed_form": report.closed,
-                "ub": report.upper,
-                "lb": report.lower,
-                "sandwich_ok": report.sandwich_ok,
-            },
-            args,
-            {"log_base": args.log_base},
-        )
+        _emit(bounds_report_to_json(report), args, {"log_base": args.log_base})
         return EXIT_OK
 
     if args.command == "constr":
         c = constr_assignment(args.t, args.ell)
-        insufficient = transversal_check(c.a_lists, c.q_lists) is None
-        _emit(
-            {
-                "t": c.t,
-                "ell": c.ell,
-                "a": c.a,
-                "q": c.q,
-                "n_colors": c.n_colors,
-                "a_lists": [sorted(L) for L in c.a_lists],
-                "q_lists": [sorted(L) for L in c.q_lists],
-                "insufficient": insufficient,
-            },
-            args,
-        )
+        doc = asdict(c)
+        doc["a_lists"] = [sorted(L) for L in c.a_lists]
+        doc["q_lists"] = [sorted(L) for L in c.q_lists]
+        doc["insufficient"] = transversal_check(c.a_lists, c.q_lists) is None
+        _emit(doc, args)
         return EXIT_OK
 
     if args.command == "experiment":
@@ -280,30 +265,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         g = load_graph(args.graph)
         lists = _load_lists(args.lists)
         result = independent_sdr(g, lists)
-        if result is None:
-            _emit({"success": False}, args)
-        else:
-            _emit(
-                {
-                    "success": True,
-                    "representatives": list(result.representatives),
-                    "list_indices": list(result.list_indices),
-                    "steps": [asdict(step) for step in result.steps],
-                },
-                args,
-            )
+        _emit({"success": False} if result is None else {"success": True, **asdict(result)}, args)
         return EXIT_OK
 
     if args.command == "split-bounds":
-        sb = split_bounds(args.a, args.q)
-        _emit(
-            {
-                "a": sb.a, "q": sb.q, "s": sb.s,
-                "lower": sb.lower, "upper": sb.upper,
-                "upper_f": list(sb.upper_f),
-            },
-            args,
-        )
+        _emit(asdict(split_bounds(args.a, args.q)), args)
         return EXIT_OK
 
     if args.command == "type2":
@@ -311,14 +277,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         if len(f) != args.a:
             raise ValueError(f"--f has {len(f)} entries but --a is {args.a}")
         witness = type2_insufficient(f, args.q, budget=args.budget)
-        if witness is None:
-            _emit({"verdict": "sufficient"}, args, {"f": args.f, "q": args.q})
-        else:
-            _emit(
-                {"verdict": "insufficient", "witness": reduced_witness_to_json(witness)},
-                args,
-                {"f": args.f, "q": args.q},
-            )
+        doc = {"verdict": "sufficient"}
+        if witness is not None:
+            doc = {"verdict": "insufficient", "witness": reduced_witness_to_json(witness)}
+        _emit(doc, args, {"f": args.f, "q": args.q})
         return EXIT_OK
 
     if args.command == "beta":
@@ -344,10 +306,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
     raise AssertionError(f"unhandled command {args.command!r}")
-
-
-def _int_str_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -171,6 +172,25 @@ def test_random_process_successes_are_proper():
         assert all(T & L for L in LA)
         assert all(L - T for L in LQ)
     assert successes > 0
+
+
+def test_one_deletion_pass_matches_the_fixed_point():
+    # the process deletes Q-lists in one pass over LQ; repeating the pass
+    # until nothing changes must leave the same transversal
+    rng = random.Random(2024)
+    for _ in range(400):
+        LA = [set(rng.sample(range(12), rng.randint(1, 6))) for _ in range(rng.randint(1, 4))]
+        LQ = [frozenset(rng.sample(range(12), rng.randint(1, 4))) for _ in range(rng.randint(1, 12))]
+        for trace in transversal_trials(LA, LQ, rng.random(), seed=rng.randrange(100), max_trials=3):
+            T = set(trace.picked)
+            changed = True
+            while changed:
+                changed = False
+                for L in LQ:
+                    if L <= T:
+                        T.remove(min(L))
+                        changed = True
+            assert trace.transversal == tuple(sorted(T))
 
 
 def test_trials_are_reproducible():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sumchoice.cli import main
-from sumchoice.graphs import complete_split, graph_to_json, path as path_graph
+from sumchoice.graphs import complete_bipartite, complete_split, graph_to_json, path as path_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -491,3 +491,122 @@ def test_malformed_lists_json_exits_usage(capsys, tmp_path, doc):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Whole-stdout pins: each expected document is written out in full and the
+# CLI's output must equal its sorted, indented dump byte for byte.
+def dumped(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def sdr_files(tmp_path, graph, lists):
+    paths = tmp_path / "g.json", tmp_path / "lists.json"
+    paths[0].write_text(json.dumps(graph))
+    paths[1].write_text(json.dumps({"lists": lists}))
+    return ["--graph", str(paths[0]), "--lists", str(paths[1])]
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (
+            ["constr", "--t", "2", "--ell", "1"],
+            {
+                "a": 4, "a_lists": [[0, 2], [0, 3], [1, 2], [1, 3]], "config": {"command": "constr"},
+                "ell": 1, "insufficient": True, "n_colors": 4, "q": 2, "q_lists": [[0, 1], [2, 3]], "t": 2,
+            },
+        ),
+        (
+            ["split-bounds", "--a", "3", "--q", "10"],
+            {
+                "a": 3, "config": {"command": "split-bounds"}, "lower": 26.70820393249937, "q": 10, "s": 13,
+                "upper": 59, "upper_f": [13, 13, 13, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2],
+            },
+        ),
+        (
+            ["type2", "--a", "2", "--q", "4", "--f", "2,2"],
+            {
+                "config": {"budget": 100000000, "command": "type2", "f": "2,2", "q": 4},
+                "verdict": "insufficient",
+                "witness": {"R": {"edges": [["1", "2"]], "vertices": ["1", "2"]}, "cost": 4, "x": {"1": 2, "2": 2}},
+            },
+        ),
+        (
+            ["type2", "--a", "2", "--q", "4", "--f", "2,3"],
+            {"config": {"budget": 100000000, "command": "type2", "f": "2,3", "q": 4}, "verdict": "sufficient"},
+        ),
+        (
+            ["bounds", "--a", "2", "--q", "12"],
+            {
+                "a": 2, "closed_form": 32, "config": {"command": "bounds", "log_base": "e"},
+                "lb": 24.346086452784213, "q": 12, "sandwich_ok": True, "ub": 76,
+            },
+        ),
+    ],
+    ids=["constr", "split-bounds", "type2-insufficient", "type2-sufficient", "bounds"],
+)
+def test_stdout_pinned(capsys, argv, doc):
+    assert run(capsys, argv) == (0, dumped(doc))
+
+
+def test_sdr_stdout_pinned(capsys, tmp_path):
+    files = sdr_files(tmp_path, {"n": 4, "edges": [[0, 1]]}, [[0, 1, 2, 3]] * 2)
+    assert run(capsys, ["sdr", *files]) == (
+        0,
+        dumped(
+            {
+                "config": {"command": "sdr"},
+                "list_indices": [0, 1],
+                "representatives": [2, 3],
+                "steps": [
+                    {"closed_neighborhood": [2], "d": 1, "list_index": 0, "vertex": 2},
+                    {"closed_neighborhood": [3], "d": 1, "list_index": 1, "vertex": 3},
+                ],
+                "success": True,
+            }
+        ),
+    )
+
+
+def test_sdr_failure_stdout_pinned(capsys, tmp_path):
+    # both lists are the edge {0, 1}, which holds no independent pair
+    files = sdr_files(tmp_path, {"n": 2, "edges": [[0, 1]]}, [[0, 1]] * 2)
+    assert run(capsys, ["sdr", *files]) == (0, dumped({"config": {"command": "sdr"}, "success": False}))
+
+
+def test_bounds_table_script_json_pinned(capsys, monkeypatch):
+    script = load_script("bounds_table")
+    monkeypatch.setattr(sys, "argv", ["bounds_table.py", "--a", "2", "--q-max", "12", "--format", "json"])
+    assert script.main() == 0
+    rows = [
+        {"a": 2, "closed_form": 5, "lb": None, "q": 1, "sandwich_ok": None, "ub": None},
+        {"a": 2, "closed_form": 8, "lb": None, "q": 2, "sandwich_ok": True, "ub": 26},
+        {"a": 2, "closed_form": 10, "lb": None, "q": 3, "sandwich_ok": True, "ub": 32},
+        {"a": 2, "closed_form": 13, "lb": None, "q": 4, "sandwich_ok": True, "ub": 38},
+        {"a": 2, "closed_form": 15, "lb": None, "q": 5, "sandwich_ok": True, "ub": 44},
+        {"a": 2, "closed_form": 18, "lb": None, "q": 6, "sandwich_ok": True, "ub": 50},
+        {"a": 2, "closed_form": 20, "lb": None, "q": 7, "sandwich_ok": True, "ub": 54},
+        {"a": 2, "closed_form": 22, "lb": None, "q": 8, "sandwich_ok": True, "ub": 58},
+        {"a": 2, "closed_form": 25, "lb": None, "q": 9, "sandwich_ok": True, "ub": 64},
+        {"a": 2, "closed_form": 27, "lb": None, "q": 10, "sandwich_ok": True, "ub": 68},
+        {"a": 2, "closed_form": 29, "lb": None, "q": 11, "sandwich_ok": True, "ub": 72},
+        {"a": 2, "closed_form": 32, "lb": 24.346086452784213, "q": 12, "sandwich_ok": True, "ub": 76},
+    ]
+    assert capsys.readouterr().out == dumped(rows)
+
+
+def test_generate_out_writes_the_graph_and_echoes_it(capsys, tmp_path):
+    out = tmp_path / "k23.json"
+    code, doc = run_json(capsys, ["generate", "--family", "complete_bipartite", "--a", "2", "--q", "3", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text()) == graph_to_json(complete_bipartite(2, 3))
+    assert doc == {"written": str(out), "n": 5, "edges": 6, "config": {"command": "generate", "seed": 0}}
+
+
+def test_generate_out_into_a_missing_directory_exits_usage(capsys, tmp_path):
+    out = tmp_path / "missing" / "g.json"
+    code = main(["generate", "--family", "path", "--n", "3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
