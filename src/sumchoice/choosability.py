@@ -32,8 +32,10 @@ K_{a',q'} or G_{a',q'} (or nothing: sufficient at no cost).  On that core
 it walks the shapes of the A-side lists, computes the candidate A-color
 sets (minimal transversals on K_{a,q}, SDR images on G_{a,q}; the search is
 otherwise one and the same), and searches for Q-side lists that block them
-all; the core A-lists and the blockers become a witness by fresh colors
-everywhere else.
+all.  The search itself returns only the raw failure: the core A-list masks,
+the blockers and the peel threshold.  Those become a witness, by fresh colors
+everywhere else, only for a public verdict or a witness the exact driver was
+asked to record, in one builder (``_transversal_witness``).
 The minimal transversals are picks from the minimal covers of the atom
 patterns, the one cover routine ``type2`` uses too.  Shapes, targets and
 blockers are int masks; the shapes are read once per search from
@@ -493,7 +495,7 @@ def bipartite_is_sufficient(
     the A universe, the core's sizes) blocking every minimal transversal.
     """
     a_sizes, q_sizes = validate_sizes(a_sizes), validate_sizes(q_sizes)
-    return _transversal_is_sufficient(a_sizes, q_sizes, False, _meter(budget))
+    return _transversal_verdict(a_sizes, q_sizes, False, _meter(budget))
 
 
 def split_is_sufficient(
@@ -503,30 +505,36 @@ def split_is_sufficient(
     A-side is a clique, so candidate color sets are SDR images instead of
     minimal transversals."""
     a_sizes, q_sizes = validate_sizes(a_sizes), validate_sizes(q_sizes)
-    return _transversal_is_sufficient(a_sizes, q_sizes, True, _meter(budget))
+    return _transversal_verdict(a_sizes, q_sizes, True, _meter(budget))
 
 
-def _transversal_is_sufficient(
+# The raw failure of an insufficient transversal search: the core A-list
+# masks, the blocker masks and the peel threshold on A-sizes.
+_Failure = tuple[tuple[int, ...], tuple[int, ...], int]
+
+
+def _transversal_search(
     a_sizes: SizeFunction, q_sizes: SizeFunction, clique: bool, meter: _Budget
-) -> Verdict:
+) -> tuple[str, int, _Failure | None]:
     """The shared search: the Q-lists must block every candidate A-color
     set of the A-shape (SDR images when A is a ``clique``, else minimal
-    transversals).
+    transversals).  Returns the status, the units ticked and, when
+    insufficient, the raw failure that ``_transversal_witness`` turns into
+    a witness; nothing else builds one.
 
     First the peel of ``peel_order``, by part: a Q-vertex with f > |A alive|
     and an A-vertex with f > |Q alive| (plus |A alive| - 1 when A is a
     clique) color last, so they drop until none is left.  The core is again
     a K_{a',q'} or G_{a',q'}, searched on its sizes with the shapes and
     blocker searches of ``meter``; an empty A-side makes f sufficient with no
-    work, and a failing core assignment lifts by fresh colors at the peeled
-    vertices.
+    work.
     """
     # Each round keeps the vertices under a threshold that only falls, so
     # the core is A up to deg and Q up to |A core|.
     core_a = a_sizes
     while True:
         if not core_a:
-            return Verdict("sufficient", None, 0)
+            return "sufficient", 0, None
         q_live = tuple(sorted(s for s in q_sizes if s <= len(core_a)))
         deg = len(q_live) + (len(core_a) - 1 if clique else 0)
         if max(core_a) <= deg:
@@ -538,15 +546,25 @@ def _transversal_is_sufficient(
             meter.tick()
             blockers = meter.blockers(targets, q_live)
             if blockers is not None:
-                break
-        else:
-            return Verdict("sufficient", None, meter.used - start)
+                return "insufficient", meter.used - start, (LA, blockers, deg)
     except BudgetExceededError:
-        return Verdict("undecided", None, meter.used - start)
-    # The core A-lists, then each blocker at the first free Q-vertex of its
-    # size (a blocker lies inside a core A-color set, so no peeled Q-vertex
-    # takes one), and fresh colors everywhere else: canonical LA colors, and
-    # so the blockers' too, are below sum(core_a).
+        return "undecided", meter.used - start, None
+    return "sufficient", meter.used - start, None
+
+
+def _transversal_witness(
+    a_sizes: SizeFunction,
+    q_sizes: SizeFunction,
+    failure: _Failure,
+    parts: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+) -> ListAssignment:
+    """The witness of a failing transversal search: the core A-lists, then
+    each blocker at the first free Q-vertex of its size (a blocker lies
+    inside a core A-color set, so no peeled Q-vertex takes one), and fresh
+    colors everywhere else, in A-then-Q order: canonical LA colors, and so
+    the blockers' too, are below sum(core A-sizes).  The ``parts`` of a
+    labeled graph, its A and Q vertices, put it back in vertex order."""
+    LA, blockers, deg = failure
     sizes = a_sizes + q_sizes
     core = [i for i, s in enumerate(a_sizes) if s <= deg]
     fixed = {i: frozenset(bits_of(L)) for i, L in zip(core, LA)}
@@ -557,7 +575,32 @@ def _transversal_is_sufficient(
                 break
         else:
             raise AssertionError("unplaced blockers")
-    return Verdict("insufficient", pad_witness(fixed, sizes, sum(core_a)), meter.used - start)
+    witness = pad_witness(fixed, sizes, sum(a_sizes[i] for i in core))
+    if parts is None:
+        return witness
+    per_vertex = dict(zip(parts[0] + parts[1], witness))
+    return tuple(per_vertex[v] for v in range(len(witness)))
+
+
+def _transversal_verdict(
+    a_sizes: SizeFunction,
+    q_sizes: SizeFunction,
+    clique: bool,
+    meter: _Budget,
+    parts: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+) -> Verdict:
+    """The search, then the witness of an insufficient verdict: what the
+    public oracles return."""
+    status, checked, failure = _transversal_search(a_sizes, q_sizes, clique, meter)
+    witness = None if failure is None else _transversal_witness(a_sizes, q_sizes, failure, parts)
+    return Verdict(status, witness, checked)
+
+
+def _part_sizes(g: Graph, f: SizeFunction) -> tuple[SizeFunction, SizeFunction, bool]:
+    """f on the A side and on the Q side of a labeled K_{a,q} or G_{a,q},
+    and whether A is a clique: the arguments of the transversal search."""
+    a_side, q_side = g.parts  # type: ignore[misc]
+    return tuple(f[v] for v in a_side), tuple(f[v] for v in q_side), g.structure == "complete_split"
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +679,7 @@ def is_sufficient(
 
     meter = _meter(budget)
     if detect_structure(g) is not None:
-        return _labeled_is_sufficient(g, f, meter)
+        return _transversal_verdict(*_part_sizes(g, f), meter, g.parts)
     start = meter.used
     try:
         witness = _generic_witness(g.adj, f, meter)
@@ -644,21 +687,6 @@ def is_sufficient(
     except BudgetExceededError:
         witness, status = None, "undecided"
     return Verdict(status, witness, meter.used - start)
-
-
-def _labeled_is_sufficient(g: Graph, f: SizeFunction, meter: _Budget) -> Verdict:
-    """``is_sufficient`` on a labeled K_{a,q} or G_{a,q} with every f >= 1:
-    the transversal search on the parts' sizes on ``meter``, its witness
-    put back in vertex order."""
-    a_side, q_side = g.parts  # type: ignore[misc]
-    clique = g.structure == "complete_split"
-    verdict = _transversal_is_sufficient(
-        tuple(f[v] for v in a_side), tuple(f[v] for v in q_side), clique, meter
-    )
-    if verdict.witness is None:
-        return verdict
-    per_vertex = dict(zip(a_side + q_side, verdict.witness))
-    return Verdict(verdict.status, tuple(per_vertex[v] for v in range(g.n)), verdict.checked)
 
 
 def _generic_witness(adj: tuple[int, ...], f: SizeFunction, meter: _Budget) -> ListAssignment | None:

@@ -21,8 +21,9 @@ from .choosability import (
     ListAssignment,
     SizeFunction,
     _Budget,
-    _labeled_is_sufficient,
-    bipartite_is_sufficient,
+    _part_sizes,
+    _transversal_search,
+    _transversal_witness,
     is_sufficient,
 )
 from .graphs import Graph, degeneracy_order
@@ -120,6 +121,11 @@ def sum_choice_exact(
     for a deterministic optimal_f; ``record_witnesses`` keeps twin-sorted
     candidates only.  Budget exhaustion returns an undecided bracket.
 
+    On a labeled K_{a,q} / G_{a,q} a candidate's witness is built only under
+    ``record_witnesses``: the transversal search yields the raw failure, and
+    the padded witness is made from it on request.  The generic oracle finds
+    its witness as part of its search.
+
     No candidate is skipped as dominated by a known-insufficient c: totals
     rise and each candidate is tested once, so every earlier c has
     sum(c) <= sum(f), and c >= f componentwise would force c == f.  The cost
@@ -136,15 +142,19 @@ def sum_choice_exact(
             # every candidate ticks one meter and shares its memos; a labeled
             # K_{a,q} / G_{a,q} goes straight to the transversal search
             if g.structure:
-                verdict = _labeled_is_sufficient(g, f, meter)
+                a_sizes, q_sizes, clique = _part_sizes(g, f)
+                status, _, failure = _transversal_search(a_sizes, q_sizes, clique, meter)
+                if witnesses is not None and failure is not None:
+                    witnesses[f] = _transversal_witness(a_sizes, q_sizes, failure, g.parts)
             else:
                 verdict = is_sufficient(g, f, budget=meter)
-            if verdict.status == "sufficient":
+                status = verdict.status
+                if witnesses is not None and verdict.witness is not None:
+                    witnesses[f] = verdict.witness
+            if status == "sufficient":
                 return SumChoiceResult(k, f, False, (k, k), meter.used, witnesses)
-            if verdict.status == "undecided":
+            if status == "undecided":
                 return SumChoiceResult(None, None, True, (k, upper), meter.used, witnesses)
-            if witnesses is not None and verdict.witness is not None:
-                witnesses[f] = verdict.witness
     raise AssertionError("greedy sufficient f lies within the search space")
 
 
@@ -177,9 +187,9 @@ def sum_choice_type2_exact(a: int, q: int, *, budget: int = DEFAULT_BUDGET) -> i
     meter = _Budget(budget)
 
     def insufficient(fa: SizeFunction) -> bool:
-        verdict = bipartite_is_sufficient(fa, (2,) * q, budget=meter)
-        if verdict.status == "undecided":
+        status, _, _ = _transversal_search(fa, (2,) * q, False, meter)
+        if status == "undecided":
             raise BudgetExceededError("sufficiency search budget exceeded")
-        return verdict.status == "insufficient"
+        return status == "insufficient"
 
     return type2_profile_search(a, q, insufficient)

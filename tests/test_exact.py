@@ -9,9 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sumchoice import choosability
 from sumchoice.bipartite import closed_form
 from sumchoice.choosability import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
+    _Budget,
+    bipartite_is_sufficient,
     color_from_lists,
     enumerate_canonical_assignments,
     is_sufficient,
@@ -24,6 +28,7 @@ from sumchoice.exact import (
     sorted_profiles,
     sum_choice_exact,
     sum_choice_type2_exact,
+    type2_profile_search,
 )
 from sumchoice.graphs import (
     complete_bipartite,
@@ -239,6 +244,10 @@ def test_shared_search_matches_fresh_calls_on_relabeled_graphs(make, a, q, seed)
         res = sum_choice_exact(g, budget=budget, record_witnesses=True)
         got = (res.value, res.optimal_f, res.undecided, res.bracket, res.budget_used, res.witnesses)
         assert got == reference_exact(g, budget), (perm, budget)
+        # without record_witnesses only the witness builder is skipped
+        off = sum_choice_exact(g, budget=budget)
+        assert (off.value, off.optimal_f, off.undecided, off.bracket, off.budget_used) == got[:5]
+        assert off.witnesses is None
     for f, witness in res.witnesses.items():
         assert tuple(len(L) for L in witness) == f
         assert color_from_lists(g, witness) is None
@@ -413,6 +422,51 @@ def test_type2_dominates_chi_sc():
     for a, q in [(1, 2), (2, 2), (2, 3), (2, 4), (3, 2)]:
         g = generate("complete_bipartite", [a, q])
         assert sum_choice_exact(g).value <= sum_choice_type2_exact(a, q)
+
+
+def type2_with_public_oracle(a, q, budget):
+    """``sum_choice_type2_exact``'s search driven by the public
+    ``bipartite_is_sufficient`` on one shared meter: the value, or the
+    bracket of the BudgetExceededError, and the units used."""
+    meter = _Budget(budget)
+
+    def insufficient(fa):
+        verdict = bipartite_is_sufficient(fa, (2,) * q, budget=meter)
+        if verdict.status == "undecided":
+            raise BudgetExceededError("sufficiency search budget exceeded")
+        return verdict.status == "insufficient"
+
+    try:
+        return type2_profile_search(a, q, insufficient), meter.used
+    except BudgetExceededError as exc:
+        return exc.bracket, meter.used
+
+
+@pytest.mark.parametrize("a, q", [(2, 5), (3, 4), (3, 5)])
+def test_type2_exact_matches_the_public_oracle_search(a, q):
+    full = type2_with_public_oracle(a, q, DEFAULT_BUDGET)[1]
+    for budget in (0, 7, full // 3, full - 1, full):
+        want = type2_with_public_oracle(a, q, budget)[0]
+        try:
+            got = sum_choice_type2_exact(a, q, budget=budget)
+        except BudgetExceededError as exc:
+            got = exc.bracket
+        assert got == want, (a, q, budget)
+        assert isinstance(got, tuple) == (budget < full), (a, q, budget)
+
+
+def test_status_only_paths_build_no_witness(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a witness was built on a status-only path")
+
+    monkeypatch.setattr(choosability, "pad_witness", refuse)
+    with pytest.raises(AssertionError, match="status-only"):  # the patch bites
+        bipartite_is_sufficient((1,), (1,))
+    res = sum_choice_exact(complete_bipartite(3, 5))
+    assert (res.value, res.optimal_f, res.budget_used) == (closed_form(3, 5), (2, 3, 3, 2, 2, 2, 2, 3), 3834)
+    res = sum_choice_exact(complete_split(3, 4))
+    assert (res.value, res.optimal_f, res.budget_used) == (20, (2, 4, 6, 2, 2, 2, 2), 8143)
+    assert sum_choice_type2_exact(3, 5) == 19
 
 
 def test_sorted_profiles_cover_all_multisets():
