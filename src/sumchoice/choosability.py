@@ -17,25 +17,30 @@ is deleted, with f one less on N(v), and that answer is final: f is
 sufficient on the core iff the lowered f is on core-v (color v first and
 drop its color from the neighbors' lists), and a neighbor left at 0 makes f
 insufficient at once.  Otherwise every v is tried with f unchanged: f
-sufficient on the core implies it on core-v.  A failing assignment of
-core-v lifts the same way in both cases, by fresh colors c, c+1, ... in
-L(v) and, when f(v) = 1, c in every neighbor's list.  Once every core-v is
-sufficient, a class in which some color c has an independent pattern P is
-colorable: give every vertex of P the color c, which lies in no other list,
-and color core-P, an induced subgraph of a sufficient core-v, from its own
-lists.  So only classes whose every pattern spans an edge of the core are
-enumerated and colored; each pattern is tested on first sight, once per
-walk.  For labeled complete bipartite / complete split graphs it switches
-to a transversal formulation.  The same peel first drops every vertex with
-more colors than live neighbors, part by part, which leaves a smaller
-K_{a',q'} or G_{a',q'} (or nothing: sufficient at no cost).  On that core
+sufficient on the core implies it on core-v.  The search returns only a raw
+failure, one small tuple per deletion step; a failing assignment of core-v
+lifts from it the same way in both cases, by fresh colors c, c+1, ... in
+L(v) and, when f(v) = 1, c in every neighbor's list (``_generic_lift``).
+Once every core-v is sufficient, a class in which some color c has an
+independent pattern P is colorable: give every vertex of P the color c,
+which lies in no other list, and color core-P, an induced subgraph of a
+sufficient core-v, from its own lists.  So only classes whose every pattern
+spans an edge of the core are enumerated and colored; each pattern is
+tested on first sight, once per walk.  For labeled complete bipartite /
+complete split graphs it switches to a transversal formulation.  The same
+peel first drops every vertex with more colors than live neighbors, part by
+part, which leaves a smaller K_{a',q'} or G_{a',q'} (or nothing: sufficient
+at no cost).  On that core
 it walks the shapes of the A-side lists, computes the candidate A-color
 sets (minimal transversals on K_{a,q}, SDR images on G_{a,q}; the search is
 otherwise one and the same), and searches for Q-side lists that block them
 all.  The search itself returns only the raw failure: the core A-list masks,
 the blockers and the peel threshold.  Those become a witness, by fresh colors
-everywhere else, only for a public verdict or a witness the exact driver was
-asked to record, in one builder (``_transversal_witness``).
+everywhere else, in one builder (``_transversal_witness``).  On both paths
+an insufficient ``Verdict`` keeps the raw failure and builds the witness
+from it the first time its ``witness`` is read, and the exact driver reads
+one only when asked to record it: a candidate found insufficient costs no
+witness.
 The minimal transversals are picks from the minimal covers of the atom
 patterns, the one cover routine ``type2`` uses too.  Shapes, targets and
 blockers are int masks; the shapes are read once per search from
@@ -61,7 +66,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import Graph, as_int, bits_of
@@ -81,29 +86,72 @@ class BudgetExceededError(RuntimeError):
         self.bracket = bracket
 
 
-@dataclass(frozen=True)
 class Verdict:
-    """Outcome of a sufficiency test.
+    """Outcome of a sufficiency test, immutable: ``Verdict(status, witness,
+    checked)``.
 
     ``status`` is one of ``sufficient``, ``insufficient``, ``undecided``;
     a witness (an f-assignment with no proper coloring) accompanies every
-    insufficient verdict.  ``checked`` is the units the call ticked on its
-    meter (``_Budget``): A-side shapes and blocker-search nodes on the
-    transversal path, enumerated classes on the generic path (see the module
-    docstring); the peel and the exact removal of f = 1 vertices tick none.
-    A blocker search or a sufficient generic core replayed from the meter's
-    memo ticks the units of its first run, so ``checked`` is the work of the
-    call with no memo: it depends neither on reuse nor on what other calls
-    ticked the same meter.
+    insufficient verdict.  The oracles' insufficient verdicts carry their
+    search's raw failure instead, and build the witness from it the first
+    time ``witness`` is read, once: a caller that reads only ``status``
+    builds none.  The raw failure is plain data, so the witness does not
+    depend on when it is read.  Equality and ``repr`` go by (status,
+    witness, checked).
+
+    ``checked`` is the units the call ticked on its meter (``_Budget``):
+    A-side shapes and blocker-search nodes on the transversal path,
+    enumerated classes on the generic path (see the module docstring); the
+    peel and the exact removal of f = 1 vertices tick none.  A blocker
+    search or a sufficient generic core replayed from the meter's memo ticks
+    the units of its first run, so ``checked`` is the work of the call with
+    no memo: it depends neither on reuse nor on what other calls ticked the
+    same meter.
     """
 
-    status: str
-    witness: ListAssignment | None = None
-    checked: int = 0
+    def __init__(self, status: str, witness: ListAssignment | None = None, checked: int = 0):
+        if status not in ("sufficient", "insufficient", "undecided"):
+            raise ValueError(f"bad verdict status {status!r}")
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "_witness", witness)
+        object.__setattr__(self, "_build", None)  # (builder, its arguments) until first read
 
-    def __post_init__(self):
-        if self.status not in ("sufficient", "insufficient", "undecided"):
-            raise ValueError(f"bad verdict status {self.status!r}")
+    @classmethod
+    def _failed(cls, checked: int, builder: Callable[..., ListAssignment], *args) -> Verdict:
+        """An insufficient verdict whose witness is ``builder(*args)``,
+        built on first read."""
+        verdict = cls("insufficient", None, checked)
+        object.__setattr__(verdict, "_build", (builder, args))
+        return verdict
+
+    @property
+    def witness(self) -> ListAssignment | None:
+        if self._build is not None:
+            builder, args = self._build
+            object.__setattr__(self, "_witness", builder(*args))
+            object.__setattr__(self, "_build", None)
+        return self._witness
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return self.status, self.witness, self.checked
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"Verdict(status={self.status!r}, witness={self.witness!r}, checked={self.checked!r})"
 
 
 def normalize_lists(lists: Iterable[Iterable[int]], n: int | None = None) -> ListAssignment:
@@ -119,7 +167,11 @@ def _int_size(s: object) -> int:
 
 
 def validate_sizes(f: Sequence[int], n: int | None = None, minimum: int = 1) -> SizeFunction:
-    out = tuple(map(_int_size, f))
+    vals = tuple(f)
+    try:
+        out = tuple(map(operator.index, vals))
+    except TypeError:  # name the first bad entry, as ``_int_size`` words it
+        out = tuple(map(_int_size, vals))
     if n is not None and len(out) != n:
         raise ValueError(f"expected {n} list sizes, got {len(out)}")
     if any(s < minimum for s in out):
@@ -589,11 +641,12 @@ def _transversal_verdict(
     meter: _Budget,
     parts: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> Verdict:
-    """The search, then the witness of an insufficient verdict: what the
-    public oracles return."""
+    """The search, as the public oracles return it: an insufficient
+    verdict builds its witness from the raw failure on first read."""
     status, checked, failure = _transversal_search(a_sizes, q_sizes, clique, meter)
-    witness = None if failure is None else _transversal_witness(a_sizes, q_sizes, failure, parts)
-    return Verdict(status, witness, checked)
+    if failure is None:
+        return Verdict(status, None, checked)
+    return Verdict._failed(checked, _transversal_witness, a_sizes, q_sizes, failure, parts)
 
 
 def _part_sizes(g: Graph, f: SizeFunction) -> tuple[SizeFunction, SizeFunction, bool]:
@@ -682,25 +735,33 @@ def is_sufficient(
         return _transversal_verdict(*_part_sizes(g, f), meter, g.parts)
     start = meter.used
     try:
-        witness = _generic_witness(g.adj, f, meter)
-        status = "sufficient" if witness is None else "insufficient"
+        failure = _generic_search(g.adj, f, meter)
     except BudgetExceededError:
-        witness, status = None, "undecided"
-    return Verdict(status, witness, meter.used - start)
+        return Verdict("undecided", None, meter.used - start)
+    if failure is None:
+        return Verdict("sufficient", None, meter.used - start)
+    return Verdict._failed(meter.used - start, _generic_lift, failure)
 
 
-def _generic_witness(adj: tuple[int, ...], f: SizeFunction, meter: _Budget) -> ListAssignment | None:
-    """A failing f-assignment (all f >= 1) of the graph with neighbour masks
-    adj, or None when f is sufficient.
+# The raw failure of the generic search on (adj, f), one tuple per deletion
+# step: (core, core_f, f, i, near, below).  Below a lift of core vertex i
+# (near: its neighbours when f(i) = 1, else 0) is the failure of core-i at
+# the lowered f, or None when that f is 0 at a neighbour of i; at the end of
+# the chain i is None and below is the failing class, as list masks on the core.
+_GenericFailure = tuple
+
+
+def _generic_search(adj: tuple[int, ...], f: SizeFunction, meter: _Budget) -> _GenericFailure | None:
+    """The raw failure of f (all f >= 1) on the graph with neighbour masks
+    adj, or None when f is sufficient; ``_generic_lift`` turns it into a
+    witness, and nothing else builds one.
 
     One deletion step on the peeled core (see the module docstring): the
     first vertex i with f(i) = 1 alone, f lowered by one on N(i), and its
     answer is final; with no such vertex, every i with f unchanged.  The
-    witness of core-i lifts by L(i) = range(c, c + f(i)), c = sum(rest_f),
-    plus c on each neighbor's list when f(i) = 1, in one ``pad_witness``
-    call.  The core's masks are adj itself when the peel drops nothing, and
-    core-i's are the core's with bit i deleted (``_without``): no subproblem
-    is rebuilt by a scan over vertex pairs.  Each enumerated class ticks
+    core's masks are adj itself when the peel drops nothing, and core-i's
+    are the core's with bit i deleted (``_without``): no subproblem is
+    rebuilt by a scan over vertex pairs.  Each enumerated class ticks
     ``meter``, the deletion step does not; a core found sufficient is kept
     in ``meter.settled`` with the units its walk ticked, and a later hit on
     it in the same search replays them.
@@ -719,27 +780,45 @@ def _generic_witness(adj: tuple[int, ...], f: SizeFunction, meter: _Budget) -> L
     start = meter.used
     exact = 1 in core_f
     for i in [core_f.index(1)] if exact else range(len(sub)):
-        rest = [u for u in range(len(sub)) if u != i]
         near = sub[i] if exact else 0
-        rest_f = tuple(core_f[u] - (near >> u & 1) for u in rest)
+        rest_f = tuple(s - (near >> u & 1) for u, s in enumerate(core_f) if u != i)
         if 0 in rest_f:  # a neighbor also has f = 1: both get the same color
-            lists = pad_witness({}, rest_f, 0)
-        else:
-            lists = _generic_witness(_without(sub, i), rest_f, meter)
-        if lists is not None:
-            # the witness of (core-i, rest_f) keeps its colors below sum(rest_f)
-            c = sum(rest_f)
-            fixed = {core[u]: L | {c} if near >> u & 1 else L for u, L in zip(rest, lists)}
-            fixed[core[i]] = frozenset(range(c, c + core_f[i]))
-            return pad_witness(fixed, f, sum(core_f))
+            return core, core_f, f, i, near, None
+        below = _generic_search(_without(sub, i), rest_f, meter)
+        if below is not None:
+            return core, core_f, f, i, near, below
     if not exact:
         for masks in _edge_spanning_classes(sub, core_f):
             meter.tick()
             if _color_masks(sub, masks) is None:
-                lists = (frozenset(bits_of(m)) for m in masks)
-                return pad_witness(dict(zip(core, lists)), f, sum(core_f))
+                return core, core_f, f, None, 0, masks
     meter.settled[key] = meter.used - start
     return None
+
+
+def _generic_lift(failure: _GenericFailure) -> ListAssignment:
+    """The witness of a failing generic search, unwound from its raw failure.
+
+    At the end, the failing class's lists on the core.  At a lift of core
+    vertex i, the witness of (core-i, rest_f) keeps its colors below
+    c = sum(rest_f) = sum(core_f) - f(i) - |near|, so L(i) = range(c, c + f(i)),
+    plus c on each neighbour's list when f(i) = 1.  Either way the vertices
+    off the core get fresh colors from sum(core_f) on, in one ``pad_witness``
+    call per step.
+    """
+    core, core_f, f, i, near, below = failure
+    if i is None:
+        lists = (frozenset(bits_of(m)) for m in below)
+        return pad_witness(dict(zip(core, lists)), f, sum(core_f))
+    rest = [u for u in range(len(core)) if u != i]
+    if below is None:
+        lists = pad_witness({}, tuple(core_f[u] - (near >> u & 1) for u in rest), 0)
+    else:
+        lists = _generic_lift(below)
+    c = sum(core_f) - core_f[i] - near.bit_count()
+    fixed = {core[u]: L | {c} if near >> u & 1 else L for u, L in zip(rest, lists)}
+    fixed[core[i]] = frozenset(range(c, c + core_f[i]))
+    return pad_witness(fixed, f, sum(core_f))
 
 
 def pad_witness(fixed: Mapping[int, frozenset[int]], f: SizeFunction, fresh: int) -> ListAssignment:

@@ -121,10 +121,11 @@ def sum_choice_exact(
     for a deterministic optimal_f; ``record_witnesses`` keeps twin-sorted
     candidates only.  Budget exhaustion returns an undecided bracket.
 
-    On a labeled K_{a,q} / G_{a,q} a candidate's witness is built only under
-    ``record_witnesses``: the transversal search yields the raw failure, and
-    the padded witness is made from it on request.  The generic oracle finds
-    its witness as part of its search.
+    A candidate's witness is built only under ``record_witnesses``: on a
+    labeled K_{a,q} / G_{a,q} the transversal search yields the raw failure,
+    and the padded witness is made from it on request; on any other graph
+    the generic oracle's verdict builds it from its raw failure when
+    ``witness`` is first read, and the driver reads it only then.
 
     No candidate is skipped as dominated by a known-insufficient c: totals
     rise and each candidate is tested once, so every earlier c has
@@ -149,7 +150,7 @@ def sum_choice_exact(
             else:
                 verdict = is_sufficient(g, f, budget=meter)
                 status = verdict.status
-                if witnesses is not None and verdict.witness is not None:
+                if witnesses is not None and status == "insufficient":
                     witnesses[f] = verdict.witness
             if status == "sufficient":
                 return SumChoiceResult(k, f, False, (k, k), meter.used, witnesses)

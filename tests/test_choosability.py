@@ -939,6 +939,31 @@ def test_repeated_generic_call_replays_its_units():
 @pytest.mark.parametrize(
     "call",
     [
+        lambda budget: is_sufficient(cycle(5), (2,) * 5, budget=budget),
+        lambda budget: bipartite_is_sufficient((2, 2), (2, 2, 2, 2), budget=budget),
+    ],
+)
+def test_insufficient_verdict_reads_as_a_plain_one(call):
+    # The oracles build an insufficient verdict's witness on first read.
+    meter = _Budget(10**9)
+    late = call(meter)
+    call(meter)  # later calls tick the same meter and hit its memos
+    is_sufficient(cycle(4), (2,) * 4, budget=meter)
+    bipartite_is_sufficient((2, 2), (2, 2, 2), budget=meter)
+    verdict = call(10**9)
+    witness = verdict.witness
+    assert verdict.status == "insufficient" and verdict.witness is witness
+    assert [len(L) for L in witness] == [2] * len(witness)
+    assert verdict == Verdict("insufficient", witness, verdict.checked)
+    other = (frozenset({100, 101}),) + witness[1:]
+    assert verdict != Verdict("insufficient", other, verdict.checked)
+    assert repr(verdict) == f"Verdict(status='insufficient', witness={witness!r}, checked={verdict.checked})"
+    assert late.witness == witness and late == verdict
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
         lambda f: is_sufficient(cycle(4), f),
         lambda f: bipartite_is_sufficient(f, (2, 2)),
         lambda f: split_is_sufficient(f, (2, 2)),

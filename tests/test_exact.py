@@ -460,13 +460,19 @@ def test_status_only_paths_build_no_witness(monkeypatch):
         raise AssertionError("a witness was built on a status-only path")
 
     monkeypatch.setattr(choosability, "pad_witness", refuse)
+    verdict = bipartite_is_sufficient((1,), (1,))  # builds no witness until read
     with pytest.raises(AssertionError, match="status-only"):  # the patch bites
-        bipartite_is_sufficient((1,), (1,))
+        verdict.witness
     res = sum_choice_exact(complete_bipartite(3, 5))
     assert (res.value, res.optimal_f, res.budget_used) == (closed_form(3, 5), (2, 3, 3, 2, 2, 2, 2, 3), 3834)
     res = sum_choice_exact(complete_split(3, 4))
     assert (res.value, res.optimal_f, res.budget_used) == (20, (2, 4, 6, 2, 2, 2, 2), 8143)
     assert sum_choice_type2_exact(3, 5) == 19
+    # the generic path: nearly every candidate is insufficient, none is read
+    res = sum_choice_exact(random_graph(6, 8, 1))
+    assert (res.value, res.optimal_f, res.budget_used) == (14, (1, 1, 1, 3, 3, 5), 68)
+    res = sum_choice_exact(disjoint_cliques(3, 3, 2))
+    assert (res.value, res.optimal_f, res.budget_used) == (15, (1, 2, 3, 1, 2, 3, 1, 2), 0)
 
 
 def test_sorted_profiles_cover_all_multisets():
