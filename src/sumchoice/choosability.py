@@ -239,7 +239,10 @@ def _color_masks(adj: Sequence[int], lists: Sequence[int]) -> list[int] | None:
                 return True
         return False
 
-    return color if walk((1 << len(lists)) - 1, list(lists)) else None
+    try:
+        return color if walk((1 << len(lists)) - 1, list(lists)) else None
+    finally:
+        del walk  # walk refers to itself through its closure cell
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +302,10 @@ def _class_masks(f: SizeFunction, allowed: Callable[[int], bool] | None) -> Iter
                         rem[v] += k
             pattern = (pattern - 1) & live
 
-    yield from rec((1 << n) - 1, 1 << n, 0)
+    try:
+        yield from rec((1 << n) - 1, 1 << n, 0)
+    finally:
+        del rec  # rec refers to itself through its closure cell
 
 
 def _edge_spanning_classes(adj: Sequence[int], f: SizeFunction) -> Iterator[tuple[int, ...]]:
@@ -500,14 +506,13 @@ def _blocking_family(
     covering every target mask (each target must contain some blocker); None
     if impossible.  The targets left to cover are one mask over their
     positions, so a blocker clears every target containing it at once.  Each
-    search node ticks ``meter``, an argument of ``rec``: a closure over it
-    would tie the meter and its memo into ``rec``'s reference cycle."""
+    search node ticks ``meter``."""
     sizes = sorted(set(q_live))
     counts = [q_live.count(s) for s in sizes]
     colors = [[1 << c for c in bits_of(T)] for T in targets]
     inside: dict[int, int] = {}  # blocker -> positions of the targets holding it
 
-    def rec(uncovered: int, chosen: tuple[int, ...], meter: _Budget) -> tuple[int, ...] | None:
+    def rec(uncovered: int, chosen: tuple[int, ...]) -> tuple[int, ...] | None:
         meter.tick()
         if not uncovered:
             return chosen
@@ -525,13 +530,16 @@ def _blocking_family(
                 hit = inside.get(e)
                 if hit is None:
                     hit = inside[e] = sum(1 << i for i, T in enumerate(targets) if T & e == e)
-                got = rec(uncovered & ~hit, chosen + (e,), meter)
+                got = rec(uncovered & ~hit, chosen + (e,))
                 if got is not None:
                     return got
             counts[k] += 1
         return None
 
-    return rec((1 << len(targets)) - 1, (), meter)
+    try:
+        return rec((1 << len(targets)) - 1, ())
+    finally:
+        del rec  # rec refers to itself through its closure cell
 
 
 def bipartite_is_sufficient(

@@ -2,17 +2,22 @@
 
 The search walks candidate totals k upward from n; the first sufficient size
 function wins, so the reported optimum is the lexicographically smallest
-sufficient f at the smallest achievable total.  Only f nondecreasing along
-each twin class (``Graph.twin_classes``), the lex-least of its orbit under
-swaps of twins, is tried: one size-vector generator takes the classes as
-blocks of interchangeable positions.  The greedy back-degree function caps
-the search: it is always sufficient and lies inside the per-vertex degree+1
-cap, so termination needs no separate argument.
+sufficient f at the smallest achievable total.  Sufficiency is invariant
+under automorphisms, so only the lexicographically least f of each orbit
+under Aut(G) is tried.  One size-vector generator yields the f
+nondecreasing along each twin class (``Graph.twin_classes``), taking the
+classes as blocks of interchangeable positions; the driver then skips every
+f that a lift of an automorphism of the twin quotient
+(``Graph.twin_quotient_lifts``, found once per search) maps to a smaller
+one.  The greedy back-degree function caps the search: it is always
+sufficient and lies inside the per-vertex degree+1 cap, so termination
+needs no separate argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .choosability import (
@@ -118,8 +123,12 @@ def sum_choice_exact(
     Candidates are capped at f(v) <= deg(v)+1 (a vertex with that many
     choices colors last, so the cap never moves the optimum), sorted within
     each twin class (twins share a cap), and tested in lexicographic order
-    for a deterministic optimal_f; ``record_witnesses`` keeps twin-sorted
-    candidates only.  Budget exhaustion returns an undecided bracket.
+    for a deterministic optimal_f.  Only orbit minima are tested: an f that
+    a lift of a twin-quotient automorphism maps to a lexicographically
+    smaller one is skipped, for that image has its verdict and comes earlier
+    at the same total.  So ``budget_used`` is the sum of the orbit minima's
+    units, and ``record_witnesses`` holds the orbit minima only.  Budget
+    exhaustion returns an undecided bracket.
 
     A candidate's witness is built only under ``record_witnesses``: on a
     labeled K_{a,q} / G_{a,q} the transversal search yields the raw failure,
@@ -138,8 +147,11 @@ def sum_choice_exact(
     upper = sum(greedy_sufficient_f(g))
     meter = _Budget(budget)
     witnesses: dict[SizeFunction, ListAssignment] | None = {} if record_witnesses else None
+    images = [itemgetter(*lift) for lift in g.twin_quotient_lifts()]
     for k in range(g.n, upper + 1):
         for f in _vectors_with_sum(k, caps, g.twin_classes):
+            if images and any(image(f) < f for image in images):
+                continue  # not the least of its orbit
             # every candidate ticks one meter and shares its memos; a labeled
             # K_{a,q} / G_{a,q} goes straight to the transversal search
             if g.structure:

@@ -12,7 +12,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .rng import derive_rng
 
@@ -67,6 +67,39 @@ class Graph:
             classes.setdefault((True, mask | 1 << v), []).append(v)
         return tuple(tuple(c) for c in classes.values() if len(c) > 1)
 
+    def twin_quotient_lifts(self) -> list[tuple[int, ...]]:
+        """One vertex permutation ``p`` per non-identity automorphism of the
+        twin quotient, so that the quotient has ``len(lifts) + 1`` of them.
+
+        The quotient has one vertex per twin class and per vertex in none,
+        coloured by (size, closed twins), and an edge where two classes are
+        joined.  ``p`` sends the j-th vertex of a class, ascending, to the
+        j-th vertex of its image.  Every automorphism of the graph is a swap
+        of twins followed by one of these lifts or the identity.  So the
+        images of an f sorted along the twin classes, each sorted along the
+        classes again, are f and the ``(f[p[0]], f[p[1]], ...)`` over the
+        lifts."""
+        paired = {v: c for c in self.twin_classes for v in c}
+        classes = [c for v in range(self.n) if (c := paired.get(v, (v,)))[0] == v]
+        index = {v: i for i, c in enumerate(classes) for v in c}
+        qadj = []
+        for i, c in enumerate(classes):
+            mask = 0
+            for u in bits_of(self.adj[c[0]]):
+                mask |= 1 << index[u]  # OR: a class met through two vertices is one edge
+            qadj.append(mask & ~(1 << i))
+        key = [(len(c), len(c) > 1 and self.has_edge(*c[:2]), q.bit_count()) for c, q in zip(classes, qadj)]
+        identity = list(range(len(classes)))
+        lifts = []
+        for image in _automorphisms(qadj, key, [], 0):
+            if image != identity:
+                lift = [0] * self.n
+                for c, i in zip(classes, image):
+                    for v, w in zip(c, classes[i]):
+                        lift[v] = w
+                lifts.append(tuple(lift))
+        return lifts
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -95,6 +128,27 @@ class VertexOrder:
 
     def back_degrees_along_order(self) -> tuple[int, ...]:
         return tuple(self.back_degree[v] for v in self.order)
+
+
+def _automorphisms(
+    qadj: Sequence[int], key: Sequence[object], image: list[int], used: int
+) -> Iterator[list[int]]:
+    """Every extension of ``image`` (the images of vertices 0..len-1, the
+    mask ``used``) to a permutation that keeps ``key`` and adjacency in the
+    graph with neighbour masks qadj, by backtracking, images ascending.  The
+    yielded list is ``image`` itself, changed by later steps."""
+    i = len(image)
+    if i == len(qadj):
+        yield image
+        return
+    want = 0  # the images of i's earlier neighbours
+    for k in bits_of(qadj[i] & ((1 << i) - 1)):
+        want |= 1 << image[k]
+    for j, kj in enumerate(key):
+        if kj == key[i] and not used >> j & 1 and qadj[j] & used == want:
+            image.append(j)
+            yield from _automorphisms(qadj, key, image, used | 1 << j)
+            image.pop()
 
 
 def bits_of(mask: int) -> list[int]:

@@ -676,21 +676,6 @@ def test_minimal_covers_match_brute_force():
         assert _minimal_covers(verts, a) == tuple(sorted(minimal)), (verts, a)
 
 
-def test_size_then_colors_order_is_the_color_list_order():
-    # The sort key of the candidate families: by size, then by the colors
-    # in ascending order compared as lists, on every mask below 2**12 and
-    # on masks past bit 64.
-    def by_color_lists(masks):
-        return tuple(sorted(masks, key=lambda T: (T.bit_count(), bits_of(T))))
-
-    every = list(range(1 << 12))
-    random.Random(0).shuffle(every)
-    assert _by_size_then_colors(every) == by_color_lists(every)
-    wide = [1 << 64, (1 << 64) | 1, 3 << 63, 1 << 63, (1 << 70) | 5, (1 << 65) | 8, (1 << 100) | (1 << 64), 7, 0]
-    assert _by_size_then_colors(wide) == by_color_lists(wide)
-    assert _by_size_then_colors([]) == ()
-
-
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
@@ -862,8 +847,8 @@ def test_meter_with_k_units_left_runs_out_like_budget_k():
 
 
 def test_finished_search_holds_no_reference_to_its_meter():
-    # the blocker search's recursion takes the meter as an argument; a closure
-    # over it would keep the meter, and its memo, in a reference cycle
+    # the blocker search's recursion closes over the meter; a reference cycle
+    # left behind would keep the meter, and its memo, alive
     meter = _Budget(10**9)
     gc.disable()
     try:
@@ -873,6 +858,21 @@ def test_finished_search_holds_no_reference_to_its_meter():
     finally:
         gc.enable()
     assert meter.used > 0 and after == before
+
+
+def test_oracles_leave_no_reference_cycles():
+    # The recursive closures (the coloring walk, the class walk and the
+    # blocker search) refer to themselves through their closure cells, and
+    # each call must break that cycle before it returns.
+    gc.collect()
+    gc.disable()
+    try:
+        generic = is_sufficient(cycle(5), (2,) * 5)
+        transversal = bipartite_is_sufficient((2, 2), (2, 2, 2, 2))
+        assert generic.status == transversal.status == "insufficient"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class _Forgetful(dict):

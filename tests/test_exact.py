@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -115,13 +116,13 @@ def relabeled(g, perm):
 GOLDEN = [
     (complete_bipartite(2, 10), 27, (3, 4) + (2,) * 10, 4681),
     (complete_bipartite(3, 6), 21, (3, 3, 3, 2, 2, 2, 2, 2, 2), 5903),
-    (complete_bipartite(4, 4), 20, (2, 2, 2, 2, 3, 3, 3, 3), 8845),
+    (complete_bipartite(4, 4), 20, (2, 2, 2, 2, 3, 3, 3, 3), 5978),
     (complete_split(3, 4), 20, (2, 4, 6, 2, 2, 2, 2), 8143),
     (random_graph(6, 8, 1), 14, (1, 1, 1, 3, 3, 5), 68),
-    (random_graph(6, 8, 7), 14, (1, 2, 1, 2, 3, 5), 16),
+    (random_graph(6, 8, 7), 14, (1, 2, 1, 2, 3, 5), 10),
     (disjoint_cliques(3, 3, 2), 15, (1, 2, 3, 1, 2, 3, 1, 2), 0),
     (cycle(7), 14, (1, 2, 2, 2, 2, 2, 3), 0),
-    (random_graph(7, 10, 0), 16, (1, 2, 2, 2, 4, 3, 2), 7687),
+    (random_graph(7, 10, 0), 16, (1, 2, 2, 2, 4, 3, 2), 6177),
 ]
 
 
@@ -146,9 +147,11 @@ def test_exact_value_certified_without_the_class_walk(g, value, optimal_f, budge
     # one of a smaller total included, has a recorded witness that
     # color_from_lists cannot color.  Every other capped candidate before
     # optimal_f sorts within the twin classes to one of those, and swapping
-    # twins is an automorphism, so the proof covers it too.
+    # twins is an automorphism, so the proof covers it too.  The twin
+    # quotient has no symmetry, so the orbit filter skips no candidate.
     # (random_graph(8, 12, 0) has no such proof: its optimal f keeps all
     # eight vertices in the core.)
+    assert g.twin_quotient_lifts() == []
     res = sum_choice_exact(g, record_witnesses=True)
     assert (res.value, res.optimal_f, res.budget_used) == (value, optimal_f, budget_used)
     assert peel_order(g.adj, optimal_f) == []
@@ -210,15 +213,91 @@ def test_record_witnesses_labeled(perm):
         assert color_from_lists(g, witness) is None
 
 
+@functools.cache
+def brute_force_automorphisms(g):
+    """Aut(g) by brute force: every one of the n! vertex permutations that
+    maps each edge to an edge."""
+    adj = g.adj
+    return tuple(
+        p for p in itertools.permutations(range(g.n)) if all(adj[p[u]] >> p[v] & 1 for u, v in g.edges)
+    )
+
+
+def cube(d):
+    """The d-dimensional hypercube Q_d."""
+    return make_graph(1 << d, [(u, u | 1 << b) for u in range(1 << d) for b in range(d) if not u >> b & 1])
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return make_graph(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def every_small_graph():
+    """All 1,099 labeled graphs on one to five vertices."""
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            yield make_graph(n, itertools.compress(pairs, chosen))
+
+
+def test_quotient_lifts_and_twin_swaps_make_the_automorphism_group():
+    # |Aut(G)| = |Aut(quotient)| * prod |C|! over the twin classes C, with
+    # every lift an automorphism of G and no lift twice.
+    seeded = [random_graph(6, m, seed) for m in (4, 6, 8, 10) for seed in range(4)]
+    seeded += [random_graph(7, m, seed) for m in (6, 9, 12) for seed in range(3)]
+    named = [cycle(7), complete_bipartite(4, 4), cube(3), petersen(), disjoint_cliques(2, 2, 2, 2)]
+    for g in [*every_small_graph(), *seeded, *named]:
+        lifts = g.twin_quotient_lifts()
+        autos = brute_force_automorphisms(g)
+        swaps = math.prod(math.factorial(len(c)) for c in g.twin_classes)
+        assert len(autos) == (len(lifts) + 1) * swaps, g.edges
+        assert len(set(lifts)) == len(lifts) and set(lifts) <= set(autos), g.edges
+    assert [len(g.twin_quotient_lifts()) + 1 for g in named] == [14, 2, 48, 120, 24]
+
+
+def twin_sorted_optimum(g):
+    """(value, optimal_f): the first sufficient f of the twin-sorted walk,
+    with no orbit filter."""
+    caps = tuple(g.degree(v) + 1 for v in range(g.n))
+    for k in itertools.count(g.n):
+        for f in _vectors_with_sum(k, caps, g.twin_classes):
+            if is_sufficient(g, f).status == "sufficient":
+                return k, f
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        *(cycle(n) for n in range(5, 9)),
+        complete_bipartite(3, 3),
+        complete_bipartite(4, 4),
+        make_graph(6, complete_bipartite(3, 3).edges),
+        disjoint_cliques(3, 3, 2),
+        random_graph(6, 8, 7),
+        random_graph(7, 10, 0),
+    ],
+)
+def test_orbit_filter_keeps_value_and_optimal_f(g):
+    assert g.twin_quotient_lifts()  # a symmetry that the twins do not see
+    res = sum_choice_exact(g)
+    assert (res.value, res.optimal_f) == twin_sorted_optimum(g)
+
+
 def reference_exact(g, budget):
-    """The driver's candidate walk, twin-sorted, with a fresh public
-    is_sufficient call per candidate, as (value, optimal_f, undecided,
-    bracket, budget_used, witnesses)."""
+    """The driver's candidate walk, twin-sorted and skipping every f that an
+    automorphism found by brute force maps to a lexicographically smaller
+    one, with a fresh public is_sufficient call per candidate, as (value,
+    optimal_f, undecided, bracket, budget_used, witnesses)."""
     caps = tuple(g.degree(v) + 1 for v in range(g.n))
     upper = sum(greedy_sufficient_f(g))
+    autos = brute_force_automorphisms(g)
     used, witnesses = 0, {}
     for k in range(g.n, upper + 1):
         for f in _vectors_with_sum(k, caps, g.twin_classes):
+            if any(tuple(f[v] for v in p) < f for p in autos):
+                continue
             verdict = is_sufficient(g, f, budget=budget - used)
             used += verdict.checked
             if verdict.status == "sufficient":
@@ -262,12 +341,9 @@ def test_shared_memo_matches_fresh_calls_on_every_small_graph():
     # All 1,099 labeled graphs on one to five vertices.  The search keeps
     # one memo of sufficient generic cores, and a hit replays the units of
     # its first walk, so the whole outcome, budget_used included, is that of
-    # a fresh oracle call per candidate.
-    for n in range(1, 6):
-        pairs = list(itertools.combinations(range(n), 2))
-        for chosen in itertools.product((False, True), repeat=len(pairs)):
-            g = make_graph(n, itertools.compress(pairs, chosen))
-            assert exact_outcome(g, DEFAULT_BUDGET) == reference_exact(g, DEFAULT_BUDGET), g.edges
+    # a fresh oracle call per orbit minimum.
+    for g in every_small_graph():
+        assert exact_outcome(g, DEFAULT_BUDGET) == reference_exact(g, DEFAULT_BUDGET), g.edges
 
 
 @pytest.mark.parametrize(
@@ -282,16 +358,16 @@ def test_shared_memo_matches_fresh_calls_at_every_budget(g):
 
 
 # Every budget below 60 and every 241st up to the full run of three labeled
-# graphs (budget_used 8845, 8143, 3834), one line per run, pinned by one
+# graphs (budget_used 5978, 8143, 3834), one line per run, pinned by one
 # sha256.  A memoized blocker search replays its ticks, so a run must stop
 # at the same tick, with the same bracket and witnesses, wherever its budget
 # runs out.
 BUDGET_SWEEP = [
-    (complete_bipartite(4, 4), 8845),
+    (complete_bipartite(4, 4), 5978),
     (complete_split(3, 4), 8143),
     (complete_bipartite(3, 5), 3834),
 ]
-BUDGET_SWEEP_DIGEST = "e318101641659ec13d0b228c1019d7e83ae813ca2e9e514519905eb912a22739"
+BUDGET_SWEEP_DIGEST = "9ef0e9394fed5d0d29532a89015ef798f64a03f754bb088c52c9ec38a578b155"
 
 
 def test_budget_sweep_pinned():
