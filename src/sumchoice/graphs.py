@@ -67,9 +67,10 @@ class Graph:
             classes.setdefault((True, mask | 1 << v), []).append(v)
         return tuple(tuple(c) for c in classes.values() if len(c) > 1)
 
-    def twin_quotient_lifts(self) -> list[tuple[int, ...]]:
-        """One vertex permutation ``p`` per non-identity automorphism of the
-        twin quotient, so that the quotient has ``len(lifts) + 1`` of them.
+    def twin_quotient_lifts(self) -> Iterator[tuple[int, ...]]:
+        """Yield one vertex permutation ``p`` per non-identity automorphism
+        of the twin quotient, lazily, so a caller can stop early on a large
+        group.
 
         The quotient has one vertex per twin class and per vertex in none,
         coloured by (size, closed twins), and an edge where two classes are
@@ -90,15 +91,13 @@ class Graph:
             qadj.append(mask & ~(1 << i))
         key = [(len(c), len(c) > 1 and self.has_edge(*c[:2]), q.bit_count()) for c, q in zip(classes, qadj)]
         identity = list(range(len(classes)))
-        lifts = []
         for image in _automorphisms(qadj, key, [], 0):
             if image != identity:
                 lift = [0] * self.n
                 for c, i in zip(classes, image):
                     for v, w in zip(c, classes[i]):
                         lift[v] = w
-                lifts.append(tuple(lift))
-        return lifts
+                yield tuple(lift)
 
     @property
     def m(self) -> int:

@@ -23,6 +23,7 @@ from sumchoice.choosability import (
     peel_order,
 )
 from sumchoice.exact import (
+    _MAX_QUOTIENT_GROUP,
     _vectors_with_sum,
     edge_bound,
     greedy_sufficient_f,
@@ -151,7 +152,7 @@ def test_exact_value_certified_without_the_class_walk(g, value, optimal_f, budge
     # quotient has no symmetry, so the orbit filter skips no candidate.
     # (random_graph(8, 12, 0) has no such proof: its optimal f keeps all
     # eight vertices in the core.)
-    assert g.twin_quotient_lifts() == []
+    assert next(g.twin_quotient_lifts(), None) is None
     res = sum_choice_exact(g, record_witnesses=True)
     assert (res.value, res.optimal_f, res.budget_used) == (value, optimal_f, budget_used)
     assert peel_order(g.adj, optimal_f) == []
@@ -249,12 +250,12 @@ def test_quotient_lifts_and_twin_swaps_make_the_automorphism_group():
     seeded += [random_graph(7, m, seed) for m in (6, 9, 12) for seed in range(3)]
     named = [cycle(7), complete_bipartite(4, 4), cube(3), petersen(), disjoint_cliques(2, 2, 2, 2)]
     for g in [*every_small_graph(), *seeded, *named]:
-        lifts = g.twin_quotient_lifts()
+        lifts = list(g.twin_quotient_lifts())
         autos = brute_force_automorphisms(g)
         swaps = math.prod(math.factorial(len(c)) for c in g.twin_classes)
         assert len(autos) == (len(lifts) + 1) * swaps, g.edges
         assert len(set(lifts)) == len(lifts) and set(lifts) <= set(autos), g.edges
-    assert [len(g.twin_quotient_lifts()) + 1 for g in named] == [14, 2, 48, 120, 24]
+    assert [len(list(g.twin_quotient_lifts())) + 1 for g in named] == [14, 2, 48, 120, 24]
 
 
 def twin_sorted_optimum(g):
@@ -280,7 +281,7 @@ def twin_sorted_optimum(g):
     ],
 )
 def test_orbit_filter_keeps_value_and_optimal_f(g):
-    assert g.twin_quotient_lifts()  # a symmetry that the twins do not see
+    assert next(g.twin_quotient_lifts(), None)  # a symmetry that the twins do not see
     res = sum_choice_exact(g)
     assert (res.value, res.optimal_f) == twin_sorted_optimum(g)
 
@@ -290,9 +291,17 @@ def reference_exact(g, budget):
     automorphism found by brute force maps to a lexicographically smaller
     one, with a fresh public is_sufficient call per candidate, as (value,
     optimal_f, undecided, bracket, budget_used, witnesses)."""
+    autos = brute_force_automorphisms(g)
+    swaps = math.prod(math.factorial(len(c)) for c in g.twin_classes)
+    assert len(autos) // swaps <= _MAX_QUOTIENT_GROUP  # the driver filters
+    return fresh_walk(g, budget, autos)
+
+
+def fresh_walk(g, budget, autos=()):
+    """reference_exact's walk with the automorphisms given; with none, the
+    plain twin-sorted walk."""
     caps = tuple(g.degree(v) + 1 for v in range(g.n))
     upper = sum(greedy_sufficient_f(g))
-    autos = brute_force_automorphisms(g)
     used, witnesses = 0, {}
     for k in range(g.n, upper + 1):
         for f in _vectors_with_sum(k, caps, g.twin_classes):
@@ -335,6 +344,20 @@ def test_shared_search_matches_fresh_calls_on_relabeled_graphs(make, a, q, seed)
 def exact_outcome(g, budget):
     res = sum_choice_exact(g, budget=budget, record_witnesses=True)
     return res.value, res.optimal_f, res.undecided, res.bracket, res.budget_used, res.witnesses
+
+
+def test_large_quotient_group_walks_every_twin_sorted_candidate():
+    # Seven disjoint K_2 have 7! = 5,040 quotient automorphisms, more than
+    # the orbit filter runs on: the driver stops the automorphism search at
+    # the cap and tests every twin-sorted candidate, as the plain walk does.
+    g = disjoint_cliques(*(2,) * 7)
+    lifts = itertools.islice(g.twin_quotient_lifts(), _MAX_QUOTIENT_GROUP)
+    assert len(list(lifts)) == _MAX_QUOTIENT_GROUP
+    assert exact_outcome(g, DEFAULT_BUDGET) == fresh_walk(g, DEFAULT_BUDGET)
+    # Ten of them have 10! = 3,628,800; listing their lifts would take about
+    # a gigabyte, so this returns only because the search stops early.
+    res = sum_choice_exact(disjoint_cliques(*(2,) * 10), budget=0)
+    assert (res.value, res.optimal_f, res.budget_used) == (30, (1, 2) * 10, 0)
 
 
 def test_shared_memo_matches_fresh_calls_on_every_small_graph():
