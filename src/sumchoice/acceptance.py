@@ -328,7 +328,10 @@ def _has_independent_sdr(g: Graph, lists) -> bool:
                 return True
         return False
 
-    return rec(0, 0)
+    try:
+        return rec(0, 0)
+    finally:
+        del rec  # rec refers to itself through its closure cell
 
 
 CRITERIA: list[tuple[str, str, Callable[[], tuple[bool, str]]]] = [

@@ -7,54 +7,53 @@ still needing colors) and backtracks a coloring for each, both on bitmasks:
 a list is an int with bit c set for color c.  Before that it takes one
 vertex-deletion step on the peeled core, recursively, with the cores found
 sufficient memoized on the search's meter; each subproblem is a tuple of
-neighbour masks (entry v: v's neighbours among 0..k-1) with its f, so none
-builds a ``Graph``.  The peel runs from a worklist (degrees counted once,
-then lowered as vertices drop), a core the peel leaves whole is its graph
-as given, and core-v comes from the core by deleting bit v from every other
-mask, so no subproblem is rebuilt by a scan over vertex pairs.  If a core
-vertex v has f(v) = 1, only the first such v
-is deleted, with f one less on N(v), and that answer is final: f is
-sufficient on the core iff the lowered f is on core-v (color v first and
-drop its color from the neighbors' lists), and a neighbor left at 0 makes f
-insufficient at once.  Otherwise every v is tried with f unchanged: f
-sufficient on the core implies it on core-v.  The search returns only a raw
-failure, one small tuple per deletion step; a failing assignment of core-v
-lifts from it the same way in both cases, by fresh colors c, c+1, ... in
-L(v) and, when f(v) = 1, c in every neighbor's list (``_generic_lift``).
-Once every core-v is sufficient, a class in which some color c has an
-independent pattern P is colorable: give every vertex of P the color c,
-which lies in no other list, and color core-P, an induced subgraph of a
-sufficient core-v, from its own lists.  So only classes whose every pattern
-spans an edge of the core are enumerated and colored; each pattern is
-tested on first sight, once per walk.  For labeled complete bipartite /
-complete split graphs it switches to a transversal formulation.  The same
-peel first drops every vertex with more colors than live neighbors, part by
-part, which leaves a smaller K_{a',q'} or G_{a',q'} (or nothing: sufficient
-at no cost).  On that core
-it walks the shapes of the A-side lists, computes the candidate A-color
-sets (minimal transversals on K_{a,q}, SDR images on G_{a,q}; the search is
-otherwise one and the same), and searches for Q-side lists that block them
-all.  The search itself returns only the raw failure: the core A-list masks,
-the blockers and the peel threshold.  Those become a witness, by fresh colors
-everywhere else, in one builder (``_transversal_witness``).  On both paths
-an insufficient ``Verdict`` keeps the raw failure and builds the witness
-from it the first time its ``witness`` is read, and the exact driver reads
-one only when asked to record it: a candidate found insufficient costs no
-witness.
-The minimal transversals are picks from the minimal covers of the atom
-patterns, the one cover routine ``type2`` uses too.  Shapes, targets and
-blockers are int masks; the shapes are read once per search from
-``enumerate_canonical_assignments``, and otherwise frozensets are built only
-for a witness.  One meter (``_Budget``) lives for one top-level search:
-``sum_choice_exact``, ``sum_choice_type2_exact``, ``chi_sc2_reduced``, or
-one bare public oracle call.  Every oracle call of the search ticks it, and
-it keeps the shapes walked per core A-sizes, each with its target family,
-the result of each blocker search per (family, live Q-sizes), and the
-generic cores found sufficient per (core masks, core f).  One memo rule
-holds for both: a hit ticks the units of its first run again, so the units
-of a search are those of the same search with no memo.  The target families
-are computed outside the budget, once per distinct shape per search.
-Both paths report an explicit ``undecided`` verdict when the budget runs out.
+neighbour masks (entry v: v's neighbours among 0..k-1) with its f.  The peel
+runs from a worklist (degrees counted once, then lowered as vertices drop),
+a core the peel leaves whole is its graph as given, and core-v comes from
+the core by deleting bit v from every other mask.  If a core vertex v has
+f(v) = 1, only the first such v is deleted, with f one less on N(v), and
+that answer is final: f is sufficient on the core iff the lowered f is on
+core-v (color v first and drop its color from the neighbors' lists), and a
+neighbor left at 0 makes f insufficient at once.  Otherwise every v is tried
+with f unchanged: f sufficient on the core implies it on core-v.  The search
+returns only a raw failure, one small tuple per deletion step; a failing
+assignment of core-v lifts from it the same way in both cases, by fresh
+colors c, c+1, ... in L(v) and, when f(v) = 1, c in every neighbor's list
+(``_generic_lift``).  Once every core-v is sufficient, a class in which some
+color c has an independent pattern P is colorable: give every vertex of P
+the color c, which lies in no other list, and color core-P, an induced
+subgraph of a sufficient core-v, from its own lists.  So only classes whose
+every pattern spans an edge of the core are enumerated and colored; each
+pattern is tested on first sight, once per walk.  For labeled complete
+bipartite / complete split graphs it switches to a transversal formulation.
+The same peel first drops every vertex with more colors than live neighbors,
+part by part, which leaves a smaller K_{a',q'} or G_{a',q'} (or nothing:
+sufficient at no cost).  On that core it walks the shapes of the A-side
+lists, computes the candidate A-color sets (minimal transversals on K_{a,q},
+SDR images on G_{a,q}; the search is otherwise one and the same), and
+searches for Q-side lists that block them all.  The search itself returns
+only the raw failure: the core A-list masks, the blockers and the peel
+threshold.  Those become a witness, by fresh colors everywhere else, in one
+builder (``_transversal_witness``).  On both paths an insufficient
+``Verdict`` keeps the raw failure, and its ``witness``, a
+``cached_property``, builds the witness from it on first read; the exact
+driver reads one only when asked to record it: a candidate found
+insufficient costs no witness.  The minimal transversals are picks from the
+minimal covers of the atom patterns, the one cover routine ``type2`` uses
+too.  Shapes, targets and blockers are int masks; the shapes are read once
+per search from ``enumerate_canonical_assignments``, so a trace of it counts
+them, and otherwise frozensets are built only for a witness.  One meter
+(``_Budget``) lives for one top-level search: ``sum_choice_exact``,
+``sum_choice_type2_exact``, ``chi_sc2_reduced``, or one bare public oracle
+call.  Every oracle call of the search ticks it, and it keeps one lazy
+stream of shapes per core A-sizes, each shape with its target family, that
+every walk ``tee``s; the result of each blocker search per (family, live
+Q-sizes); and the generic cores found sufficient per (core masks, core f).
+One memo rule holds for both: a hit ticks the units of its first run again,
+so the units of a search are those of the same search with no memo.  The
+target families are computed outside the budget, once per distinct shape per
+search.  Both paths report an explicit ``undecided`` verdict when the budget
+runs out.
 
 Every witness in the package, here and in the constructions of the other
 modules, gives its free vertices fresh colors through one ``pad_witness``
@@ -93,11 +92,12 @@ class Verdict:
     ``status`` is one of ``sufficient``, ``insufficient``, ``undecided``;
     a witness (an f-assignment with no proper coloring) accompanies every
     insufficient verdict.  The oracles' insufficient verdicts carry their
-    search's raw failure instead, and build the witness from it the first
-    time ``witness`` is read, once: a caller that reads only ``status``
-    builds none.  The raw failure is plain data, so the witness does not
-    depend on when it is read.  Equality and ``repr`` go by (status,
-    witness, checked).
+    search's raw failure instead, and ``witness``, a ``cached_property``,
+    builds the witness from it on first read and keeps it: a caller that
+    reads only ``status`` builds none.  A witness given to the constructor
+    sits where the property keeps its result, so it is returned as is.  The
+    raw failure is plain data, so the witness does not depend on when it is
+    read.  Equality, hash and ``repr`` go by (status, witness, checked).
 
     ``checked`` is the units the call ticked on its meter (``_Budget``):
     A-side shapes and blocker-search nodes on the transversal path,
@@ -112,26 +112,20 @@ class Verdict:
     def __init__(self, status: str, witness: ListAssignment | None = None, checked: int = 0):
         if status not in ("sufficient", "insufficient", "undecided"):
             raise ValueError(f"bad verdict status {status!r}")
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "_witness", witness)
-        object.__setattr__(self, "_build", None)  # (builder, its arguments) until first read
+        vars(self).update(status=status, witness=witness, checked=checked)
 
     @classmethod
     def _failed(cls, checked: int, builder: Callable[..., ListAssignment], *args) -> Verdict:
         """An insufficient verdict whose witness is ``builder(*args)``,
         built on first read."""
-        verdict = cls("insufficient", None, checked)
-        object.__setattr__(verdict, "_build", (builder, args))
+        verdict = cls.__new__(cls)
+        vars(verdict).update(status="insufficient", checked=checked, _build=(builder, args))
         return verdict
 
-    @property
+    @functools.cached_property
     def witness(self) -> ListAssignment | None:
-        if self._build is not None:
-            builder, args = self._build
-            object.__setattr__(self, "_witness", builder(*args))
-            object.__setattr__(self, "_build", None)
-        return self._witness
+        builder, args = vars(self).pop("_build")
+        return builder(*args)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -431,13 +425,14 @@ class _Budget:
     """The meter of one top-level search: its units left and used, and the
     work that its oracle calls share.
 
-    Per (core A-sizes, clique): the A-shapes walked so far, as list masks,
-    each with its target family.  Per (family, sorted live Q-sizes): the
-    blocker search's result and the number of nodes it ticked.  Per (core
-    masks, core f) of the generic path: the units that a core found
-    sufficient ticked.  A hit in either memo ticks that many again through
-    ``replay``, so it runs out of budget exactly where its first run would:
-    ``checked`` and ``budget_used`` do not depend on what was reused.
+    Per (core A-sizes, clique): one stream of the A-shapes, as list masks,
+    each with its target family, holding every shape walked so far.  Per
+    (family, sorted live Q-sizes): the blocker search's result and the
+    number of nodes it ticked.  Per (core masks, core f) of the generic
+    path: the units that a core found sufficient ticked.  A hit in either
+    memo ticks that many again through ``replay``, so it runs out of budget
+    exactly where its first run would: ``checked`` and ``budget_used`` do
+    not depend on what was reused.
     """
 
     __slots__ = ("left", "used", "shapes", "searches", "settled")
@@ -445,7 +440,7 @@ class _Budget:
     def __init__(self, cap: int):
         self.left = cap
         self.used = 0
-        self.shapes: dict[tuple[SizeFunction, bool], tuple[list, Iterator[ListAssignment]]] = {}
+        self.shapes: dict[tuple[SizeFunction, bool], Iterator[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
         self.searches: dict[tuple[tuple[int, ...], SizeFunction], tuple[tuple[int, ...] | None, int]] = {}
         self.settled: dict[tuple[tuple[int, ...], SizeFunction], int] = {}
 
@@ -464,21 +459,19 @@ class _Budget:
         """(A-list masks, target family) for each class of
         ``enumerate_canonical_assignments(core_a)`` in its order; the target
         family (SDR images when ``clique``, else minimal transversals) is
-        computed once per shape.  The classes come through the public
-        enumerator, once per shape per search, so a trace of it still counts
-        this path's shapes."""
+        computed once per shape.  One lazy stream per (core_a, clique) is
+        kept, and each walk is a ``tee`` of it: the kept copy never advances,
+        so it holds every shape built so far, and a walk past them pulls the
+        next one.  The classes come through the public enumerator, once per
+        shape per search, so a trace of it still counts this path's shapes."""
         key = (core_a, clique)
         if key not in self.shapes:
-            self.shapes[key] = ([], enumerate_canonical_assignments(core_a))
-        seen, fresh = self.shapes[key]
-        for i in itertools.count():
-            if i == len(seen):
-                lists = next(fresh, None)
-                if lists is None:
-                    return
-                LA = tuple(sum(1 << c for c in L) for L in lists)
-                seen.append((LA, (_sdr_image_masks if clique else _minimal_transversal_masks)(LA)))
-            yield seen[i]
+            family = _sdr_image_masks if clique else _minimal_transversal_masks
+            classes = enumerate_canonical_assignments(core_a)
+            masks = (tuple(sum(1 << c for c in L) for L in lists) for lists in classes)
+            self.shapes[key] = ((LA, family(LA)) for LA in masks)
+        self.shapes[key], walk = itertools.tee(self.shapes[key])
+        return walk
 
     def blockers(self, targets: tuple[int, ...], q_live: SizeFunction) -> tuple[int, ...] | None:
         """``_blocking_family`` of the target family at the sorted Q-sizes
@@ -575,12 +568,12 @@ _Failure = tuple[tuple[int, ...], tuple[int, ...], int]
 
 def _transversal_search(
     a_sizes: SizeFunction, q_sizes: SizeFunction, clique: bool, meter: _Budget
-) -> tuple[str, int, _Failure | None]:
+) -> tuple[str, _Failure | None]:
     """The shared search: the Q-lists must block every candidate A-color
     set of the A-shape (SDR images when A is a ``clique``, else minimal
-    transversals).  Returns the status, the units ticked and, when
-    insufficient, the raw failure that ``_transversal_witness`` turns into
-    a witness; nothing else builds one.
+    transversals).  Returns the status and, when insufficient, the raw
+    failure that ``_transversal_witness`` turns into a witness; nothing
+    else builds one.
 
     First the peel of ``peel_order``, by part: a Q-vertex with f > |A alive|
     and an A-vertex with f > |Q alive| (plus |A alive| - 1 when A is a
@@ -594,22 +587,21 @@ def _transversal_search(
     core_a = a_sizes
     while True:
         if not core_a:
-            return "sufficient", 0, None
+            return "sufficient", None
         q_live = tuple(sorted(s for s in q_sizes if s <= len(core_a)))
         deg = len(q_live) + (len(core_a) - 1 if clique else 0)
         if max(core_a) <= deg:
             break
         core_a = tuple(s for s in a_sizes if s <= deg)
-    start = meter.used
     try:
         for LA, targets in meter.a_shapes(core_a, clique):
             meter.tick()
             blockers = meter.blockers(targets, q_live)
             if blockers is not None:
-                return "insufficient", meter.used - start, (LA, blockers, deg)
+                return "insufficient", (LA, blockers, deg)
     except BudgetExceededError:
-        return "undecided", meter.used - start, None
-    return "sufficient", meter.used - start, None
+        return "undecided", None
+    return "sufficient", None
 
 
 def _transversal_witness(
@@ -651,7 +643,9 @@ def _transversal_verdict(
 ) -> Verdict:
     """The search, as the public oracles return it: an insufficient
     verdict builds its witness from the raw failure on first read."""
-    status, checked, failure = _transversal_search(a_sizes, q_sizes, clique, meter)
+    start = meter.used
+    status, failure = _transversal_search(a_sizes, q_sizes, clique, meter)
+    checked = meter.used - start
     if failure is None:
         return Verdict(status, None, checked)
     return Verdict._failed(checked, _transversal_witness, a_sizes, q_sizes, failure, parts)

@@ -13,8 +13,10 @@ one.  That costs every candidate one image per lift, so the search for
 quotient automorphisms stops at ``_MAX_QUOTIENT_GROUP``, and a graph with
 a larger quotient group walks every twin-sorted candidate, still exact but
 with no orbit filter.  The greedy back-degree function caps the search: it
-is always sufficient and lies inside the per-vertex degree+1 cap, so
-termination needs no separate argument.
+is always sufficient, lies inside the per-vertex degree+1 cap and sums to
+the edge bound |V| + |E| (each edge adds one to the back-degree of its
+later end), so the walk stops by that total and needs no separate
+termination argument.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ def sum_choice_exact(
     if g.n == 0:
         return SumChoiceResult(0, (), False, (0, 0), 0)
     caps = tuple(g.degree(v) + 1 for v in range(g.n))
-    upper = sum(greedy_sufficient_f(g))
+    upper = edge_bound(g)
     meter = _Budget(budget)
     witnesses: dict[SizeFunction, ListAssignment] | None = {} if record_witnesses else None
     lifts = list(islice(g.twin_quotient_lifts(), _MAX_QUOTIENT_GROUP))
@@ -174,7 +176,7 @@ def sum_choice_exact(
             # K_{a,q} / G_{a,q} goes straight to the transversal search
             if g.structure:
                 a_sizes, q_sizes, clique = _part_sizes(g, f)
-                status, _, failure = _transversal_search(a_sizes, q_sizes, clique, meter)
+                status, failure = _transversal_search(a_sizes, q_sizes, clique, meter)
                 if witnesses is not None and failure is not None:
                     witnesses[f] = _transversal_witness(a_sizes, q_sizes, failure, g.parts)
             else:
@@ -218,7 +220,7 @@ def sum_choice_type2_exact(a: int, q: int, *, budget: int = DEFAULT_BUDGET) -> i
     meter = _Budget(budget)
 
     def insufficient(fa: SizeFunction) -> bool:
-        status, _, _ = _transversal_search(fa, (2,) * q, False, meter)
+        status, _ = _transversal_search(fa, (2,) * q, False, meter)
         if status == "undecided":
             raise BudgetExceededError("sufficiency search budget exceeded")
         return status == "insufficient"

@@ -229,8 +229,7 @@ def complete(n: int) -> Graph:
 
 def star(q: int) -> Graph:
     """Center 0 joined to q leaves; this is K_{1,q} with parts labeled."""
-    _require_positive(q=q)
-    return make_graph(q + 1, [(0, v) for v in range(1, q + 1)], parts=((0,), range(1, q + 1)))
+    return complete_bipartite(1, q)
 
 
 def prufer_edges(seq: Sequence[int], n: int) -> list[Edge]:

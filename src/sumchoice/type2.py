@@ -385,7 +385,10 @@ def _integer_point(
                 return cost
         return None
 
-    cost = rec(0, 0)
+    try:
+        cost = rec(0, 0)
+    finally:
+        del rec  # rec refers to itself through its closure cell
     if cost is None:
         return None
     return tuple(sorted((v, c) for v, c in zip(masks, x) if c > 0)), cost

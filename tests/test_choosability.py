@@ -8,11 +8,13 @@ import operator
 import random
 import sys
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sumchoice.acceptance import _has_independent_sdr
 from sumchoice.bipartite import constr_assignment
 from sumchoice.choosability import (
     BudgetExceededError,
@@ -47,6 +49,7 @@ from sumchoice.graphs import (
     make_graph,
     random_graph,
 )
+from sumchoice.turan import sharp_family
 from sumchoice.type2 import type2_insufficient
 
 PROPERTY_SETTINGS = settings(
@@ -861,15 +864,18 @@ def test_finished_search_holds_no_reference_to_its_meter():
 
 
 def test_oracles_leave_no_reference_cycles():
-    # The recursive closures (the coloring walk, the class walk and the
-    # blocker search) refer to themselves through their closure cells, and
-    # each call must break that cycle before it returns.
+    # The recursive closures (the coloring walk, the class walk, the
+    # blocker search, the type-II integer point search and acceptance's SDR
+    # search) refer to themselves through their closure cells, and each call
+    # must break that cycle before it returns.
     gc.collect()
     gc.disable()
     try:
         generic = is_sufficient(cycle(5), (2,) * 5)
         transversal = bipartite_is_sufficient((2, 2), (2, 2, 2, 2))
         assert generic.status == transversal.status == "insufficient"
+        assert type2_insufficient((3, 3, 3), 4) is None
+        assert not _has_independent_sdr(*sharp_family(4, 3))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -959,6 +965,45 @@ def test_insufficient_verdict_reads_as_a_plain_one(call):
     assert verdict != Verdict("insufficient", other, verdict.checked)
     assert repr(verdict) == f"Verdict(status='insufficient', witness={witness!r}, checked={verdict.checked})"
     assert late.witness == witness and late == verdict
+
+
+def _contract_verdict(kind):
+    """An eager insufficient verdict, a lazy one not read yet, or a lazy one
+    whose witness has been read."""
+    if kind == "eager":
+        return Verdict("insufficient", (frozenset({0}), frozenset({0})), 3)
+    verdict = bipartite_is_sufficient((2, 2), (2, 2, 2, 2))
+    if kind == "read":
+        verdict.witness
+    return verdict
+
+
+@pytest.mark.parametrize("kind", ["eager", "lazy", "read"])
+def test_verdict_contract(kind):
+    with pytest.raises(ValueError, match="bad verdict status 'maybe'"):
+        Verdict("maybe")
+    verdict = _contract_verdict(kind)
+    for name in ("status", "checked", "witness"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(verdict, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(verdict, name)
+    witness = verdict.witness
+    assert verdict.status == "insufficient" and verdict.witness is witness
+    assert hash(verdict) == hash(Verdict("insufficient", witness, verdict.checked))
+    assert (verdict == "insufficient") is False
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: is_sufficient(cycle(4), (2, 2, 2, -1)), "list sizes must be >= 0"),
+        (lambda: bipartite_is_sufficient((0, 2), (2,)), "list sizes must be >= 1"),
+    ],
+)
+def test_sizes_below_the_minimum_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -88,6 +88,22 @@ def test_sumchoice_undecided_exit_code(capsys):
     assert lo <= 10 <= hi
 
 
+def test_type2_out_of_budget_exits_undecided(capsys):
+    code = main(["type2", "--a", "3", "--q", "4", "--f", "3,3,3", "--budget", "0"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "undecided: sufficiency search budget exceeded\n"
+
+
+def test_check_with_both_f_and_lists_exits_usage(capsys, tmp_path):
+    lists = tmp_path / "lists.json"
+    lists.write_text(json.dumps({"lists": [[0], [1]]}))
+    code = main(["check", "--graph", str(FIXTURES / "k2.json"), "--f", "1,1", "--lists", str(lists)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: check needs exactly one of --f or --lists\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

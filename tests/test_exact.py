@@ -404,6 +404,11 @@ def test_budget_sweep_pinned():
     assert h.hexdigest() == BUDGET_SWEEP_DIGEST
 
 
+def test_empty_graph():
+    res = sum_choice_exact(make_graph(0, []))
+    assert (res.value, res.optimal_f, res.bracket, res.budget_used) == (0, (), (0, 0), 0)
+
+
 def test_undecided_bracket():
     g = generate("complete", [4])
     res = sum_choice_exact(g, budget=1)
@@ -476,6 +481,14 @@ def test_tree_isomorphism_class_counts():
 
     # OEIS A000055
     assert [len(all_trees_up_to_iso(n)) for n in range(1, 10)] == [1, 1, 1, 2, 3, 6, 11, 23, 47]
+
+
+def test_greedy_total_is_the_edge_bound():
+    # Each edge adds one to the back-degree of its later end, so the greedy
+    # f sums to |V| + |E| whatever the order.
+    seeded = [random_graph(n, m, seed) for n, m in ((6, 8), (7, 10), (8, 12)) for seed in range(8)]
+    for g in [*every_small_graph(), *seeded, *(g for g, *_ in GOLDEN)]:
+        assert sum(greedy_sufficient_f(g)) == edge_bound(g), g.edges
 
 
 def test_chain_chi_le_greedy_le_edge_bound():

@@ -63,6 +63,16 @@ def test_star_and_path_and_cycle():
     assert generate("cycle", [5]).m == 5
 
 
+def test_star_is_the_labeled_k1q():
+    for q in range(1, 30):
+        g = star(q)
+        assert (g.n, g.edges) == (q + 1, tuple((0, v) for v in range(1, q + 1)))
+        assert g.parts == ((0,), tuple(range(1, q + 1))) and g.structure == "complete_bipartite"
+    for q in (0, -2):
+        with pytest.raises(GraphError, match=f"parameter q must be positive, got {q}"):
+            star(q)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(GraphError):
         generate("petersen", [1])
