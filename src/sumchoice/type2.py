@@ -13,13 +13,17 @@ each vertex set are searched (61 of the 1158 for a=3).
 The integer point is searched atom by atom on a plan of index lists built
 once per edge-minimal graph, on the first query for a: the multi-index
 atoms in branch order with the slots of their earlier neighbours, the
-atoms of each index, and the edges touching a singleton.  The pair cost of
-the atoms fixed so far is carried down as an integer, and fixing one more
-atom adds its value times the sum of its earlier neighbours, so each
-branch's range of values is one division; singletons are forced to the
-residual demand at the leaf.  The nodes visited, in order, are those of a
-search recomputing every partial cost from scratch, so budgets and the
-brackets they give are unchanged.
+atoms of each index, the edges touching a singleton, and the edges still
+to be charged after each slot.  The scan puts fewer vertices first, so a
+point with a zero atom lies on a graph already tried, and only points with
+every atom positive are searched: each edge then costs at least 1, a graph
+with more than q edges is skipped, and every edge still to be charged
+counts 1 against q.  The pair cost of the atoms fixed so far is carried
+down as an integer, and fixing one more atom adds its value times the sum
+of its earlier neighbours, so each branch's range of values is one
+division; singletons are forced to the residual demand, at least 1, at the
+leaf.  The witness is the one a search of every point x >= 0 finds, in
+fewer nodes.
 
 R blocks exactly when every minimal cover of its pattern hypergraph holds
 an edge.  ``is_blocking`` and one walk over labeled vertex sets take those
@@ -70,7 +74,7 @@ from .choosability import (
     transversal_check,
 )
 from .exact import type2_profile_search
-from .graphs import Graph, bits_of, complete_bipartite
+from .graphs import Graph, as_int, bits_of, complete_bipartite
 
 
 @dataclass(frozen=True)
@@ -304,12 +308,15 @@ def symmetrize(
 class _Plan(NamedTuple):
     """Index lists of one blocking graph for ``_integer_point``.  Slot k < m
     holds the k-th multi-index atom in branch order (-popcount, mask); the
-    singleton atoms follow in mask order."""
+    singleton atoms follow in mask order.  ``later[k]`` counts the edges
+    charged after multi slot k, to later multi slots or at the leaf: with
+    every atom at least 1, each adds at least 1 to the cost."""
 
     masks: tuple[int, ...]  # the atom in each slot
     back: tuple[tuple[int, ...], ...]  # per multi slot: the slots of its earlier multi neighbours
     rows: tuple[tuple[tuple[int, ...], int | None], ...]  # per index: its multi slots, its singleton slot
     single_edges: tuple[tuple[int, int], ...]  # slot pairs of the edges touching a singleton
+    later: tuple[int, ...]  # per multi slot: the edges charged after it
 
 
 def _plan(r: ReducedGraph, a: int) -> _Plan:
@@ -327,7 +334,8 @@ def _plan(r: ReducedGraph, a: int) -> _Plan:
     single_edges = tuple(
         (slot[u], slot[v]) for u, v in r.edges if u.bit_count() == 1 or v.bit_count() == 1
     )
-    return _Plan(masks, back, rows, single_edges)
+    later = tuple(len(r.edges) - sum(map(len, back[: k + 1])) for k in range(len(multi)))
+    return _Plan(masks, back, rows, single_edges, later)
 
 
 @functools.cache
@@ -340,23 +348,30 @@ def _minimal_plans(a: int) -> tuple[_Plan, ...]:
 def _integer_point(
     plan: _Plan, f: Sequence[int], q: int, meter: _Budget
 ) -> tuple[tuple[tuple[int, int], ...], int] | None:
-    """(positive atoms, cost) of the first integer x >= 0 supported on the
-    plan's graph with phi(x) >= f and pair cost sum x_I x_J over its edges
-    at most q; None if there is none.
+    """(atoms, cost) of the first integer x >= 1 on the plan's graph with
+    phi(x) >= f and pair cost sum x_I x_J over its edges at most q; None if
+    there is none.
 
-    Branches only over atoms of two or more indices; singleton atoms are
-    forced to the residual demand afterwards.  Coordinates are capped at
-    max(f): any larger coordinate alone already covers its rows, so
-    truncating it keeps phi(x) >= f and can only lower the cost.  The cost
-    of the edges among the atoms fixed so far is carried down the search:
-    fixing the next atom to val adds val * s, with s the sum of its earlier
-    neighbours' values, so the values tried are 0..cap when s = 0 and
-    otherwise stop at the last one keeping that cost at most q: a
-    value-by-value search stopping at the first value above q visits the
-    same nodes in the same order.  The singleton edges are added once the
+    Only points with every atom positive are searched, which is sound only
+    in ``type2_insufficient``'s scan: a point of R with some x_v = 0 is
+    infeasible when v alone holds an index, and otherwise lies on R
+    restricted to V(R) - v, which blocks on that vertex set and so holds an
+    edge-minimal blocking graph the scan has already tried, as it puts
+    fewer vertices first.
+
+    Branches only over atoms of two or more indices, each from 1 up;
+    singleton atoms are forced to the residual demand, at least 1,
+    afterwards.  Coordinates are capped at max(f): any larger coordinate
+    alone already covers its rows, so truncating it keeps phi(x) >= f and
+    can only lower the cost.  The cost of the edges among the atoms fixed
+    so far is carried down the search: fixing the next atom to val adds
+    val * s, with s the sum of its earlier neighbours' values, and each of
+    the ``later`` edges still to be charged adds at least 1, so the values
+    tried stop at the last one keeping that total at most q, and a branch
+    with no such value is cut.  The singleton edges are added once the
     singletons are forced.  Each search node ticks the meter.
     """
-    masks, back, rows, single_edges = plan
+    masks, back, rows, single_edges, later = plan
     cap = max(f)
     m = len(back)
     x = [0] * len(masks)
@@ -368,7 +383,7 @@ def _integer_point(
                 for k in slots:
                     need -= x[k]
                 if single is not None:
-                    x[single] = need if need > 0 else 0
+                    x[single] = need if need > 1 else 1
                 elif need > 0:
                     return None
             for u, v in single_edges:
@@ -377,8 +392,11 @@ def _integer_point(
         s = 0
         for k in back[idx]:
             s += x[k]
-        top = cap if s == 0 else min(cap, (q - partial) // s)
-        for val in range(top + 1):
+        room = q - partial - later[idx]
+        if room < s:
+            return None
+        top = cap if s == 0 else min(cap, room // s)
+        for val in range(1, top + 1):
             x[idx] = val
             cost = rec(idx + 1, partial + s * val)
             if cost is not None:
@@ -391,7 +409,7 @@ def _integer_point(
         del rec  # rec refers to itself through its closure cell
     if cost is None:
         return None
-    return tuple(sorted((v, c) for v, c in zip(masks, x) if c > 0)), cost
+    return tuple(sorted(zip(masks, x))), cost
 
 
 def type2_insufficient(
@@ -411,19 +429,27 @@ def type2_insufficient(
     set sorts after that subset, which admits the same x at no greater
     cost, so the first graph with a witness is edge-minimal.
 
+    The scan puts fewer vertices first, so when it reaches R every graph on
+    a smaller vertex set has failed, and with it every point of R with a
+    zero atom (see ``_integer_point``).  So each graph is searched for
+    points with every atom positive only; they cost at least one per edge,
+    and a graph with more than q edges is skipped unsearched.
+
     ``budget`` caps the search nodes; a meter shared by several calls may
     be passed instead, and each call draws it down.
     """
     f = tuple(map(_int_size, f_A))
     if any(s < 1 for s in f):
         raise ValueError("A-list sizes must be positive")
+    q = as_int(q, "values of q", ValueError)
     if q < 0:
         raise ValueError(f"need q >= 0, got {q}")
     meter = _meter(budget)
     for r, plan in zip(_minimal_blocking(len(f)), _minimal_plans(len(f))):
-        found = _integer_point(plan, f, q, meter)
-        if found is not None:
-            return ReducedWitness(r, *found)
+        if len(r.edges) <= q:
+            found = _integer_point(plan, f, q, meter)
+            if found is not None:
+                return ReducedWitness(r, *found)
     return None
 
 
@@ -469,6 +495,7 @@ def chi_sc2_reduced(a: int, q: int, *, budget: int = DEFAULT_BUDGET) -> int:
 
     One budget of search nodes covers every profile; when it runs out,
     BudgetExceededError carries the bracket of totals still open."""
+    q = as_int(q, "values of q", ValueError)
     meter = _Budget(budget)
     return type2_profile_search(a, q, lambda fa: type2_insufficient(fa, q, budget=meter) is not None)
 

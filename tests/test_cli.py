@@ -95,6 +95,18 @@ def test_type2_out_of_budget_exits_undecided(capsys):
     assert captured.err == "undecided: sufficiency search budget exceeded\n"
 
 
+def test_type2_budget_zero_at_q0_searches_no_graph(capsys):
+    # every blocking graph has an edge and a searched point costs at least
+    # 1 per edge, so at q = 0 no graph is searched and budget 0 is enough;
+    # at q = 1 the one-edge graphs are searched and the budget runs out
+    code, doc = run_json(capsys, ["type2", "--a", "3", "--q", "0", "--f", "1,1,1", "--budget", "0"])
+    assert code == 0 and doc["verdict"] == "sufficient"
+    code = main(["type2", "--a", "3", "--q", "1", "--f", "1,1,1", "--budget", "0"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "undecided: sufficiency search budget exceeded\n"
+
+
 def test_check_with_both_f_and_lists_exits_usage(capsys, tmp_path):
     lists = tmp_path / "lists.json"
     lists.write_text(json.dumps({"lists": [[0], [1]]}))

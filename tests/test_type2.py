@@ -1,8 +1,11 @@
 """Reduced graphs, blocking enumeration, the integer criterion, and beta."""
 
+import functools
 import hashlib
 import itertools
 import math
+import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -265,6 +268,17 @@ def test_type2_sizes_must_be_integers(bad):
         type2_insufficient((0, 2), 3)
 
 
+@pytest.mark.parametrize("bad", [2.5, 0.5, "3", None])
+def test_type2_q_must_be_an_integer(bad):
+    # 2.5 died in range and "3" or None in a comparison, all TypeError; a
+    # float below 1 would skip every graph and read sufficient
+    message = re.escape(f"values of q must be integers, got {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        type2_insufficient((2, 2, 2), bad)
+    with pytest.raises(ValueError, match=message):
+        chi_sc2_reduced(3, bad)
+
+
 def test_type2_phi_dominates_f():
     w = type2_insufficient((2, 2), 4)
     f = phi(dict(w.atoms), 2)
@@ -328,8 +342,11 @@ def _cost(r, x):
 
 
 def reference_integer_point(r, f, q, meter):
-    """The integer-point search as first written: dict state, every partial
-    cost and the final cost summed over all edges of r."""
+    """The integer-point search as first written (dict state, every partial
+    cost and the final cost summed over all edges of r), returning the first
+    point of its walk with every atom positive: finish forces each singleton
+    to at least 1 and passes over a point with a zero atom, so the walk goes
+    on to the next one."""
     a = len(f)
     cap = max(f)
     verts = r.vertices
@@ -342,11 +359,11 @@ def reference_integer_point(r, f, q, meter):
         got = dict(x)
         for mask, i in sorted(singles.items()):
             need = f[i] - sum(c for I, c in got.items() if I >> i & 1)
-            got[mask] = max(0, need)
+            got[mask] = max(1, need)
         for i in range(a):
             if sum(c for I, c in got.items() if I >> i & 1) < f[i]:
                 return None
-        if _cost(r, got) <= q:
+        if _cost(r, got) <= q and all(got.values()):
             return got
         return None
 
@@ -373,7 +390,7 @@ def reference_integer_point(r, f, q, meter):
 
 def _both_kernels(r, plan, f, q, budget):
     """(result, nodes) of the reference kernel and of _integer_point; a
-    result is (positive atoms, cost), None, or BudgetExceededError."""
+    result is (atoms, cost), None, or BudgetExceededError."""
     out = []
     for kernel, arg in ((reference_integer_point, r), (_integer_point, plan)):
         meter = _Budget(budget)
@@ -382,7 +399,7 @@ def _both_kernels(r, plan, f, q, budget):
         except BudgetExceededError:
             got = BudgetExceededError
         if isinstance(got, dict):
-            got = (tuple(sorted((mask, c) for mask, c in got.items() if c > 0)), _cost(r, got))
+            got = (tuple(sorted(got.items())), _cost(r, got))
         out.append((got, meter.used))
     return out
 
@@ -399,19 +416,23 @@ def test_integer_point_matches_reference_kernel():
             for f in fs:
                 for q in range(9):
                     want, got = _both_kernels(r, plan, f, q, 10**9)
-                    assert got == want, (r, f, q)
+                    # the same point; the kernel's nodes are a subset of the walk's
+                    assert got[0] == want[0] and got[1] <= want[1], (r, f, q)
                     cases += 1
                     found += want[0] is not None
-                    if cases % 199 == 0:  # one node short, both stop at the same tick
-                        nodes = want[1]
-                        short = _both_kernels(r, plan, f, q, nodes - 1)
-                        assert short == [(BudgetExceededError, nodes)] * 2, (r, f, q)
+                    if cases % 199 == 0:  # one node short, the kernel stops at that tick
+                        nodes = got[1]
+                        meter = _Budget(nodes - 1)
+                        with pytest.raises(BudgetExceededError):
+                            _integer_point(plan, f, q, meter)
+                        assert meter.used == nodes, (r, f, q)
     assert cases > 10000 and found > 1000
 
 
 def test_type2_node_counts_pinned():
-    # every sorted f in [1, q+1]^3 for q = 2..8: witnesses and search nodes,
-    # hashed as first recorded by the reference kernel (653,433 nodes)
+    # every sorted f in [1, q+1]^3 for q = 2..8: the witnesses, hashed as
+    # first recorded by the reference kernel, and the search nodes
+    witnesses = hashlib.sha256()
     digest = hashlib.sha256()
     nodes = 0
     for q in range(2, 9):
@@ -419,9 +440,94 @@ def test_type2_node_counts_pinned():
             meter = _Budget(10**9)
             w = type2_insufficient(f, q, budget=meter)
             nodes += meter.used
+            witnesses.update(repr((f, q, w)).encode())
             digest.update(repr((f, q, w, meter.used)).encode())
-    assert nodes == 653433
-    assert digest.hexdigest() == "faa192deb2bc1b8ce6f9430ce2898d35827e472d48ac4bf747769330736f8c9a"
+    assert witnesses.hexdigest() == "6dec4b4b2f12b8def86b0c1ec42344cdee62da49704ab511fe59b4d49256c809"
+    assert nodes == 233734
+    assert digest.hexdigest() == "9d0e4a79be60c361ee7666f02767765e4ded4870699030f2fa4fe9fb6026d6af"
+
+
+def _every_point(plan, f, q, meter):
+    """The plan search over every point x >= 0, with no cut for the edges
+    still to be charged: ``_integer_point`` before it took only positive
+    points, kept verbatim, so it reads the first four plan fields."""
+    masks, back, rows, single_edges = plan
+    cap = max(f)
+    m = len(back)
+    x = [0] * len(masks)
+
+    def rec(idx: int, partial: int) -> int | None:
+        meter.tick()
+        if idx == m:  # force the singletons, then check coverage and cost
+            for need, (slots, single) in zip(f, rows):
+                for k in slots:
+                    need -= x[k]
+                if single is not None:
+                    x[single] = need if need > 0 else 0
+                elif need > 0:
+                    return None
+            for u, v in single_edges:
+                partial += x[u] * x[v]
+            return partial if partial <= q else None
+        s = 0
+        for k in back[idx]:
+            s += x[k]
+        top = cap if s == 0 else min(cap, (q - partial) // s)
+        for val in range(top + 1):
+            x[idx] = val
+            cost = rec(idx + 1, partial + s * val)
+            if cost is not None:
+                return cost
+        return None
+
+    try:
+        cost = rec(0, 0)
+    finally:
+        del rec  # rec refers to itself through its closure cell
+    if cost is None:
+        return None
+    return tuple(sorted((v, c) for v, c in zip(masks, x) if c > 0)), cost
+
+
+def test_positive_points_match_every_point_scan():
+    # the scan over every edge-minimal graph, each searched for every point
+    # x >= 0, on every unsorted f in [1, q+1]^a
+    meter = _Budget(10**9)
+    grid = [(2, q) for q in range(11)] + [(3, q) for q in range(7)]
+    cases = found = 0
+    for a, q in grid:
+        for f in itertools.product(range(1, q + 2), repeat=a):
+            cases += 1
+            want = None
+            for r, plan in zip(_minimal_blocking(a), _minimal_plans(a)):
+                point = _every_point(plan[:4], f, q, meter)
+                if point is not None:
+                    want = ReducedWitness(r, *point)
+                    break
+            assert type2_insufficient(f, q) == want, (f, q)
+            found += want is not None
+    assert found > 500 and cases - found > 500
+
+
+def test_zero_atom_points_lie_on_an_earlier_graph():
+    # the premise of the positive-point search: deleting a vertex v of R
+    # either leaves an index uncovered, or leaves a blocking graph that
+    # holds an edge-minimal one scanned before R (a=2 has one graph, on
+    # two atoms, and no such deletion)
+    graphs = _minimal_blocking(3)
+    deletions = 0
+    for pos, r in enumerate(graphs):
+        for v in r.vertices:
+            rest = tuple(u for u in r.vertices if u != v)
+            if functools.reduce(operator.or_, rest) != 0b111:
+                continue
+            deletions += 1
+            kept = {e for e in r.edges if v not in e}
+            assert is_blocking(ReducedGraph(rest, tuple(sorted(kept))), 3)
+            assert any(
+                earlier.vertices == rest and set(earlier.edges) <= kept for earlier in graphs[:pos]
+            ), (r, v)
+    assert deletions == 171
 
 
 def test_reduced_criterion_matches_oracle_a2():

@@ -24,7 +24,7 @@ from sumchoice.rng import derive_rng
 from sumchoice.turan import split_witness
 from sumchoice.type2 import chi_sc2_reduced, materialize_reduced_witness, type2_insufficient
 
-WITNESS_DIGEST = "330c17732c95b5cd984b3f61d05781cb34515f2c491482529b5f49613aa779d2"
+WITNESS_DIGEST = "6bf55a405219d38237174efdbca55389c5caaa994cf4fe22c3ba3a34e21812a1"
 
 
 def canon(obj):
