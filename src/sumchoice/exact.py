@@ -10,13 +10,13 @@ classes as blocks of interchangeable positions; the driver then skips every
 f that a lift of an automorphism of the twin quotient
 (``Graph.twin_quotient_lifts``, found once per search) maps to a smaller
 one.  That costs every candidate one image per lift, so the search for
-quotient automorphisms stops at ``_MAX_QUOTIENT_GROUP``, and a graph with
-a larger quotient group walks every twin-sorted candidate, still exact but
-with no orbit filter.  The greedy back-degree function caps the search: it
-is always sufficient, lies inside the per-vertex degree+1 cap and sums to
-the edge bound |V| + |E| (each edge adds one to the back-degree of its
-later end), so the walk stops by that total and needs no separate
-termination argument.
+quotient automorphisms stops after ``_MAX_QUOTIENT_GROUP`` - 1 lifts; on a
+larger quotient group the filter runs with those lifts alone, still exact,
+and skips fewer candidates.  The greedy back-degree function caps the
+search: it is always sufficient, lies inside the per-vertex degree+1 cap
+and sums to the edge bound |V| + |E| (each edge adds one to the
+back-degree of its later end), so the walk stops by that total and needs
+no separate termination argument.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .choosability import (
     _transversal_witness,
     is_sufficient,
 )
-from .graphs import Graph, degeneracy_order
+from .graphs import Graph, as_int, degeneracy_order
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,13 @@ def sorted_profiles(total: int, length: int, cap: int) -> Iterator[tuple[int, ..
     return _vectors_with_sum(total, (cap,) * length, (range(length),))
 
 
-# The largest twin-quotient group the orbit filter runs on.  The filter
-# costs each candidate one image per lift and saves the oracle calls of the
-# candidates that are not orbit minima, so it pays least where those calls
-# are cheapest: on disjoint K_2, where the peel settles every candidate,
-# five copies (120 automorphisms) ran 4.4 -> 3.4 ms with the filter and six
-# (720) 14.1 -> 17.3 ms (medians of 15, 2-core VM).  Past the cap, the
-# search for automorphisms stops at its 120th lift, about 1.3 ms on seven K_2.
+# The orbit filter tests each candidate against at most this many quotient
+# automorphisms: the identity, never listed, and the first 119 lifts, so a
+# quotient group of at most 120 is filtered in full.  On a larger group the
+# first lifts still skip most non-minima at a bounded cost per candidate:
+# against the plain twin-sorted walk, six K_2 (720 automorphisms) ran 11.2
+# -> 6.6 ms, C_5 + C_5 (200) 0.77 -> 0.10 s and C_6 + C_6 (288) 7.1 ->
+# 0.99 s, where all 199 lifts of C_5 + C_5 took 0.22 s (best of 3, 2-core VM).
 _MAX_QUOTIENT_GROUP = 120
 
 
@@ -139,15 +139,16 @@ def sum_choice_exact(
     Candidates are capped at f(v) <= deg(v)+1 (a vertex with that many
     choices colors last, so the cap never moves the optimum), sorted within
     each twin class (twins share a cap), and tested in lexicographic order
-    for a deterministic optimal_f.  Only orbit minima are tested: an f that
-    a lift of a twin-quotient automorphism maps to a lexicographically
-    smaller one is skipped, for that image has its verdict and comes earlier
-    at the same total.  So ``budget_used`` is the sum of the orbit minima's
-    units, and ``record_witnesses`` holds the orbit minima only.  A graph
-    whose quotient group has more than ``_MAX_QUOTIENT_GROUP`` elements
-    (found by stopping the automorphism search there) skips none, and every
-    twin-sorted candidate counts.  Budget exhaustion returns an undecided
-    bracket.
+    for a deterministic optimal_f.  An f that a lift of a twin-quotient
+    automorphism maps to a lexicographically smaller one is skipped, for
+    that image has its verdict and comes earlier at the same total.  So
+    ``budget_used`` is the sum of the tested candidates' units, and
+    ``record_witnesses`` holds the tested candidates only.  The filter uses
+    the first ``_MAX_QUOTIENT_GROUP`` - 1 lifts: on a quotient group of at
+    most ``_MAX_QUOTIENT_GROUP`` elements those are all of them and only
+    orbit minima are tested; on a larger group some non-minima are tested
+    too, which moves neither the value nor optimal_f.  Budget exhaustion
+    returns an undecided bracket.
 
     A candidate's witness is built only under ``record_witnesses``: on a
     labeled K_{a,q} / G_{a,q} the transversal search yields the raw failure,
@@ -160,14 +161,11 @@ def sum_choice_exact(
     sum(c) <= sum(f), and c >= f componentwise would force c == f.  The cost
     of the search is its oracle calls.
     """
-    if g.n == 0:
-        return SumChoiceResult(0, (), False, (0, 0), 0)
     caps = tuple(g.degree(v) + 1 for v in range(g.n))
     upper = edge_bound(g)
     meter = _Budget(budget)
     witnesses: dict[SizeFunction, ListAssignment] | None = {} if record_witnesses else None
-    lifts = list(islice(g.twin_quotient_lifts(), _MAX_QUOTIENT_GROUP))
-    images = [itemgetter(*p) for p in lifts] if len(lifts) < _MAX_QUOTIENT_GROUP else []
+    images = [itemgetter(*p) for p in islice(g.twin_quotient_lifts(), _MAX_QUOTIENT_GROUP - 1)]
     for k in range(g.n, upper + 1):
         for f in _vectors_with_sum(k, caps, g.twin_classes):
             if images and any(image(f) < f for image in images):
@@ -197,6 +195,7 @@ def type2_profile_search(a: int, q: int, insufficient: Callable[[SizeFunction], 
     ``insufficient(fa)`` is false.  Profiles are tried by total, then in
     sorted_profiles order; a BudgetExceededError from the test is re-raised
     with the bracket of totals still open."""
+    a, q = as_int(a, "values of a", ValueError), as_int(q, "values of q", ValueError)
     if a < 1 or q < 1:
         raise ValueError("need a >= 1 and q >= 1")
     for s in range(a, a * (q + 1) + 1):

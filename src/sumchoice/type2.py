@@ -261,31 +261,23 @@ def symmetrize(
 
     atoms = {pattern: [colors[c] for c in cs] for pattern, cs in _atoms(masks).items()}
 
-    for _ in range(4 * len(colors) * len(colors) + 16):
-        changed = False
-        for mask in sorted(atoms):
-            members = atoms[mask]
-            for u, v in itertools.combinations(members, 2):
-                if v in adj[u]:
-                    adj[u].discard(v)
-                    adj[v].discard(u)
-                    changed = True
-        for mask in sorted(atoms):
-            members = atoms[mask]
-            source = min(members, key=lambda c: (len(adj[c]), c))
-            target = set(adj[source])
-            for c in members:
-                if adj[c] != target:
-                    for w in adj[c] - target:
-                        adj[w].discard(c)
-                    for w in target - adj[c]:
-                        adj[w].add(c)
-                    adj[c] = set(target)
-                    changed = True
-        if not changed:
-            break
-    else:
-        raise RuntimeError("symmetrization did not converge")
+    for members in atoms.values():
+        for u, v in itertools.combinations(members, 2):
+            adj[u].discard(v)
+            adj[v].discard(u)
+    # One pass suffices: copying across an atom adds no edge inside it, and
+    # the source sees each earlier atom whole or not at all, so every atom
+    # copied before stays uniform.
+    for mask in sorted(atoms):
+        members = atoms[mask]
+        source = min(members, key=lambda c: (len(adj[c]), c))
+        target = set(adj[source])
+        for c in members:
+            for w in adj[c] - target:
+                adj[w].discard(c)
+            for w in target - adj[c]:
+                adj[w].add(c)
+            adj[c] = set(target)
 
     x = {mask: len(members) for mask, members in atoms.items()}
     edges = []
@@ -495,7 +487,6 @@ def chi_sc2_reduced(a: int, q: int, *, budget: int = DEFAULT_BUDGET) -> int:
 
     One budget of search nodes covers every profile; when it runs out,
     BudgetExceededError carries the bracket of totals still open."""
-    q = as_int(q, "values of q", ValueError)
     meter = _Budget(budget)
     return type2_profile_search(a, q, lambda fa: type2_insufficient(fa, q, budget=meter) is not None)
 

@@ -346,16 +346,40 @@ def exact_outcome(g, budget):
     return res.value, res.optimal_f, res.undecided, res.bracket, res.budget_used, res.witnesses
 
 
-def test_large_quotient_group_walks_every_twin_sorted_candidate():
-    # Seven disjoint K_2 have 7! = 5,040 quotient automorphisms, more than
-    # the orbit filter runs on: the driver stops the automorphism search at
-    # the cap and tests every twin-sorted candidate, as the plain walk does.
-    g = disjoint_cliques(*(2,) * 7)
-    lifts = itertools.islice(g.twin_quotient_lifts(), _MAX_QUOTIENT_GROUP)
-    assert len(list(lifts)) == _MAX_QUOTIENT_GROUP
-    assert exact_outcome(g, DEFAULT_BUDGET) == fresh_walk(g, DEFAULT_BUDGET)
-    # Ten of them have 10! = 3,628,800; listing their lifts would take about
-    # a gigabyte, so this returns only because the search stops early.
+def test_orbit_filter_past_the_cap_is_sound(monkeypatch):
+    # Six and seven disjoint K_2 and C_5 + C_5 have quotient groups of 720,
+    # 5,040 and 200, past the 120 the driver filters in full: it tests each
+    # candidate against its first 119 lifts only.  Every candidate it skips
+    # still has a smaller image among them that the plain twin-sorted walk
+    # found insufficient, so the outcome is the walk's.
+    tested = []
+
+    def recording_is_sufficient(g, f, **kw):
+        tested.append(f)
+        return is_sufficient(g, f, **kw)
+
+    monkeypatch.setattr("sumchoice.exact.is_sufficient", recording_is_sufficient)
+    c5 = cycle(5).edges
+    two_c5 = make_graph(10, [*c5, *((u + 5, v + 5) for u, v in c5)])
+    for g in (disjoint_cliques(*(2,) * 6), disjoint_cliques(*(2,) * 7), two_c5):
+        lifts = list(itertools.islice(g.twin_quotient_lifts(), _MAX_QUOTIENT_GROUP))
+        assert len(lifts) == _MAX_QUOTIENT_GROUP, g.edges
+        tested.clear()
+        res = sum_choice_exact(g, record_witnesses=True)
+        value, optimal_f, undecided, bracket, _, walk_witnesses = fresh_walk(g, DEFAULT_BUDGET)
+        assert (res.value, res.optimal_f, res.undecided, res.bracket) == (value, optimal_f, undecided, bracket)
+        walked = {*walk_witnesses, optimal_f}
+        assert len(set(tested)) == len(tested) and set(tested) <= walked, g.edges
+        skipped = walked - set(tested)
+        assert skipped, g.edges  # the capped filter still skips
+        for f in skipped:
+            images = (tuple(f[v] for v in p) for p in lifts[: _MAX_QUOTIENT_GROUP - 1])
+            assert any(image < f and image in walk_witnesses for image in images), (g.edges, f)
+        assert set(res.witnesses) == set(tested) - {optimal_f}, g.edges
+        for witness in res.witnesses.values():
+            assert color_from_lists(g, witness) is None
+    # Ten disjoint K_2 have 10! = 3,628,800; listing their lifts would take
+    # about a gigabyte, so this returns only because the search stops early.
     res = sum_choice_exact(disjoint_cliques(*(2,) * 10), budget=0)
     assert (res.value, res.optimal_f, res.budget_used) == (30, (1, 2) * 10, 0)
 
@@ -407,6 +431,10 @@ def test_budget_sweep_pinned():
 def test_empty_graph():
     res = sum_choice_exact(make_graph(0, []))
     assert (res.value, res.optimal_f, res.bracket, res.budget_used) == (0, (), (0, 0), 0)
+    assert res.witnesses is None
+    res = sum_choice_exact(make_graph(0, []), record_witnesses=True)
+    assert (res.value, res.optimal_f, res.undecided, res.bracket) == (0, (), False, (0, 0))
+    assert (res.budget_used, res.witnesses) == (0, {})
 
 
 def test_undecided_bracket():

@@ -13,9 +13,12 @@ import pytest
 from sumchoice.bipartite import closed_form, constr_assignment
 from sumchoice.choosability import (
     BudgetExceededError,
+    _atoms,
     _Budget,
+    _ranked,
     bipartite_is_sufficient,
     color_from_lists,
+    normalize_lists,
 )
 from sumchoice.exact import sorted_profiles, sum_choice_type2_exact
 from sumchoice.graphs import make_graph
@@ -23,6 +26,7 @@ from sumchoice.rng import derive_rng
 from sumchoice.type2 import (
     ReducedGraph,
     ReducedWitness,
+    _assignment_insufficient,
     _FaceCost,
     _integer_point,
     _minimal_blocking,
@@ -241,6 +245,107 @@ def test_symmetrize_rejects_sufficient_input():
 def test_symmetrize_rejects_empty_a_list(lists):
     with pytest.raises(ValueError, match="nonempty"):
         symmetrize(lists, make_graph(2, [(0, 1)]))
+
+
+def looped_symmetrize(LA, conflict):
+    """symmetrize as it was before its single pass: both steps repeated
+    until nothing changes."""
+    LA = normalize_lists(LA)
+    if not all(LA):
+        raise ValueError("every A-list must be nonempty")
+    colors, masks = _ranked(LA)
+    adj: dict[int, set[int]] = {c: set() for c in colors}
+    for u, v in conflict.edges:
+        if u in adj and v in adj:  # conflicts on colors outside every list are inert
+            adj[u].add(v)
+            adj[v].add(u)
+    if not _assignment_insufficient(LA, adj):
+        raise ValueError("assignment is sufficient; nothing to symmetrize")
+
+    atoms = {pattern: [colors[c] for c in cs] for pattern, cs in _atoms(masks).items()}
+
+    for _ in range(4 * len(colors) * len(colors) + 16):
+        changed = False
+        for mask in sorted(atoms):
+            members = atoms[mask]
+            for u, v in itertools.combinations(members, 2):
+                if v in adj[u]:
+                    adj[u].discard(v)
+                    adj[v].discard(u)
+                    changed = True
+        for mask in sorted(atoms):
+            members = atoms[mask]
+            source = min(members, key=lambda c: (len(adj[c]), c))
+            target = set(adj[source])
+            for c in members:
+                if adj[c] != target:
+                    for w in adj[c] - target:
+                        adj[w].discard(c)
+                    for w in target - adj[c]:
+                        adj[w].add(c)
+                    adj[c] = set(target)
+                    changed = True
+        if not changed:
+            break
+    else:
+        raise RuntimeError("symmetrization did not converge")
+
+    x = {mask: len(members) for mask, members in atoms.items()}
+    edges = []
+    for m1, m2 in itertools.combinations(sorted(atoms), 2):
+        links = sum(1 for c in atoms[m1] for d in atoms[m2] if d in adj[c])
+        if links == len(atoms[m1]) * len(atoms[m2]):
+            edges.append((m1, m2))
+        elif links != 0:
+            raise AssertionError("block neither complete nor empty after symmetrization")
+    if not _assignment_insufficient(LA, adj):
+        raise AssertionError("symmetrization lost insufficiency")
+    reduced = ReducedGraph(vertices=tuple(sorted(atoms)), edges=tuple(sorted(edges)))
+    return x, reduced
+
+
+def test_symmetrize_single_pass_matches_the_loop():
+    # Seeded random assignments of up to four A-lists over up to nine
+    # colors with dense conflicts, a quarter of them insufficient: one pass
+    # returns what the loop to a fixed point returned, or raises what it
+    # raised.
+    insufficient = 0
+    for i in range(2000):
+        rng = derive_rng(0, "symmetrize-single-pass", i)
+        n_colors = rng.randint(2, 9)
+        lists = [
+            rng.sample(range(n_colors), rng.randint(1, min(4, n_colors)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        density = rng.choice((0.5, 0.7, 0.85, 1.0))
+        edges = [p for p in itertools.combinations(range(n_colors), 2) if rng.random() < density]
+        conflict = make_graph(n_colors, edges)
+        try:
+            want = looped_symmetrize(lists, conflict)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                symmetrize(lists, conflict)
+            continue
+        assert symmetrize(lists, conflict) == want, (lists, edges)
+        insufficient += 1
+    assert insufficient == 492
+
+
+@pytest.mark.parametrize(
+    "run, a, q, bad",
+    [
+        (chi_sc2_reduced, 2.5, 3, "a"),
+        (chi_sc2_reduced, "2", 3, "a"),
+        (sum_choice_type2_exact, 2, 2.5, "q"),
+        (sum_choice_type2_exact, 2.5, 3, "a"),
+        (sum_choice_type2_exact, 2, "3", "q"),
+    ],
+)
+def test_type2_search_sizes_must_be_integers(run, a, q, bad):
+    # each died with a TypeError in range or in a comparison before
+    value = {"a": a, "q": q}[bad]
+    with pytest.raises(ValueError, match=re.escape(f"values of {bad} must be integers, got {value!r}")):
+        run(a, q)
 
 
 # ---------------------------------------------------------------------------
