@@ -5,8 +5,8 @@ generic path enumerates list assignments up to color relabeling (each class
 is a multiset of membership patterns, walked as submasks of the vertices
 still needing colors) and backtracks a coloring for each, both on bitmasks:
 a list is an int with bit c set for color c.  Before that it takes one
-vertex-deletion step on the peeled core, recursively, with the cores found
-sufficient memoized on the search's meter; each subproblem is a tuple of
+vertex-deletion step on the peeled core, recursively, with both verdicts of
+each core memoized on the search's meter; each subproblem is a tuple of
 neighbour masks (entry v: v's neighbours among 0..k-1) with its f.  The peel
 runs from a worklist (degrees counted once, then lowered as vertices drop),
 a core the peel leaves whole is its graph as given, and core-v comes from
@@ -19,13 +19,17 @@ with f unchanged: f sufficient on the core implies it on core-v.  The search
 returns only a raw failure, one small tuple per deletion step; a failing
 assignment of core-v lifts from it the same way in both cases, by fresh
 colors c, c+1, ... in L(v) and, when f(v) = 1, c in every neighbor's list
-(``_generic_lift``).  Once every core-v is sufficient, a class in which some
-color c has an independent pattern P is colorable: give every vertex of P
-the color c, which lies in no other list, and color core-P, an induced
-subgraph of a sufficient core-v, from its own lists.  So only classes whose
-every pattern spans an edge of the core are enumerated and colored; each
-pattern is tested on first sight, once per walk.  For labeled complete
-bipartite / complete split graphs it switches to a transversal formulation.
+(``_generic_lift``).  Once every core-v is sufficient, call the pattern P of
+a color c (the vertices whose lists hold c) safe when some v in P can take
+c: N(v) and P are disjoint, so core-v is sufficient as it stands, or f one
+less on N(v) & P is sufficient on core-v, by a sub-search on the same meter.
+Then v takes c, no neighbour of v can, and core-v colors from what is left,
+so a class with a safe pattern is colorable.  Only the classes whose every
+pattern is unsafe are enumerated and colored, so the first failing class is
+the one the full stream meets first; each pattern is tested when the walk
+first meets it, once per walk, and a safety sub-search that is insufficient
+only leaves its pattern unsafe.  For labeled complete bipartite / complete
+split graphs it switches to a transversal formulation.
 The same peel first drops every vertex with more colors than live neighbors,
 part by part, which leaves a smaller K_{a',q'} or G_{a',q'} (or nothing:
 sufficient at no cost).  On that core it walks the shapes of the A-side
@@ -45,12 +49,14 @@ per search from ``enumerate_canonical_assignments``, so a trace of it counts
 them, and otherwise frozensets are built only for a witness.  One meter
 (``_Budget``) lives for one top-level search: ``sum_choice_exact``,
 ``sum_choice_type2_exact``, ``chi_sc2_reduced``, or one bare public oracle
-call.  Every oracle call of the search ticks it, and it keeps one lazy
-stream of shapes per core A-sizes, each shape with its target family, that
-every walk ``tee``s; the result of each blocker search per (family, live
-Q-sizes); and the generic cores found sufficient per (core masks, core f).
-One memo rule holds for both: a hit ticks the units of its first run again,
-so the units of a search are those of the same search with no memo.  The
+call.  Every oracle call of the search ticks it (on the generic path, each
+search call once, sub-searches and memo hits included, and each class
+walked), and it keeps one lazy stream of shapes per core A-sizes, each
+shape with its target family, that every walk ``tee``s; the result of each
+blocker search per (family, live Q-sizes); and the generic verdict, None or
+the failing step, per (core masks, core f).  One memo rule holds for both
+memos: a hit ticks the units of its first run again, so the units of a
+search are those of the same search with no memo.  The
 target families are computed outside the budget, once per distinct shape per
 search.  Both paths report an explicit ``undecided`` verdict when the budget
 runs out.
@@ -100,13 +106,13 @@ class Verdict:
     read.  Equality, hash and ``repr`` go by (status, witness, checked).
 
     ``checked`` is the units the call ticked on its meter (``_Budget``):
-    A-side shapes and blocker-search nodes on the transversal path,
-    enumerated classes on the generic path (see the module docstring); the
-    peel and the exact removal of f = 1 vertices tick none.  A blocker
-    search or a sufficient generic core replayed from the meter's memo ticks
-    the units of its first run, so ``checked`` is the work of the call with
-    no memo: it depends neither on reuse nor on what other calls ticked the
-    same meter.
+    A-side shapes and blocker-search nodes on the transversal path; on the
+    generic path, each search call (the deletion step's and the safety
+    tests' sub-searches included) and each enumerated class (see the module
+    docstring).  A blocker search or a generic core replayed from the
+    meter's memo ticks the units of its first run, so ``checked`` is the
+    work of the call with no memo: it depends neither on reuse nor on what
+    other calls ticked the same meter.
     """
 
     def __init__(self, status: str, witness: ListAssignment | None = None, checked: int = 0):
@@ -302,15 +308,6 @@ def _class_masks(f: SizeFunction, allowed: Callable[[int], bool] | None) -> Iter
         del rec  # rec refers to itself through its closure cell
 
 
-def _edge_spanning_classes(adj: Sequence[int], f: SizeFunction) -> Iterator[tuple[int, ...]]:
-    """The classes of ``_class_masks`` in which every pattern spans an edge
-    of the graph with neighbour masks adj, in stream order: the ones left to
-    color on a core whose every core-v is sufficient.  Each pattern is
-    tested on first sight, so the cache grows only with the walk."""
-    spans = functools.cache(lambda pattern: any(adj[v] & pattern for v in bits_of(pattern)))
-    return _class_masks(f, spans)
-
-
 # ---------------------------------------------------------------------------
 # Transversal check (complete bipartite semantics)
 
@@ -429,10 +426,11 @@ class _Budget:
     each with its target family, holding every shape walked so far.  Per
     (family, sorted live Q-sizes): the blocker search's result and the
     number of nodes it ticked.  Per (core masks, core f) of the generic
-    path: the units that a core found sufficient ticked.  A hit in either
-    memo ticks that many again through ``replay``, so it runs out of budget
-    exactly where its first run would: ``checked`` and ``budget_used`` do
-    not depend on what was reused.
+    path: the core's failing step, or None when it is sufficient, and the
+    units its search ticked.  A hit in either memo ticks that many again
+    through ``replay``, so it runs out of budget exactly where its first run
+    would: ``checked`` and ``budget_used`` do not depend on what was
+    reused.
     """
 
     __slots__ = ("left", "used", "shapes", "searches", "settled")
@@ -442,7 +440,7 @@ class _Budget:
         self.used = 0
         self.shapes: dict[tuple[SizeFunction, bool], Iterator[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
         self.searches: dict[tuple[tuple[int, ...], SizeFunction], tuple[tuple[int, ...] | None, int]] = {}
-        self.settled: dict[tuple[tuple[int, ...], SizeFunction], int] = {}
+        self.settled: dict[tuple[tuple[int, ...], SizeFunction], tuple[tuple | None, int]] = {}
 
     def tick(self, amount: int = 1) -> None:
         self.left -= amount
@@ -724,9 +722,11 @@ def is_sufficient(
     bipartite and complete split graphs take the transversal fast path; an
     unlabeled copy, ``make_graph(g.n, g.edges)``, takes the generic one.
     Both paths first peel the vertices with f(v) > deg(v) (see
-    ``peel_order``), so neither spends budget on them.  ``budget`` may be a
-    meter (``_Budget``) that the calls of one search share, with its memos;
-    an int starts a fresh meter, so the memos live for this call alone.
+    ``peel_order``), and neither ticks a unit per vertex peeled, though a
+    generic search call ticks one whatever its peel leaves.  ``budget`` may
+    be a meter (``_Budget``) that the calls of one search share, with its
+    memos; an int starts a fresh meter, so the memos live for this call
+    alone.
     """
     f = validate_sizes(f, g.n, minimum=0)
     if any(s == 0 for s in f):
@@ -758,16 +758,12 @@ def _generic_search(adj: tuple[int, ...], f: SizeFunction, meter: _Budget) -> _G
     adj, or None when f is sufficient; ``_generic_lift`` turns it into a
     witness, and nothing else builds one.
 
-    One deletion step on the peeled core (see the module docstring): the
-    first vertex i with f(i) = 1 alone, f lowered by one on N(i), and its
-    answer is final; with no such vertex, every i with f unchanged.  The
-    core's masks are adj itself when the peel drops nothing, and core-i's
-    are the core's with bit i deleted (``_without``): no subproblem is
-    rebuilt by a scan over vertex pairs.  Each enumerated class ticks
-    ``meter``, the deletion step does not; a core found sufficient is kept
-    in ``meter.settled`` with the units its walk ticked, and a later hit on
+    Every call ticks ``meter`` once, then peels.  The core's masks are adj
+    itself when the peel drops nothing.  Both verdicts of a core are kept in
+    ``meter.settled`` with the units its search ticked, and a later hit on
     it in the same search replays them.
     """
+    meter.tick()
     core = peel_order(adj, f)
     if not core:
         return None
@@ -777,25 +773,69 @@ def _generic_search(adj: tuple[int, ...], f: SizeFunction, meter: _Budget) -> _G
         sub, core_f = _induced(adj, core), tuple(f[v] for v in core)
     key = (sub, core_f)
     if key in meter.settled:
-        meter.replay(meter.settled[key])
-        return None
-    start = meter.used
+        step, units = meter.settled[key]
+        meter.replay(units)
+    else:
+        start = meter.used
+        step = _core_search(sub, core_f, meter)
+        meter.settled[key] = step, meter.used - start
+    return None if step is None else (core, core_f, f, *step)
+
+
+def _core_search(sub: tuple[int, ...], core_f: SizeFunction, meter: _Budget) -> tuple | None:
+    """The failing step (i, near, below) of the peeled core ``sub`` at
+    ``core_f``, or None when core_f is sufficient on it.
+
+    One deletion step (see the module docstring): the first vertex i with
+    f(i) = 1 alone, f lowered by one on N(i), and its answer is final; with
+    no such vertex, every i with f unchanged.  core-i's masks are the core's
+    with bit i deleted (``_without``): no subproblem is rebuilt by a scan
+    over vertex pairs.  Then the walk over the classes whose every pattern
+    is unsafe (``_unsafe_patterns``), each class ticking ``meter``.
+    """
     exact = 1 in core_f
     for i in [core_f.index(1)] if exact else range(len(sub)):
         near = sub[i] if exact else 0
-        rest_f = tuple(s - (near >> u & 1) for u, s in enumerate(core_f) if u != i)
+        rest_f = _lowered(core_f, i, near)
         if 0 in rest_f:  # a neighbor also has f = 1: both get the same color
-            return core, core_f, f, i, near, None
+            return i, near, None
         below = _generic_search(_without(sub, i), rest_f, meter)
         if below is not None:
-            return core, core_f, f, i, near, below
+            return i, near, below
     if not exact:
-        for masks in _edge_spanning_classes(sub, core_f):
+        for masks in _class_masks(core_f, _unsafe_patterns(sub, core_f, meter)):
             meter.tick()
             if _color_masks(sub, masks) is None:
-                return core, core_f, f, None, 0, masks
-    meter.settled[key] = meter.used - start
+                return None, 0, masks
     return None
+
+
+def _lowered(core_f: SizeFunction, i: int, near: int) -> SizeFunction:
+    """f on core-i: core_f without entry i, one less on each vertex of the
+    mask near."""
+    return tuple(s - (near >> u & 1) for u, s in enumerate(core_f) if u != i)
+
+
+def _unsafe_patterns(sub: tuple[int, ...], core_f: SizeFunction, meter: _Budget) -> Callable[[int], bool]:
+    """The pattern test of a class walk on a core whose every core-v is
+    sufficient, cached for that walk, so it runs when the walk first meets
+    a pattern P.  P is safe when some v in P can take its color: N(v) and P
+    are disjoint (core-v is sufficient), or f one less on N(v) & P is
+    sufficient on core-v.  Either way v takes the color, no neighbour of v
+    can, and core-v colors from what is left, so a class with a safe
+    pattern is colorable.  Every sub-search ticks ``meter``; an
+    insufficient one only leaves P unsafe."""
+
+    def unsafe(pattern: int) -> bool:
+        members = bits_of(pattern)
+        if any(not sub[v] & pattern for v in members):
+            return False
+        return all(
+            _generic_search(_without(sub, v), _lowered(core_f, v, sub[v] & pattern), meter) is not None
+            for v in members
+        )
+
+    return functools.cache(unsafe)
 
 
 def _generic_lift(failure: _GenericFailure) -> ListAssignment:

@@ -22,9 +22,9 @@ from sumchoice.choosability import (
     _Budget,
     _by_size_then_colors,
     _class_masks,
-    _edge_spanning_classes,
     _induced,
     _minimal_covers,
+    _unsafe_patterns,
     _without,
     bipartite_is_sufficient,
     color_from_lists,
@@ -250,13 +250,22 @@ def cores_up_to_isomorphism(g, cap):
             yield f
 
 
-def test_edge_spanning_walk_is_the_filtered_stream():
-    # The generic oracle walks only the classes whose every color lies in
-    # both ends of some edge.  On every core with at most five vertices and
+def minus_vertex(g, v):
+    """g with vertex v deleted, the vertices above it renumbered one down."""
+    keep = [u for u in range(g.n) if u != v]
+    return make_graph(g.n - 1, [(keep.index(a), keep.index(b)) for a, b in g.edges if v not in (a, b)])
+
+
+def test_unsafe_walk_is_the_filtered_stream():
+    # The generic oracle walks only the classes whose every pattern P (the
+    # vertices holding one color) is unsafe: no v in P is such that the
+    # lists of g - v, one smaller on the neighbours of v in P, are always
+    # colorable.  The walk runs on a core with no f = 1 once every g - v is
+    # sufficient at f, so on every core with at most five vertices and
     # f <= 3, up to isomorphism, and on seeded six-vertex cores with f <= 2,
-    # that walk must be the full stream (the one
-    # enumerate_canonical_assignments views) filtered to those classes, in
-    # its order.
+    # each f where that holds must walk the full stream (the one
+    # enumerate_canonical_assignments views) filtered by that test, asked of
+    # a fresh is_sufficient for each v in P, in the stream's order.
     full_stream = functools.cache(lambda f: list(_class_masks(f, None)))
     cases = [(g, 3) for n in range(1, 6) for g in graphs_up_to_isomorphism(n)]
     for seed in range(2):
@@ -265,13 +274,30 @@ def test_edge_spanning_walk_is_the_filtered_stream():
     dropped = kept = 0
     for g, cap in cases:
         for f in cores_up_to_isomorphism(g, cap):
+            if 1 in f or any(
+                is_sufficient(minus_vertex(g, v), f[:v] + f[v + 1 :]).status != "sufficient" for v in range(g.n)
+            ):
+                continue
+
+            @functools.cache
+            def unsafe(pattern):
+                return all(
+                    is_sufficient(
+                        minus_vertex(g, v), [s - ((g.adj[v] & pattern) >> u & 1) for u, s in enumerate(f) if u != v]
+                    ).status
+                    != "sufficient"
+                    for v in bits_of(pattern)
+                )
+
             want = [
                 masks
                 for masks in full_stream(f)
-                if functools.reduce(operator.or_, (masks[u] & masks[v] for u, v in g.edges), 0)
-                == functools.reduce(operator.or_, masks)
+                if all(
+                    unsafe(sum(1 << v for v, L in enumerate(masks) if L >> c & 1))
+                    for c in range(functools.reduce(operator.or_, masks).bit_length())
+                )
             ]
-            assert list(_edge_spanning_classes(g.adj, f)) == want, (g, f)
+            assert list(_class_masks(f, _unsafe_patterns(g.adj, f, _Budget(10**9)))) == want, (g, f)
             dropped += len(full_stream(f)) - len(want)
             kept += len(want)
     assert dropped > kept > 0
@@ -383,19 +409,20 @@ def test_generic_oracle_matches_reference_on_random_graphs():
 
 
 def test_generic_sufficient_work_pinned():
-    # Classes walked on the sufficient queries of the generic_sufficient
-    # bench workload (before the walk kept only edge-spanning patterns:
-    # 2,691 / 189 / 215 / 329 / 189).  A class with an independent pattern
-    # that came back into the walk would raise these counts.  A core met
-    # again counts the classes of its first walk, so these are the counts
-    # of the walk with no memo (68 for both (2, 2, 2, 2, 2) queries when a
-    # repeat within the call counted nothing).
-    cases = [(cycle(6), (2,) * 6, 543)]
+    # Units ticked on the sufficient queries of the generic_sufficient bench
+    # workload: one per generic search call and one per class walked, a
+    # memo hit replaying the units of its first run, so these are the
+    # counts of the search with no memo.  The walks take 1 / 8 / 1 / 1 / 8
+    # classes: every other class has a safe pattern.  When only classes
+    # ticked and the walk kept every class whose patterns all span an edge,
+    # the units were 543 / 88 / 93 / 125 / 88 (2,691 / 189 / 215 / 329 /
+    # 189 when it kept every class).
+    cases = [(cycle(6), (2,) * 6, 88)]
     for q, f, checked in [
-        (3, (2, 2, 2, 2, 2), 88),
-        (3, (3, 2, 2, 2, 2), 93),
-        (3, (3, 3, 2, 2, 2), 125),
-        (4, (2, 2, 2, 2, 2, 3), 88),
+        (3, (2, 2, 2, 2, 2), 192),
+        (3, (3, 2, 2, 2, 2), 110),
+        (3, (3, 3, 2, 2, 2), 52),
+        (4, (2, 2, 2, 2, 2, 3), 192),
     ]:
         labeled = complete_bipartite(2, q)
         cases.append((make_graph(labeled.n, labeled.edges), f, checked))
@@ -929,13 +956,13 @@ def test_repeated_generic_call_replays_its_units():
     labeled = complete_bipartite(2, 4)
     g, f = make_graph(labeled.n, labeled.edges), (2, 2, 2, 2, 2, 3)
     first = is_sufficient(g, f)
-    assert first == Verdict("sufficient", None, 88)
+    assert first == Verdict("sufficient", None, 192)
     meter = _Budget(10**9)
     assert is_sufficient(g, f, budget=meter) == first
     settled = dict(meter.settled)
     assert is_sufficient(g, f, budget=meter) == first  # a hit on the top core
     assert meter.settled == settled and meter.used == 2 * first.checked
-    for k in (0, 1, 44, 87):
+    for k in (0, 1, 96, 191):
         meter = _Budget(first.checked + k)
         is_sufficient(g, f, budget=meter)
         assert meter.left == k

@@ -113,17 +113,20 @@ def relabeled(g, perm):
 # (value, optimal_f, budget_used) of the exact search, pinned so that a change
 # to the driver cannot move the answer, the tie-break or the oracle calls.
 # The value and optimal_f of random_graph(7, 10, 0) were first computed by
-# the oracle without the exact removal of f = 1 vertices (about 45 s).
+# the oracle without the exact removal of f = 1 vertices (about 45 s).  The
+# five unlabeled rows' units are generic search calls plus classes walked;
+# when only classes ticked and the walk kept every class whose patterns all
+# span an edge, they were 68, 10, 0, 0 and 6,177.
 GOLDEN = [
     (complete_bipartite(2, 10), 27, (3, 4) + (2,) * 10, 4681),
     (complete_bipartite(3, 6), 21, (3, 3, 3, 2, 2, 2, 2, 2, 2), 5903),
     (complete_bipartite(4, 4), 20, (2, 2, 2, 2, 3, 3, 3, 3), 5978),
     (complete_split(3, 4), 20, (2, 4, 6, 2, 2, 2, 2), 8143),
-    (random_graph(6, 8, 1), 14, (1, 1, 1, 3, 3, 5), 68),
-    (random_graph(6, 8, 7), 14, (1, 2, 1, 2, 3, 5), 10),
-    (disjoint_cliques(3, 3, 2), 15, (1, 2, 3, 1, 2, 3, 1, 2), 0),
-    (cycle(7), 14, (1, 2, 2, 2, 2, 2, 3), 0),
-    (random_graph(7, 10, 0), 16, (1, 2, 2, 2, 4, 3, 2), 6177),
+    (random_graph(6, 8, 1), 14, (1, 1, 1, 3, 3, 5), 1989),
+    (random_graph(6, 8, 7), 14, (1, 2, 1, 2, 3, 5), 537),
+    (disjoint_cliques(3, 3, 2), 15, (1, 2, 3, 1, 2, 3, 1, 2), 102),
+    (cycle(7), 14, (1, 2, 2, 2, 2, 2, 3), 147),
+    (random_graph(7, 10, 0), 16, (1, 2, 2, 2, 4, 3, 2), 6899),
 ]
 
 
@@ -137,8 +140,8 @@ def test_exact_golden(g, value, optimal_f, budget_used):
 @pytest.mark.parametrize(
     "g, value, optimal_f, budget_used, witnesses",
     [
-        (random_graph(8, 12, 1), 20, (1, 2, 2, 2, 3, 3, 5, 2), 8858, 11496),
-        (random_graph(9, 12, 0), 21, (1, 2, 1, 2, 3, 2, 2, 2, 6), 5344, 19305),
+        (random_graph(8, 12, 1), 20, (1, 2, 2, 2, 3, 3, 5, 2), 75785, 11496),
+        (random_graph(9, 12, 0), 21, (1, 2, 1, 2, 3, 2, 2, 2, 6), 58163, 19305),
     ],
 )
 def test_exact_value_certified_without_the_class_walk(g, value, optimal_f, budget_used, witnesses):
@@ -151,7 +154,8 @@ def test_exact_value_certified_without_the_class_walk(g, value, optimal_f, budge
     # twins is an automorphism, so the proof covers it too.  The twin
     # quotient has no symmetry, so the orbit filter skips no candidate.
     # (random_graph(8, 12, 0) has no such proof: its optimal f keeps all
-    # eight vertices in the core.)
+    # eight vertices in the core.)  budget_used counts every generic search
+    # call; it was 8,858 and 5,344 when only classes walked ticked.
     assert next(g.twin_quotient_lifts(), None) is None
     res = sum_choice_exact(g, record_witnesses=True)
     assert (res.value, res.optimal_f, res.budget_used) == (value, optimal_f, budget_used)
@@ -380,8 +384,50 @@ def test_orbit_filter_past_the_cap_is_sound(monkeypatch):
             assert color_from_lists(g, witness) is None
     # Ten disjoint K_2 have 10! = 3,628,800; listing their lifts would take
     # about a gigabyte, so this returns only because the search stops early.
-    res = sum_choice_exact(disjoint_cliques(*(2,) * 10), budget=0)
-    assert (res.value, res.optimal_f, res.budget_used) == (30, (1, 2) * 10, 0)
+    # Every generic search call ticks, so it runs at the default budget.
+    res = sum_choice_exact(disjoint_cliques(*(2,) * 10))
+    assert (res.value, res.optimal_f, res.undecided, res.budget_used) == (30, (1, 2) * 10, False, 2553)
+
+
+def test_three_disjoint_c5_at_budget_zero_stop_at_once():
+    # The peel and the f = 1 removal settle every tested candidate of three
+    # disjoint C_5 without walking a class.  Each generic search call ticks,
+    # so the first candidate runs out of a budget of 0; when only classes
+    # ticked, this ran for about 30 s and returned 30 as decided, at 0 units.
+    c5 = cycle(5).edges
+    g = make_graph(15, [(u + 5 * k, v + 5 * k) for k in range(3) for u, v in c5])
+    res = sum_choice_exact(g, budget=0)
+    assert (res.value, res.optimal_f, res.undecided, res.bracket, res.budget_used) == (None, None, True, (15, 30), 1)
+
+
+def test_every_generic_search_call_ticks(monkeypatch):
+    # One unit bounds every loop: each generic search call, the deletion
+    # step's, the safety tests' and the memo hits' included, ticks the meter
+    # at least once, so budget_used is at least the number of calls.
+    calls = 0
+    search = choosability._generic_search
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(choosability, "_generic_search", counting)
+    for g, value, optimal_f, _ in GOLDEN:
+        if g.parts is None:
+            calls = 0
+            res = sum_choice_exact(g)
+            assert (res.value, res.optimal_f) == (value, optimal_f), g.edges
+            assert res.budget_used >= calls > 0, g.edges
+
+
+@pytest.mark.parametrize("a, q, value", [(2, 5, 15), (2, 6, 18), (3, 3, 13), (3, 4, 16)])
+def test_unlabeled_complete_bipartite_matches_the_labeled_value(a, q, value):
+    # A second path for each value: the generic oracle on an unlabeled copy
+    # against the transversal oracle on the labeled graph.
+    labeled = complete_bipartite(a, q)
+    assert sum_choice_exact(labeled).value == value
+    assert sum_choice_exact(make_graph(labeled.n, labeled.edges)).value == value
 
 
 def test_shared_memo_matches_fresh_calls_on_every_small_graph():
@@ -429,12 +475,13 @@ def test_budget_sweep_pinned():
 
 
 def test_empty_graph():
+    # The one candidate, f = (), costs its one generic search call.
     res = sum_choice_exact(make_graph(0, []))
-    assert (res.value, res.optimal_f, res.bracket, res.budget_used) == (0, (), (0, 0), 0)
+    assert (res.value, res.optimal_f, res.bracket, res.budget_used) == (0, (), (0, 0), 1)
     assert res.witnesses is None
     res = sum_choice_exact(make_graph(0, []), record_witnesses=True)
     assert (res.value, res.optimal_f, res.undecided, res.bracket) == (0, (), False, (0, 0))
-    assert (res.budget_used, res.witnesses) == (0, {})
+    assert (res.budget_used, res.witnesses) == (1, {})
 
 
 def test_undecided_bracket():
@@ -610,9 +657,9 @@ def test_status_only_paths_build_no_witness(monkeypatch):
     assert sum_choice_type2_exact(3, 5) == 19
     # the generic path: nearly every candidate is insufficient, none is read
     res = sum_choice_exact(random_graph(6, 8, 1))
-    assert (res.value, res.optimal_f, res.budget_used) == (14, (1, 1, 1, 3, 3, 5), 68)
+    assert (res.value, res.optimal_f, res.budget_used) == (14, (1, 1, 1, 3, 3, 5), 1989)
     res = sum_choice_exact(disjoint_cliques(3, 3, 2))
-    assert (res.value, res.optimal_f, res.budget_used) == (15, (1, 2, 3, 1, 2, 3, 1, 2), 0)
+    assert (res.value, res.optimal_f, res.budget_used) == (15, (1, 2, 3, 1, 2, 3, 1, 2), 102)
 
 
 def test_sorted_profiles_cover_all_multisets():

@@ -24,7 +24,10 @@ from sumchoice.rng import derive_rng
 from sumchoice.turan import split_witness
 from sumchoice.type2 import chi_sc2_reduced, materialize_reduced_witness, type2_insufficient
 
-WITNESS_DIGEST = "6bf55a405219d38237174efdbca55389c5caaa994cf4fe22c3ba3a34e21812a1"
+# Re-pinned when every generic search call began to tick: only the generic
+# verdicts' ``checked`` moved; with ``checked`` left out of each line, the
+# sweep hashes the same before and after.
+WITNESS_DIGEST = "e33e5f286a47c95e6bee2a74319ec30bc4650135827cfe4f15acf4c4a4234a6b"
 
 
 def canon(obj):
