@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .choosability import ListAssignment, _int_size, normalize_lists, pad_witness
-from .graphs import Graph, complete_bipartite
+from .graphs import Graph, as_int, complete_bipartite
 from .rng import derive_rng
 
 _LOG = {"e": math.log, "2": math.log2}
@@ -35,6 +35,7 @@ def closed_form(a: int, q: int) -> int | None:
     a=1: 2q+1 (any tree on q+1 vertices); a=2: 2q+1+floor(sqrt(4q+1));
     a=3: 2q+1+floor(sqrt(12q+4)).
     """
+    a, q = as_int(a, "values of a", ValueError), as_int(q, "values of q", ValueError)
     if a < 1 or q < 1:
         raise ValueError("need a >= 1 and q >= 1")
     if a == 1:
@@ -52,6 +53,7 @@ def ub_bound(a: int, q: int) -> int:
     Achieved by f = (r on A, 2 on Q) for any integer r at least
     sqrt(32 q (1+ln a)); the ceiling realizes the smallest such r.
     """
+    a, q = as_int(a, "values of a", ValueError), as_int(q, "values of q", ValueError)
     if not q >= a >= 2:
         raise ValueError(f"upper bound needs q >= a >= 2, got a={a}, q={q}")
     return 2 * q + a * recommended_r(a, q)
@@ -59,6 +61,7 @@ def ub_bound(a: int, q: int) -> int:
 
 def lb_bound(a: int, q: int, log_base: str = "e") -> float:
     """2q + 0.06 a sqrt(q log a), valid for q > 4 a^2 log a."""
+    a, q = as_int(a, "values of a", ValueError), as_int(q, "values of q", ValueError)
     if a < 2:
         raise ValueError(f"lower bound needs a >= 2, got a={a}")
     la = _log(a, log_base)
@@ -71,6 +74,7 @@ def lb_bound(a: int, q: int, log_base: str = "e") -> float:
 
 def recommended_r(a: int, q: int) -> int:
     """Smallest integer list size for A in the randomized upper bound."""
+    a, q = as_int(a, "values of a", ValueError), as_int(q, "values of q", ValueError)
     if a < 1 or q < 1:
         raise ValueError(f"need a >= 1 and q >= 1, got a={a}, q={q}")
     return math.ceil(math.sqrt(32.0 * q * (1.0 + math.log(a))))
@@ -78,6 +82,7 @@ def recommended_r(a: int, q: int) -> int:
 
 def default_pick_probability(a: int, q: int) -> float:
     """Pick probability sqrt(2 (1 + ln a) / q) used by the random process."""
+    a, q = as_int(a, "values of a", ValueError), as_int(q, "values of q", ValueError)
     if a < 1 or q < 1:
         raise ValueError(f"need a >= 1 and q >= 1, got a={a}, q={q}")
     return min(1.0, math.sqrt(2.0 * (1.0 + math.log(a)) / q))
@@ -155,6 +160,7 @@ def constr_assignment(t: int, ell: int) -> ConstrAssignment:
     more), so some A-list is missed: the assignment is insufficient.
     A-list sizes satisfy (t*ell)^2 = q * log2(a).
     """
+    t, ell = as_int(t, "values of t", ValueError), as_int(ell, "values of ell", ValueError)
     if t < 2:
         raise ValueError(f"construction needs t >= 2, got {t}")
     if ell < 1:

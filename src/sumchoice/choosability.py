@@ -49,17 +49,16 @@ per search from ``enumerate_canonical_assignments``, so a trace of it counts
 them, and otherwise frozensets are built only for a witness.  One meter
 (``_Budget``) lives for one top-level search: ``sum_choice_exact``,
 ``sum_choice_type2_exact``, ``chi_sc2_reduced``, or one bare public oracle
-call.  Every oracle call of the search ticks it (on the generic path, each
-search call once, sub-searches and memo hits included, and each class
-walked), and it keeps one lazy stream of shapes per core A-sizes, each
-shape with its target family, that every walk ``tee``s; the result of each
-blocker search per (family, live Q-sizes); and the generic verdict, None or
-the failing step, per (core masks, core f).  One memo rule holds for both
-memos: a hit ticks the units of its first run again, so the units of a
-search are those of the same search with no memo.  The
-target families are computed outside the budget, once per distinct shape per
-search.  Both paths report an explicit ``undecided`` verdict when the budget
-runs out.
+call.  A budget unit is one step the search runs: a generic search call
+(sub-searches and memo hits included), a class walked, an A-shape walked or
+a blocker-search node (and, in ``type2``, an integer-point node).  The meter
+keeps one lazy stream of shapes per core A-sizes, each shape with its target
+family, that every walk ``tee``s; the result of each blocker search per
+(family, live Q-sizes); and the generic verdict, None or the failing step,
+per (core masks, core f).  A memo hit runs no step, so it costs nothing
+beyond the tick of the call that finds it.  The target families are
+computed outside the budget, once per distinct shape per search.  Both paths
+report an explicit ``undecided`` verdict when the budget runs out.
 
 Every witness in the package, here and in the constructions of the other
 modules, gives its free vertices fresh colors through one ``pad_witness``
@@ -105,14 +104,10 @@ class Verdict:
     raw failure is plain data, so the witness does not depend on when it is
     read.  Equality, hash and ``repr`` go by (status, witness, checked).
 
-    ``checked`` is the units the call ticked on its meter (``_Budget``):
-    A-side shapes and blocker-search nodes on the transversal path; on the
-    generic path, each search call (the deletion step's and the safety
-    tests' sub-searches included) and each enumerated class (see the module
-    docstring).  A blocker search or a generic core replayed from the
-    meter's memo ticks the units of its first run, so ``checked`` is the
-    work of the call with no memo: it depends neither on reuse nor on what
-    other calls ticked the same meter.
+    ``checked`` is the units the call ticked on its meter (``_Budget``),
+    one per step it ran (see the module docstring).  On a meter shared with
+    earlier calls, what they left in its memos is not run again, so
+    ``checked`` is at most that of the same call on a fresh meter.
     """
 
     def __init__(self, status: str, witness: ListAssignment | None = None, checked: int = 0):
@@ -424,34 +419,29 @@ class _Budget:
 
     Per (core A-sizes, clique): one stream of the A-shapes, as list masks,
     each with its target family, holding every shape walked so far.  Per
-    (family, sorted live Q-sizes): the blocker search's result and the
-    number of nodes it ticked.  Per (core masks, core f) of the generic
-    path: the core's failing step, or None when it is sufficient, and the
-    units its search ticked.  A hit in either memo ticks that many again
-    through ``replay``, so it runs out of budget exactly where its first run
-    would: ``checked`` and ``budget_used`` do not depend on what was
-    reused.
+    (family, sorted live Q-sizes): the blocker search's result.  Per (core
+    masks, core f) of the generic path: the core's failing step, or None
+    when it is sufficient.  The cap is a nonnegative int: a float or a
+    string is a ValueError, never truncated.
     """
 
     __slots__ = ("left", "used", "shapes", "searches", "settled")
 
     def __init__(self, cap: int):
+        cap = as_int(cap, "budgets", ValueError)
+        if cap < 0:
+            raise ValueError(f"budget must be >= 0, got {cap}")
         self.left = cap
         self.used = 0
         self.shapes: dict[tuple[SizeFunction, bool], Iterator[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-        self.searches: dict[tuple[tuple[int, ...], SizeFunction], tuple[tuple[int, ...] | None, int]] = {}
-        self.settled: dict[tuple[tuple[int, ...], SizeFunction], tuple[tuple | None, int]] = {}
+        self.searches: dict[tuple[tuple[int, ...], SizeFunction], tuple[int, ...] | None] = {}
+        self.settled: dict[tuple[tuple[int, ...], SizeFunction], tuple | None] = {}
 
-    def tick(self, amount: int = 1) -> None:
-        self.left -= amount
-        self.used += amount
+    def tick(self) -> None:
+        self.left -= 1
+        self.used += 1
         if self.left < 0:
             raise BudgetExceededError("sufficiency search budget exceeded")
-
-    def replay(self, units: int) -> None:
-        """Tick again the units of a run kept in a memo, or left + 1 when
-        fewer are left: the search runs out exactly where that run would."""
-        self.tick(min(units, self.left + 1))
 
     def a_shapes(self, core_a: SizeFunction, clique: bool) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         """(A-list masks, target family) for each class of
@@ -470,19 +460,6 @@ class _Budget:
             self.shapes[key] = ((LA, family(LA)) for LA in masks)
         self.shapes[key], walk = itertools.tee(self.shapes[key])
         return walk
-
-    def blockers(self, targets: tuple[int, ...], q_live: SizeFunction) -> tuple[int, ...] | None:
-        """``_blocking_family`` of the target family at the sorted Q-sizes
-        ``q_live``, run once on this meter and replayed on it after that."""
-        key = (targets, q_live)
-        if key in self.searches:
-            found, nodes = self.searches[key]
-            self.replay(nodes)
-            return found
-        start = self.used
-        found = _blocking_family(targets, q_live, self)
-        self.searches[key] = (found, self.used - start)
-        return found
 
 
 def _meter(budget: int | _Budget) -> _Budget:
@@ -594,7 +571,10 @@ def _transversal_search(
     try:
         for LA, targets in meter.a_shapes(core_a, clique):
             meter.tick()
-            blockers = meter.blockers(targets, q_live)
+            key = (targets, q_live)
+            if key not in meter.searches:
+                meter.searches[key] = _blocking_family(targets, q_live, meter)
+            blockers = meter.searches[key]
             if blockers is not None:
                 return "insufficient", (LA, blockers, deg)
     except BudgetExceededError:
@@ -725,14 +705,14 @@ def is_sufficient(
     ``peel_order``), and neither ticks a unit per vertex peeled, though a
     generic search call ticks one whatever its peel leaves.  ``budget`` may
     be a meter (``_Budget``) that the calls of one search share, with its
-    memos; an int starts a fresh meter, so the memos live for this call
+    memos, so a step that an earlier call ran is not run or ticked again;
+    a nonnegative int starts a fresh meter, so the memos live for this call
     alone.
     """
     f = validate_sizes(f, g.n, minimum=0)
+    meter = _meter(budget)
     if any(s == 0 for s in f):
         return Verdict("insufficient", pad_witness({}, f, 0), 0)
-
-    meter = _meter(budget)
     if detect_structure(g) is not None:
         return _transversal_verdict(*_part_sizes(g, f), meter, g.parts)
     start = meter.used
@@ -760,8 +740,8 @@ def _generic_search(adj: tuple[int, ...], f: SizeFunction, meter: _Budget) -> _G
 
     Every call ticks ``meter`` once, then peels.  The core's masks are adj
     itself when the peel drops nothing.  Both verdicts of a core are kept in
-    ``meter.settled`` with the units its search ticked, and a later hit on
-    it in the same search replays them.
+    ``meter.settled``, and a later hit on it in the same search runs nothing
+    again.
     """
     meter.tick()
     core = peel_order(adj, f)
@@ -772,13 +752,9 @@ def _generic_search(adj: tuple[int, ...], f: SizeFunction, meter: _Budget) -> _G
     else:
         sub, core_f = _induced(adj, core), tuple(f[v] for v in core)
     key = (sub, core_f)
-    if key in meter.settled:
-        step, units = meter.settled[key]
-        meter.replay(units)
-    else:
-        start = meter.used
-        step = _core_search(sub, core_f, meter)
-        meter.settled[key] = step, meter.used - start
+    if key not in meter.settled:
+        meter.settled[key] = _core_search(sub, core_f, meter)
+    step = meter.settled[key]
     return None if step is None else (core, core_f, f, *step)
 
 

@@ -158,8 +158,9 @@ def sum_choice_exact(
 
     No candidate is skipped as dominated by a known-insufficient c: totals
     rise and each candidate is tested once, so every earlier c has
-    sum(c) <= sum(f), and c >= f componentwise would force c == f.  The cost
-    of the search is its oracle calls.
+    sum(c) <= sum(f), and c >= f componentwise would force c == f.  The
+    candidates share one meter, so a step that an earlier one ran, kept in
+    the meter's memos, is neither run nor ticked again.
     """
     caps = tuple(g.degree(v) + 1 for v in range(g.n))
     upper = edge_bound(g)

@@ -21,6 +21,7 @@ from .graphs import Graph, as_int, bits_of, disjoint_cliques
 def balanced_parts(s: int, k: int) -> tuple[int, ...]:
     """k nonnegative part sizes summing to s, as equal as possible,
     larger parts first."""
+    s, k = as_int(s, "values of s", ValueError), as_int(k, "values of k", ValueError)
     if k < 1:
         raise ValueError(f"need at least one part, got k={k}")
     if s < 0:
@@ -97,6 +98,7 @@ def sharp_family(s: int, a: int) -> tuple[Graph, tuple[frozenset[int], ...]]:
     """Tight example: a-1 near-equal cliques on s vertices with all a lists
     equal to the whole vertex set; it has exactly t(s, a-1) edges and no
     independent set of size a, hence no independent SDR."""
+    s, a = as_int(s, "values of s", ValueError), as_int(a, "values of a", ValueError)
     if not s >= a - 1 >= 1:
         raise ValueError(f"need s >= a-1 >= 1, got s={s}, a={a}")
     g = disjoint_cliques(*balanced_parts(s, a - 1))
@@ -127,6 +129,7 @@ def split_bounds(a: int, q: int) -> SplitBounds:
     s = floor(3 sqrt((a-1)q)); the returned upper_f = (s on A, 2 on Q) is a
     sufficient function because s lists of that size always admit an
     independent SDR against q < t(s, a-1) conflict pairs."""
+    a, q = as_int(a, "values of a", ValueError), as_int(q, "values of q", ValueError)
     if not q > a >= 2:
         raise ValueError(f"need q > a >= 2, got a={a}, q={q}")
     s = math.isqrt(9 * (a - 1) * q)
@@ -156,6 +159,7 @@ def split_witness(s_vec: Sequence[int], q: int) -> ListAssignment | None:
         raise ValueError("A-list sizes must be positive")
     if list(s_vec) != sorted(s_vec):
         raise ValueError(f"s_vec must be sorted ascending, got {s_vec}")
+    q = as_int(q, "values of q", ValueError)
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
     a = len(s_vec)

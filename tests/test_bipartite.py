@@ -21,6 +21,7 @@ from sumchoice.bipartite import (
 )
 from sumchoice.choosability import color_from_lists, transversal_check
 from sumchoice.graphs import generate
+from sumchoice.turan import sharp_family, split_bounds, split_witness, t_balanced
 
 
 def test_closed_form_values():
@@ -33,6 +34,30 @@ def test_closed_form_values():
 def test_closed_form_rejects_bad_args():
     with pytest.raises(ValueError):
         closed_form(0, 3)
+
+
+@pytest.mark.parametrize("bad", [2.5, "3"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: closed_form(2, x),
+        lambda x: ub_bound(2, x),
+        lambda x: lb_bound(2, x),
+        lambda x: recommended_r(2, x),
+        lambda x: default_pick_probability(x, 4),
+        lambda x: constr_assignment(x, 1),
+        lambda x: constr_assignment(2, x),
+        lambda x: split_bounds(2, x),
+        lambda x: split_witness((2, 2), x),
+        lambda x: sharp_family(x, 3),
+        lambda x: t_balanced(5, x),
+    ],
+)
+def test_bound_and_construction_sizes_must_be_integers(call, bad):
+    # Read through as_int: ub_bound(2, 4.5) once returned 41.0, and most of
+    # the others died with a TypeError.
+    with pytest.raises(ValueError, match="must be integers"):
+        call(bad)
 
 
 def test_ub_values():

@@ -410,24 +410,26 @@ def test_generic_oracle_matches_reference_on_random_graphs():
 
 def test_generic_sufficient_work_pinned():
     # Units ticked on the sufficient queries of the generic_sufficient bench
-    # workload: one per generic search call and one per class walked, a
-    # memo hit replaying the units of its first run, so these are the
-    # counts of the search with no memo.  The walks take 1 / 8 / 1 / 1 / 8
-    # classes: every other class has a safe pattern.  When only classes
-    # ticked and the walk kept every class whose patterns all span an edge,
-    # the units were 543 / 88 / 93 / 125 / 88 (2,691 / 189 / 215 / 329 /
-    # 189 when it kept every class).
-    cases = [(cycle(6), (2,) * 6, 88)]
-    for q, f, checked in [
-        (3, (2, 2, 2, 2, 2), 192),
-        (3, (3, 2, 2, 2, 2), 110),
-        (3, (3, 3, 2, 2, 2), 52),
-        (4, (2, 2, 2, 2, 2, 3), 192),
+    # workload: one per generic search call run and one per class walked; a
+    # memo hit costs only the tick of the call that finds it.  The walks
+    # take 1 / 8 / 1 / 1 / 8 classes: every other class has a safe pattern.
+    # With both memos patched never to hit, the units are the 88 / 192 /
+    # 110 / 52 / 192 pinned while a hit ticked the units of its first run
+    # again.  When only classes ticked and the walk kept every class whose
+    # patterns all span an edge, the units were 543 / 88 / 93 / 125 / 88
+    # (2,691 / 189 / 215 / 329 / 189 when it kept every class).
+    cases = [(cycle(6), (2,) * 6, 52, 88)]
+    for q, f, checked, memo_free in [
+        (3, (2, 2, 2, 2, 2), 87, 192),
+        (3, (3, 2, 2, 2, 2), 49, 110),
+        (3, (3, 3, 2, 2, 2), 41, 52),
+        (4, (2, 2, 2, 2, 2, 3), 87, 192),
     ]:
         labeled = complete_bipartite(2, q)
-        cases.append((make_graph(labeled.n, labeled.edges), f, checked))
-    for g, f, checked in cases:
+        cases.append((make_graph(labeled.n, labeled.edges), f, checked, memo_free))
+    for g, f, checked, memo_free in cases:
         assert is_sufficient(g, f) == Verdict("sufficient", None, checked), (g, f)
+        assert is_sufficient(g, f, budget=_forgetful_meter()) == Verdict("sufficient", None, memo_free), (g, f)
 
 
 def fixed_point_peel(adj, f):
@@ -811,8 +813,8 @@ def test_fast_path_with_noncontiguous_parts():
 
 
 # Labeled and unlabeled graphs and every transversal entry, with repeats that
-# replay blocker searches from the meter's memo (K_{3,3} at f = 2 is the
-# same core as bipartite_is_sufficient((2, 2, 2), (2, 2, 2))).
+# hit blocker searches in the meter's memo (K_{3,3} at f = 2 is the same
+# core as bipartite_is_sufficient((2, 2, 2), (2, 2, 2))).
 SHARED_CALLS = [
     (is_sufficient, (complete_bipartite(3, 3), (2,) * 6)),
     (bipartite_is_sufficient, ((2, 2, 2), (2, 2, 2))),
@@ -842,32 +844,53 @@ def _ticked(fn, args, meter):
     return answer, meter.used - start
 
 
+def _same_answer(shared, bare):
+    """Equal answers, but for a Verdict's ``checked``."""
+    if isinstance(bare, Verdict):
+        return (shared.status, shared.witness) == (bare.status, bare.witness)
+    return shared == bare
+
+
 def test_shared_meter_matches_bare_calls():
+    # A call on a meter shared with earlier calls gives the bare call's
+    # answer and ticks at most its units: what the memos hold is not run
+    # again.  The repeats run strictly less.
     meter = _Budget(10**9)
     total = 0
-    for fn, args in SHARED_CALLS:
-        bare = fn(*args)
+    for k, (fn, args) in enumerate(SHARED_CALLS):
+        bare, need = _ticked(fn, args, _Budget(10**9))
         shared, ticked = _ticked(fn, args, meter)
-        assert shared == bare, (fn.__name__, args)  # a Verdict compares checked too
+        assert _same_answer(shared, bare), (fn.__name__, args)
         if isinstance(bare, Verdict):
-            assert ticked == bare.checked, (fn.__name__, args)
-        else:  # type2_insufficient reports no count: compare a fresh meter's
-            assert ticked == _ticked(fn, args, _Budget(10**9))[1], args
+            assert (shared.checked, bare.checked) == (ticked, need), (fn.__name__, args)
+        assert 0 < ticked <= need, (fn.__name__, args)
+        if (fn, args) in SHARED_CALLS[:k]:
+            assert ticked < need, (fn.__name__, args)
         total += ticked
     assert meter.used == total > 0
     assert meter.searches  # the transversal calls shared one memo
 
 
 def test_meter_with_k_units_left_runs_out_like_budget_k():
+    # A call that needs `need` units on a meter (fewer on one whose memos an
+    # earlier call filled) is decided iff the meter has that many left, and
+    # otherwise ticks one unit past what is left and answers undecided, like
+    # a bare call at the same budget.
     warmup = (bipartite_is_sufficient, ((2, 2), (2, 2, 2)))
     spent = _ticked(*warmup, _Budget(10**9))[1]
     for fn, args in SHARED_CALLS:
-        need = _ticked(fn, args, _Budget(10**9))[1]
-        for k in sorted({0, 1, need // 2, need - 1} & set(range(need))):
+        meter = _Budget(10**9)
+        _ticked(*warmup, meter)
+        full, need = _ticked(fn, args, meter)
+        assert need <= _ticked(fn, args, _Budget(10**9))[1], (fn.__name__, args)
+        for k in sorted({0, 1, need // 2, need - 1, need}):
             meter = _Budget(spent + k)
             _ticked(*warmup, meter)  # leaves exactly k units, and a memo
             assert meter.left == k
             shared, ticked = _ticked(fn, args, meter)
+            if k == need:
+                assert _same_answer(shared, full) and ticked == need, (fn.__name__, args)
+                continue
             bare = _ticked(fn, args, _Budget(k))[0]
             if isinstance(shared, Verdict):
                 assert shared == Verdict("undecided", None, k + 1) == bare, (fn.__name__, args, k)
@@ -909,10 +932,17 @@ def test_oracles_leave_no_reference_cycles():
 
 
 class _Forgetful(dict):
-    """A memo that drops every write."""
+    """A memo that never hits: a lookup misses whatever it holds."""
 
-    def __setitem__(self, key, value):
-        pass
+    def __contains__(self, key):
+        return False
+
+
+def _forgetful_meter(cap=10**9):
+    """A meter whose generic and blocker memos never hit."""
+    meter = _Budget(cap)
+    meter.settled, meter.searches = _Forgetful(), _Forgetful()
+    return meter
 
 
 class _Hits(dict):
@@ -920,17 +950,18 @@ class _Hits(dict):
 
     hits = 0
 
-    def __getitem__(self, key):
-        self.hits += 1
-        return super().__getitem__(key)
+    def __contains__(self, key):
+        found = super().__contains__(key)
+        self.hits += found
+        return found
 
 
 def test_memo_reach_changes_no_verdict():
     # Generic, bipartite and split calls, each once and then again in a
     # shuffled order, on a meter that keeps its memos and on one whose
-    # generic and blocker memos drop every write.  A hit replays the units
-    # of its first run, so every Verdict, checked included, is that of the
-    # search with no memo.
+    # generic and blocker memos never hit.  A hit runs nothing again, so
+    # each call has the same status and witness on both, and ticks at most
+    # the units of the search with no memo.
     rng = random.Random(0)
     calls = []
     for seed in range(40):
@@ -943,30 +974,44 @@ def test_memo_reach_changes_no_verdict():
             a_sizes = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
             calls.append((fn, (a_sizes, tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4))))))
     calls += rng.sample(calls, len(calls))
-    kept, bare = _Budget(10**9), _Budget(10**9)
+    kept, bare = _Budget(10**9), _forgetful_meter()
     kept.settled, kept.searches = _Hits(), _Hits()
-    bare.settled, bare.searches = _Forgetful(), _Forgetful()
     for fn, args in calls:
-        assert fn(*args, budget=kept) == fn(*args, budget=bare), (fn.__name__, args)
-    assert kept.used == bare.used and not bare.settled and not bare.searches
+        got, want = fn(*args, budget=kept), fn(*args, budget=bare)
+        assert _same_answer(got, want) and got.checked <= want.checked, (fn.__name__, args)
+    assert kept.used < bare.used
     assert kept.settled.hits and kept.searches.hits
 
 
-def test_repeated_generic_call_replays_its_units():
+def test_repeated_generic_call_costs_one_unit():
+    # The second call hits the top core in the memo: it ticks once, for the
+    # call, and runs nothing else.  While a hit ticked the units of its
+    # first run again, it cost all 192.
     labeled = complete_bipartite(2, 4)
     g, f = make_graph(labeled.n, labeled.edges), (2, 2, 2, 2, 2, 3)
     first = is_sufficient(g, f)
-    assert first == Verdict("sufficient", None, 192)
+    assert first == Verdict("sufficient", None, 87)
     meter = _Budget(10**9)
     assert is_sufficient(g, f, budget=meter) == first
     settled = dict(meter.settled)
-    assert is_sufficient(g, f, budget=meter) == first  # a hit on the top core
-    assert meter.settled == settled and meter.used == 2 * first.checked
-    for k in (0, 1, 96, 191):
+    assert is_sufficient(g, f, budget=meter) == Verdict("sufficient", None, 1)
+    assert meter.settled == settled and meter.used == first.checked + 1
+    for k in (0, 1, 2):
         meter = _Budget(first.checked + k)
         is_sufficient(g, f, budget=meter)
         assert meter.left == k
-        assert is_sufficient(g, f, budget=meter) == Verdict("undecided", None, k + 1), k
+        want = Verdict("sufficient", None, 1) if k else Verdict("undecided", None, 1)
+        assert is_sufficient(g, f, budget=meter) == want, k
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5, "3", None])
+def test_oracle_rejects_a_budget_that_is_no_count(budget):
+    # A cap must be a nonnegative int: -1 once ran as undecided at one unit,
+    # 2.5 ran as if it were a count.
+    with pytest.raises(ValueError, match="budget"):
+        is_sufficient(cycle(4), (2,) * 4, budget=budget)
+    with pytest.raises(ValueError, match="budget"):
+        is_sufficient(cycle(4), (0,) * 4, budget=budget)  # no search, still read
 
 
 @pytest.mark.parametrize(

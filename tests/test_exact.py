@@ -110,13 +110,35 @@ def relabeled(g, perm):
     return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges], parts=parts)
 
 
+class _Forgetful(dict):
+    """A memo that never hits: a lookup misses whatever it holds."""
+
+    def __contains__(self, key):
+        return False
+
+
+def forget_memos(monkeypatch):
+    """Patch every meter made from here on so that neither its generic nor
+    its blocker memo ever hits: each search runs every step it reaches."""
+    init = _Budget.__init__
+
+    def forgetful(meter, cap):
+        init(meter, cap)
+        meter.settled, meter.searches = _Forgetful(), _Forgetful()
+
+    monkeypatch.setattr(_Budget, "__init__", forgetful)
+
+
 # (value, optimal_f, budget_used) of the exact search, pinned so that a change
 # to the driver cannot move the answer, the tie-break or the oracle calls.
 # The value and optimal_f of random_graph(7, 10, 0) were first computed by
-# the oracle without the exact removal of f = 1 vertices (about 45 s).  The
-# five unlabeled rows' units are generic search calls plus classes walked;
-# when only classes ticked and the walk kept every class whose patterns all
-# span an edge, they were 68, 10, 0, 0 and 6,177.
+# the oracle without the exact removal of f = 1 vertices (about 45 s).
+# budget_used is that of the search with both memos patched never to hit,
+# which is what a run read while a memo hit ticked the units of its first
+# run again; ``UNITS_AS_RUN`` pins the runs as they are.  The five
+# unlabeled rows' units are generic search calls plus classes walked; when
+# only classes ticked and the walk kept every class whose patterns all span
+# an edge, they were 68, 10, 0, 0 and 6,177.
 GOLDEN = [
     (complete_bipartite(2, 10), 27, (3, 4) + (2,) * 10, 4681),
     (complete_bipartite(3, 6), 21, (3, 3, 3, 2, 2, 2, 2, 2, 2), 5903),
@@ -131,20 +153,38 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("g, value, optimal_f, budget_used", GOLDEN)
-def test_exact_golden(g, value, optimal_f, budget_used):
+def test_exact_golden(g, value, optimal_f, budget_used, monkeypatch):
+    forget_memos(monkeypatch)
     res = sum_choice_exact(g)
     assert (res.value, res.optimal_f, res.budget_used) == (value, optimal_f, budget_used)
     assert res.bracket == (value, value) and not res.undecided
 
 
+# (value, optimal_f, budget_used with no memo hit, witnesses); see below.
+CERTIFIED = [
+    (random_graph(8, 12, 1), 20, (1, 2, 2, 2, 3, 3, 5, 2), 75785, 11496),
+    (random_graph(9, 12, 0), 21, (1, 2, 1, 2, 3, 2, 2, 2, 6), 58163, 19305),
+]
+
+# budget_used of the GOLDEN searches, in order, then of the CERTIFIED ones,
+# as they run: a memo hit costs only the tick of the call that finds it.
+# Each is at most its memo-free pin, and every value and optimal_f is the
+# same with the memos as without.
+UNITS_AS_RUN = [2189, 3368, 3462, 6946, 1166, 398, 94, 116, 3590, 16153, 24446]
+
+
 @pytest.mark.parametrize(
-    "g, value, optimal_f, budget_used, witnesses",
-    [
-        (random_graph(8, 12, 1), 20, (1, 2, 2, 2, 3, 3, 5, 2), 75785, 11496),
-        (random_graph(9, 12, 0), 21, (1, 2, 1, 2, 3, 2, 2, 2, 6), 58163, 19305),
-    ],
+    "g, value, optimal_f, budget_used",
+    [(row[0], row[1], row[2], units) for row, units in zip(GOLDEN + CERTIFIED, UNITS_AS_RUN, strict=True)],
 )
-def test_exact_value_certified_without_the_class_walk(g, value, optimal_f, budget_used, witnesses):
+def test_exact_units_as_run(g, value, optimal_f, budget_used):
+    res = sum_choice_exact(g)
+    assert (res.value, res.optimal_f, res.budget_used) == (value, optimal_f, budget_used)
+    assert res.bracket == (value, value) and not res.undecided
+
+
+@pytest.mark.parametrize("g, value, optimal_f, budget_used, witnesses", CERTIFIED)
+def test_exact_value_certified_without_the_class_walk(g, value, optimal_f, budget_used, witnesses, monkeypatch):
     # A second path for the value: the peel alone empties the graph at
     # optimal_f, so it is sufficient (color the vertices in reverse peel
     # order), and every capped twin-sorted candidate tried before it, every
@@ -155,10 +195,11 @@ def test_exact_value_certified_without_the_class_walk(g, value, optimal_f, budge
     # quotient has no symmetry, so the orbit filter skips no candidate.
     # (random_graph(8, 12, 0) has no such proof: its optimal f keeps all
     # eight vertices in the core.)  budget_used counts every generic search
-    # call; it was 8,858 and 5,344 when only classes walked ticked.
+    # call run with no memo hit; it was 8,858 and 5,344 when only classes
+    # walked ticked.
     assert next(g.twin_quotient_lifts(), None) is None
     res = sum_choice_exact(g, record_witnesses=True)
-    assert (res.value, res.optimal_f, res.budget_used) == (value, optimal_f, budget_used)
+    assert (res.value, res.optimal_f) == (value, optimal_f) and res.budget_used < budget_used
     assert peel_order(g.adj, optimal_f) == []
     caps = tuple(g.degree(v) + 1 for v in range(g.n))
     tried = [f for k in range(g.n, value + 1) for f in _vectors_with_sum(k, caps, g.twin_classes)]
@@ -174,6 +215,10 @@ def test_exact_value_certified_without_the_class_walk(g, value, optimal_f, budge
     for f, lists in res.witnesses.items():
         assert tuple(len(L) for L in lists) == f
         assert color_from_lists(g, lists) is None, f
+    forget_memos(monkeypatch)
+    memo_free = sum_choice_exact(g, record_witnesses=True)
+    assert (memo_free.value, memo_free.optimal_f, memo_free.budget_used) == (value, optimal_f, budget_used)
+    assert memo_free.witnesses == res.witnesses
 
 
 def reference_optimum(g):
@@ -331,11 +376,10 @@ def test_shared_search_matches_fresh_calls_on_relabeled_graphs(make, a, q, seed)
     # not sorted, and shapes shared between candidates must keep positions.
     perm = random.Random(seed).sample(range(a + q), a + q)
     g = relabeled(make(a, q), perm)
-    full = sum_choice_exact(g).budget_used
+    res = assert_matches_fresh_calls(g)
+    full = res.budget_used
     for budget in (0, 7, full // 3, full - 1, full):
-        res = sum_choice_exact(g, budget=budget, record_witnesses=True)
-        got = (res.value, res.optimal_f, res.undecided, res.bracket, res.budget_used, res.witnesses)
-        assert got == reference_exact(g, budget), (perm, budget)
+        got = assert_cut_short_like_the_full_run(g, res, budget)
         # without record_witnesses only the witness builder is skipped
         off = sum_choice_exact(g, budget=budget)
         assert (off.value, off.optimal_f, off.undecided, off.bracket, off.budget_used) == got[:5]
@@ -348,6 +392,35 @@ def test_shared_search_matches_fresh_calls_on_relabeled_graphs(make, a, q, seed)
 def exact_outcome(g, budget):
     res = sum_choice_exact(g, budget=budget, record_witnesses=True)
     return res.value, res.optimal_f, res.undecided, res.bracket, res.budget_used, res.witnesses
+
+
+def assert_matches_fresh_calls(g):
+    """The search at the default budget against ``reference_exact``'s fresh
+    oracle call per candidate: the same outcome and witnesses, for at most
+    their units, since the candidates share one meter and its memos.
+    Returns the search's result."""
+    res = sum_choice_exact(g, record_witnesses=True)
+    value, optimal_f, undecided, bracket, used, witnesses = reference_exact(g, DEFAULT_BUDGET)
+    assert (res.value, res.optimal_f, res.undecided, res.bracket) == (value, optimal_f, undecided, bracket), g.edges
+    assert res.witnesses == witnesses and res.budget_used <= used, g.edges
+    return res
+
+
+def assert_cut_short_like_the_full_run(g, full, budget):
+    """A run at ``budget`` takes the steps of ``full``, the run at the
+    default budget, until its units run out: it is that run when budget
+    covers its budget_used, and otherwise undecided after budget + 1 units,
+    with a bracket around the value and the witnesses recorded so far.
+    Returns ``exact_outcome(g, budget)``."""
+    got = exact_outcome(g, budget)
+    if budget >= full.budget_used:
+        assert got == exact_outcome(g, DEFAULT_BUDGET), (g.edges, budget)
+        return got
+    value, optimal_f, undecided, (lo, hi), used, witnesses = got
+    assert (value, optimal_f, undecided, used) == (None, None, True, budget + 1), (g.edges, budget)
+    assert lo <= full.value <= hi, (g.edges, budget)
+    assert list(witnesses.items()) == list(full.witnesses.items())[: len(witnesses)], (g.edges, budget)
+    return got
 
 
 def test_orbit_filter_past_the_cap_is_sound(monkeypatch):
@@ -430,37 +503,54 @@ def test_unlabeled_complete_bipartite_matches_the_labeled_value(a, q, value):
     assert sum_choice_exact(make_graph(labeled.n, labeled.edges)).value == value
 
 
+def test_unlabeled_k27_is_decided_at_the_default_budget():
+    # A second path for chi_sc(K_{2,7}) = closed_form(2, 7).  While a memo
+    # hit ticked the units of its first run again, this used up all 10^8
+    # units in about 0.1 s and returned undecided with bracket (20, 23).
+    labeled = complete_bipartite(2, 7)
+    res = sum_choice_exact(make_graph(labeled.n, labeled.edges))
+    assert (res.value, res.undecided, res.budget_used) == (closed_form(2, 7), False, 22131)
+    assert res.value == 20
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5, "3"])
+def test_driver_rejects_a_budget_that_is_no_count(budget):
+    # -1 once returned undecided at one unit, and 2.5 ran as a count.
+    with pytest.raises(ValueError, match="budget"):
+        sum_choice_exact(cycle(4), budget=budget)
+
+
 def test_shared_memo_matches_fresh_calls_on_every_small_graph():
     # All 1,099 labeled graphs on one to five vertices.  The search keeps
-    # one memo of sufficient generic cores, and a hit replays the units of
-    # its first walk, so the whole outcome, budget_used included, is that of
-    # a fresh oracle call per orbit minimum.
+    # one memo of generic cores, so its outcome and witnesses are those of a
+    # fresh oracle call per orbit minimum, for at most their units.
     for g in every_small_graph():
-        assert exact_outcome(g, DEFAULT_BUDGET) == reference_exact(g, DEFAULT_BUDGET), g.edges
+        assert_matches_fresh_calls(g)
 
 
 @pytest.mark.parametrize(
     "g", [random_graph(7, 10, 0), make_graph(6, complete_bipartite(2, 4).edges), random_graph(6, 8, 1)]
 )
 def test_shared_memo_matches_fresh_calls_at_every_budget(g):
-    # A memo hit runs out of budget where its first walk would, so a search
-    # cut short stops at the same candidate with the same bracket.
-    full = sum_choice_exact(g).budget_used
+    # A memo hit only saves steps, so a search cut short stops where the
+    # full run would have reached budget + 1 units.
+    res = assert_matches_fresh_calls(g)
+    full = res.budget_used
     for budget in sorted({0, 1, 7, full // 3, full // 2, full - 1, full}):
-        assert exact_outcome(g, budget) == reference_exact(g, budget), (g.edges, budget)
+        assert_cut_short_like_the_full_run(g, res, budget)
 
 
 # Every budget below 60 and every 241st up to the full run of three labeled
-# graphs (budget_used 5978, 8143, 3834), one line per run, pinned by one
-# sha256.  A memoized blocker search replays its ticks, so a run must stop
-# at the same tick, with the same bracket and witnesses, wherever its budget
-# runs out.
+# graphs (budget_used 3462, 6946, 2264; 5978, 8143 and 3834 while a memo hit
+# ticked the units of its first run again), one line per run, pinned by one
+# sha256.  Each run below the full one stops after budget + 1 units, with a
+# bracket and the witnesses recorded so far.
 BUDGET_SWEEP = [
-    (complete_bipartite(4, 4), 5978),
-    (complete_split(3, 4), 8143),
-    (complete_bipartite(3, 5), 3834),
+    (complete_bipartite(4, 4), 3462),
+    (complete_split(3, 4), 6946),
+    (complete_bipartite(3, 5), 2264),
 ]
-BUDGET_SWEEP_DIGEST = "9ef0e9394fed5d0d29532a89015ef798f64a03f754bb088c52c9ec38a578b155"
+BUDGET_SWEEP_DIGEST = "a391889fd9128beab1cb3edf5a449f32f951d123aa359b084e4dd80869233f67"
 
 
 def test_budget_sweep_pinned():
@@ -468,6 +558,7 @@ def test_budget_sweep_pinned():
     for g, full in BUDGET_SWEEP:
         for budget in sorted({*range(60), *range(60, full + 1, 241), full - 1, full}):
             r = sum_choice_exact(g, budget=budget, record_witnesses=True)
+            assert (r.undecided, r.budget_used) == ((True, budget + 1) if budget < full else (False, full))
             witnesses = [(f, [sorted(L) for L in w]) for f, w in r.witnesses.items()]
             line = (budget, r.value, r.optimal_f, r.undecided, r.bracket, r.budget_used, witnesses)
             h.update(repr(line).encode() + b"\n")
@@ -651,15 +742,15 @@ def test_status_only_paths_build_no_witness(monkeypatch):
     with pytest.raises(AssertionError, match="status-only"):  # the patch bites
         verdict.witness
     res = sum_choice_exact(complete_bipartite(3, 5))
-    assert (res.value, res.optimal_f, res.budget_used) == (closed_form(3, 5), (2, 3, 3, 2, 2, 2, 2, 3), 3834)
+    assert (res.value, res.optimal_f, res.budget_used) == (closed_form(3, 5), (2, 3, 3, 2, 2, 2, 2, 3), 2264)
     res = sum_choice_exact(complete_split(3, 4))
-    assert (res.value, res.optimal_f, res.budget_used) == (20, (2, 4, 6, 2, 2, 2, 2), 8143)
+    assert (res.value, res.optimal_f, res.budget_used) == (20, (2, 4, 6, 2, 2, 2, 2), 6946)
     assert sum_choice_type2_exact(3, 5) == 19
     # the generic path: nearly every candidate is insufficient, none is read
     res = sum_choice_exact(random_graph(6, 8, 1))
-    assert (res.value, res.optimal_f, res.budget_used) == (14, (1, 1, 1, 3, 3, 5), 1989)
+    assert (res.value, res.optimal_f, res.budget_used) == (14, (1, 1, 1, 3, 3, 5), 1166)
     res = sum_choice_exact(disjoint_cliques(3, 3, 2))
-    assert (res.value, res.optimal_f, res.budget_used) == (15, (1, 2, 3, 1, 2, 3, 1, 2), 102)
+    assert (res.value, res.optimal_f, res.budget_used) == (15, (1, 2, 3, 1, 2, 3, 1, 2), 94)
 
 
 def test_sorted_profiles_cover_all_multisets():
