@@ -36,9 +36,11 @@ sufficient at no cost).  On that core it walks the shapes of the A-side
 lists, computes the candidate A-color sets (minimal transversals on K_{a,q},
 SDR images on G_{a,q}; the search is otherwise one and the same), and
 searches for Q-side lists that block them all.  The search itself returns
-only the raw failure: the core A-list masks, the blockers and the peel
-threshold.  Those become a witness, by fresh colors everywhere else, in one
-builder (``_transversal_witness``).  On both paths an insufficient
+only the raw failure: the sizes and parts searched, the core A-list masks,
+the blockers and the peel threshold.  Those become a witness, by fresh
+colors everywhere else, in one builder (``_transversal_witness``).  A
+labeled graph reaches the search through one entry, ``_labeled_search``,
+which lays f over its parts.  On both paths an insufficient
 ``Verdict`` keeps the raw failure, and its ``witness``, a
 ``cached_property``, builds the witness from it on first read; the exact
 driver reads one only when asked to record it: a candidate found
@@ -57,8 +59,16 @@ family, that every walk ``tee``s; the result of each blocker search per
 (family, live Q-sizes); and the generic verdict, None or the failing step,
 per (core masks, core f).  A memo hit runs no step, so it costs nothing
 beyond the tick of the call that finds it.  The target families are
-computed outside the budget, once per distinct shape per search.  Both paths
-report an explicit ``undecided`` verdict when the budget runs out.
+computed outside the budget, once per distinct shape per search.
+
+A budget runs out in one way.  Every private search (``_generic_search``,
+``_transversal_search``, ``_labeled_search``, ``_blocking_family`` and
+``type2._integer_point``) returns its raw result or None, and the
+``BudgetExceededError`` of ``_Budget.tick`` passes through it.  Only the
+public entries report it: ``is_sufficient``, ``bipartite_is_sufficient``
+and ``split_is_sufficient`` as an ``undecided`` verdict,
+``sum_choice_exact`` and ``type2_profile_search`` with the bracket of totals
+still open.
 
 Every witness in the package, here and in the constructions of the other
 modules, gives its free vertices fresh colors through one ``pad_witness``
@@ -116,17 +126,17 @@ class Verdict:
         vars(self).update(status=status, witness=witness, checked=checked)
 
     @classmethod
-    def _failed(cls, checked: int, builder: Callable[..., ListAssignment], *args) -> Verdict:
-        """An insufficient verdict whose witness is ``builder(*args)``,
+    def _failed(cls, checked: int, builder: Callable[[tuple], ListAssignment], failure: tuple) -> Verdict:
+        """An insufficient verdict whose witness is ``builder(failure)``,
         built on first read."""
         verdict = cls.__new__(cls)
-        vars(verdict).update(status="insufficient", checked=checked, _build=(builder, args))
+        vars(verdict).update(status="insufficient", checked=checked, _build=(builder, failure))
         return verdict
 
     @functools.cached_property
     def witness(self) -> ListAssignment | None:
-        builder, args = vars(self).pop("_build")
-        return builder(*args)
+        builder, failure = vars(self).pop("_build")
+        return builder(failure)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -523,7 +533,7 @@ def bipartite_is_sufficient(
     the A universe, the core's sizes) blocking every minimal transversal.
     """
     a_sizes, q_sizes = validate_sizes(a_sizes), validate_sizes(q_sizes)
-    return _transversal_verdict(a_sizes, q_sizes, False, _meter(budget))
+    return _transversal_verdict(_meter(budget), _transversal_search, a_sizes, q_sizes, False)
 
 
 def split_is_sufficient(
@@ -533,68 +543,74 @@ def split_is_sufficient(
     A-side is a clique, so candidate color sets are SDR images instead of
     minimal transversals."""
     a_sizes, q_sizes = validate_sizes(a_sizes), validate_sizes(q_sizes)
-    return _transversal_verdict(a_sizes, q_sizes, True, _meter(budget))
+    return _transversal_verdict(_meter(budget), _transversal_search, a_sizes, q_sizes, True)
 
 
-# The raw failure of an insufficient transversal search: the core A-list
-# masks, the blocker masks and the peel threshold on A-sizes.
-_Failure = tuple[tuple[int, ...], tuple[int, ...], int]
+# The raw failure of an insufficient transversal search: the A- and Q-sizes
+# searched, the parts of a labeled graph (None when the sizes are in A-then-Q
+# order), the core A-list masks, the blocker masks and the peel threshold on
+# A-sizes.  It is all ``_transversal_witness`` reads.
+_Failure = tuple
 
 
 def _transversal_search(
-    a_sizes: SizeFunction, q_sizes: SizeFunction, clique: bool, meter: _Budget
-) -> tuple[str, _Failure | None]:
+    a_sizes: SizeFunction,
+    q_sizes: SizeFunction,
+    clique: bool,
+    meter: _Budget,
+    parts: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+) -> _Failure | None:
     """The shared search: the Q-lists must block every candidate A-color
     set of the A-shape (SDR images when A is a ``clique``, else minimal
-    transversals).  Returns the status and, when insufficient, the raw
-    failure that ``_transversal_witness`` turns into a witness; nothing
-    else builds one.
+    transversals).  Returns the raw failure, which ``_transversal_witness``
+    turns into a witness (``parts`` is kept in it for that), or None when
+    the sizes are sufficient.
 
     First the peel of ``peel_order``, by part: a Q-vertex with f > |A alive|
     and an A-vertex with f > |Q alive| (plus |A alive| - 1 when A is a
     clique) color last, so they drop until none is left.  The core is again
     a K_{a',q'} or G_{a',q'}, searched on its sizes with the shapes and
     blocker searches of ``meter``; an empty A-side makes f sufficient with no
-    work.
+    work.  Each A-shape walked ticks ``meter``.
     """
     # Each round keeps the vertices under a threshold that only falls, so
     # the core is A up to deg and Q up to |A core|.
     core_a = a_sizes
     while True:
         if not core_a:
-            return "sufficient", None
+            return None
         q_live = tuple(sorted(s for s in q_sizes if s <= len(core_a)))
         deg = len(q_live) + (len(core_a) - 1 if clique else 0)
         if max(core_a) <= deg:
             break
         core_a = tuple(s for s in a_sizes if s <= deg)
-    try:
-        for LA, targets in meter.a_shapes(core_a, clique):
-            meter.tick()
-            key = (targets, q_live)
-            if key not in meter.searches:
-                meter.searches[key] = _blocking_family(targets, q_live, meter)
-            blockers = meter.searches[key]
-            if blockers is not None:
-                return "insufficient", (LA, blockers, deg)
-    except BudgetExceededError:
-        return "undecided", None
-    return "sufficient", None
+    for LA, targets in meter.a_shapes(core_a, clique):
+        meter.tick()
+        key = (targets, q_live)
+        if key not in meter.searches:
+            meter.searches[key] = _blocking_family(targets, q_live, meter)
+        blockers = meter.searches[key]
+        if blockers is not None:
+            return a_sizes, q_sizes, parts, LA, blockers, deg
+    return None
 
 
-def _transversal_witness(
-    a_sizes: SizeFunction,
-    q_sizes: SizeFunction,
-    failure: _Failure,
-    parts: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-) -> ListAssignment:
+def _labeled_search(g: Graph, f: SizeFunction, meter: _Budget) -> _Failure | None:
+    """The transversal search of f on a labeled K_{a,q} or G_{a,q}: f laid
+    over its parts, A a clique on G_{a,q}."""
+    a_side, q_side = g.parts  # type: ignore[misc]
+    a_sizes, q_sizes = tuple(f[v] for v in a_side), tuple(f[v] for v in q_side)
+    return _transversal_search(a_sizes, q_sizes, g.structure == "complete_split", meter, g.parts)
+
+
+def _transversal_witness(failure: _Failure) -> ListAssignment:
     """The witness of a failing transversal search: the core A-lists, then
     each blocker at the first free Q-vertex of its size (a blocker lies
     inside a core A-color set, so no peeled Q-vertex takes one), and fresh
     colors everywhere else, in A-then-Q order: canonical LA colors, and so
     the blockers' too, are below sum(core A-sizes).  The ``parts`` of a
     labeled graph, its A and Q vertices, put it back in vertex order."""
-    LA, blockers, deg = failure
+    a_sizes, q_sizes, parts, LA, blockers, deg = failure
     sizes = a_sizes + q_sizes
     core = [i for i, s in enumerate(a_sizes) if s <= deg]
     fixed = {i: frozenset(bits_of(L)) for i, L in zip(core, LA)}
@@ -612,28 +628,19 @@ def _transversal_witness(
     return tuple(per_vertex[v] for v in range(len(witness)))
 
 
-def _transversal_verdict(
-    a_sizes: SizeFunction,
-    q_sizes: SizeFunction,
-    clique: bool,
-    meter: _Budget,
-    parts: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-) -> Verdict:
-    """The search, as the public oracles return it: an insufficient
-    verdict builds its witness from the raw failure on first read."""
+def _transversal_verdict(meter: _Budget, search: Callable[..., _Failure | None], *args) -> Verdict:
+    """``search(*args, meter)``, the transversal search or ``_labeled_search``,
+    as the public oracles return it: undecided when the meter runs out, and
+    an insufficient verdict builds its witness from the raw failure on first
+    read."""
     start = meter.used
-    status, failure = _transversal_search(a_sizes, q_sizes, clique, meter)
-    checked = meter.used - start
+    try:
+        failure = search(*args, meter)
+    except BudgetExceededError:
+        return Verdict("undecided", None, meter.used - start)
     if failure is None:
-        return Verdict(status, None, checked)
-    return Verdict._failed(checked, _transversal_witness, a_sizes, q_sizes, failure, parts)
-
-
-def _part_sizes(g: Graph, f: SizeFunction) -> tuple[SizeFunction, SizeFunction, bool]:
-    """f on the A side and on the Q side of a labeled K_{a,q} or G_{a,q},
-    and whether A is a clique: the arguments of the transversal search."""
-    a_side, q_side = g.parts  # type: ignore[misc]
-    return tuple(f[v] for v in a_side), tuple(f[v] for v in q_side), g.structure == "complete_split"
+        return Verdict("sufficient", None, meter.used - start)
+    return Verdict._failed(meter.used - start, _transversal_witness, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +721,7 @@ def is_sufficient(
     if any(s == 0 for s in f):
         return Verdict("insufficient", pad_witness({}, f, 0), 0)
     if detect_structure(g) is not None:
-        return _transversal_verdict(*_part_sizes(g, f), meter, g.parts)
+        return _transversal_verdict(meter, _labeled_search, g, f)
     start = meter.used
     try:
         failure = _generic_search(g.adj, f, meter)

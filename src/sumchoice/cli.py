@@ -173,7 +173,8 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         sys.stderr.write(f"undecided: {exc}\n")
         return EXIT_UNDECIDED
-    except (ValueError, OSError) as exc:
+    # an oversized integer argument overflows at once, before it allocates
+    except (ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

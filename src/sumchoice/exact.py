@@ -32,7 +32,7 @@ from .choosability import (
     ListAssignment,
     SizeFunction,
     _Budget,
-    _part_sizes,
+    _labeled_search,
     _transversal_search,
     _transversal_witness,
     is_sufficient,
@@ -167,26 +167,29 @@ def sum_choice_exact(
     meter = _Budget(budget)
     witnesses: dict[SizeFunction, ListAssignment] | None = {} if record_witnesses else None
     images = [itemgetter(*p) for p in islice(g.twin_quotient_lifts(), _MAX_QUOTIENT_GROUP - 1)]
-    for k in range(g.n, upper + 1):
-        for f in _vectors_with_sum(k, caps, g.twin_classes):
-            if images and any(image(f) < f for image in images):
-                continue  # not the least of its orbit
-            # every candidate ticks one meter and shares its memos; a labeled
-            # K_{a,q} / G_{a,q} goes straight to the transversal search
-            if g.structure:
-                a_sizes, q_sizes, clique = _part_sizes(g, f)
-                status, failure = _transversal_search(a_sizes, q_sizes, clique, meter)
-                if witnesses is not None and failure is not None:
-                    witnesses[f] = _transversal_witness(a_sizes, q_sizes, failure, g.parts)
-            else:
-                verdict = is_sufficient(g, f, budget=meter)
-                status = verdict.status
-                if witnesses is not None and status == "insufficient":
-                    witnesses[f] = verdict.witness
-            if status == "sufficient":
-                return SumChoiceResult(k, f, False, (k, k), meter.used, witnesses)
-            if status == "undecided":
-                return SumChoiceResult(None, None, True, (k, upper), meter.used, witnesses)
+    try:
+        for k in range(g.n, upper + 1):
+            for f in _vectors_with_sum(k, caps, g.twin_classes):
+                if images and any(image(f) < f for image in images):
+                    continue  # not the least of its orbit
+                # every candidate ticks one meter and shares its memos; a labeled
+                # K_{a,q} / G_{a,q} goes straight to the transversal search
+                if g.structure:
+                    failure = _labeled_search(g, f, meter)
+                    if witnesses is not None and failure is not None:
+                        witnesses[f] = _transversal_witness(failure)
+                    sufficient = failure is None
+                else:
+                    verdict = is_sufficient(g, f, budget=meter)
+                    if verdict.status == "undecided":  # the meter ran out
+                        raise BudgetExceededError("sufficiency search budget exceeded")
+                    sufficient = verdict.status == "sufficient"
+                    if witnesses is not None and not sufficient:
+                        witnesses[f] = verdict.witness
+                if sufficient:
+                    return SumChoiceResult(k, f, False, (k, k), meter.used, witnesses)
+    except BudgetExceededError:
+        return SumChoiceResult(None, None, True, (k, upper), meter.used, witnesses)
     raise AssertionError("greedy sufficient f lies within the search space")
 
 
@@ -218,11 +221,4 @@ def sum_choice_type2_exact(a: int, q: int, *, budget: int = DEFAULT_BUDGET) -> i
     All calls tick one meter, and so share its memo of A-shapes and blocker
     searches."""
     meter = _Budget(budget)
-
-    def insufficient(fa: SizeFunction) -> bool:
-        status, _ = _transversal_search(fa, (2,) * q, False, meter)
-        if status == "undecided":
-            raise BudgetExceededError("sufficiency search budget exceeded")
-        return status == "insufficient"
-
-    return type2_profile_search(a, q, insufficient)
+    return type2_profile_search(a, q, lambda fa: _transversal_search(fa, (2,) * q, False, meter) is not None)

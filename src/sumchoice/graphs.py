@@ -175,6 +175,7 @@ def make_graph(
     """Validate and normalize into a ``Graph`` (sorted, deduplicated edges)."""
     if not isinstance(n, int) or n < 0:
         raise GraphError(f"vertex count must be a nonnegative integer, got {n!r}")
+    n = operator.index(n)  # a plain int, so True is stored (and written as JSON) as 1
     norm: set[Edge] = set()
     for e in edges:
         u, v = as_int(e[0], "edge ends"), as_int(e[1], "edge ends")

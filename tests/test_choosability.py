@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sumchoice import choosability, type2
 from sumchoice.acceptance import _has_independent_sdr
 from sumchoice.bipartite import constr_assignment
 from sumchoice.choosability import (
@@ -339,6 +340,24 @@ def test_budget_exhaustion_reports_undecided():
     verdict = is_sufficient(g, (2, 2, 2, 2), budget=2)
     assert verdict.status == "undecided"
     assert is_sufficient(g, (2, 2, 2, 2)).status == "sufficient"
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda meter: choosability._transversal_search((2, 2), (2, 2), False, meter),
+        lambda meter: choosability._labeled_search(complete_split(2, 2), (2,) * 4, meter),
+        lambda meter: choosability._generic_search(cycle(4).adj, (2,) * 4, meter),
+        lambda meter: choosability._blocking_family((0b11,), (2,), meter),
+        lambda meter: type2._integer_point(type2._minimal_plans(2)[0], (2, 2), 4, meter),
+    ],
+    ids=["transversal", "labeled", "generic", "blocking_family", "integer_point"],
+)
+def test_private_searches_raise_when_the_meter_runs_out(search):
+    # One way to run out: a private search lets the meter's error through,
+    # and only the public entries turn it into undecided or a bracket.
+    with pytest.raises(BudgetExceededError):
+        search(_Budget(0))
 
 
 @pytest.mark.parametrize("g, f", [(cycle(22), (2,) * 22), (random_graph(22, 60, 0), (3,) * 22)])

@@ -130,6 +130,29 @@ def test_negative_budget_exits_usage(capsys, argv):
     assert captured.err == f"error: --budget must be >= 0, got {argv[-1]}\n"
 
 
+HUGE_GRAPH = '{"n": 100000000000000000000, "edges": []}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sumchoice", "--graph", HUGE_GRAPH],
+        ["sdr", "--graph", HUGE_GRAPH, "--lists", "LISTS"],
+        ["constr", "--t", str(10**20), "--ell", "1"],
+        ["bounds", "--a", "2", "--q", str(10**307)],
+        ["split-bounds", "--a", "2", "--q", str(10**307)],
+    ],
+)
+def test_oversized_integer_exits_usage(capsys, tmp_path, argv):
+    # each size overflows at once, before anything is allocated
+    lists = tmp_path / "lists.json"
+    lists.write_text(json.dumps({"lists": [[0]]}))
+    code = main([str(lists) if arg == "LISTS" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sumchoice import choosability
+from sumchoice import choosability, exact
 from sumchoice.bipartite import closed_form
 from sumchoice.choosability import (
     DEFAULT_BUDGET,
@@ -41,6 +41,7 @@ from sumchoice.graphs import (
     generate,
     make_graph,
     random_graph,
+    star,
 )
 from sumchoice.acceptance import TRIANGULATIONS
 
@@ -492,6 +493,35 @@ def test_every_generic_search_call_ticks(monkeypatch):
             res = sum_choice_exact(g)
             assert (res.value, res.optimal_f) == (value, optimal_f), g.edges
             assert res.budget_used >= calls > 0, g.edges
+
+
+def test_every_labeled_candidate_ticks_or_ends_the_search(monkeypatch):
+    # The driver's candidate loop on a labeled K_{a,q} / G_{a,q} needs no
+    # tick of its own: a tested candidate either walks an A-shape, one unit,
+    # or is sufficient and ends the search (a peel that empties the A side
+    # makes it sufficient), so budget_used is at least the searches less one.
+    searches = 0
+    search = exact._labeled_search
+
+    def counting(*args):
+        nonlocal searches
+        searches += 1
+        return search(*args)
+
+    monkeypatch.setattr(exact, "_labeled_search", counting)
+    for g, value, optimal_f, _ in GOLDEN:
+        if g.parts is not None:
+            searches = 0
+            res = sum_choice_exact(g)
+            assert (res.value, res.optimal_f) == (value, optimal_f), g.edges
+            assert res.budget_used >= searches - 1 and searches > 1, g.edges
+
+
+@pytest.mark.parametrize("g", [complete_bipartite(3, 6), complete_bipartite(4, 4), complete_split(3, 4), star(5)])
+def test_labeled_search_at_budget_zero_stops_at_its_first_candidate(g):
+    res = sum_choice_exact(g, budget=0)
+    assert (res.value, res.optimal_f, res.undecided) == (None, None, True)
+    assert (res.bracket, res.budget_used) == ((g.n, g.n + g.m), 1)
 
 
 @pytest.mark.parametrize("a, q, value", [(2, 5, 15), (2, 6, 18), (3, 3, 13), (3, 4, 16)])

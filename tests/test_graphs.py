@@ -257,6 +257,15 @@ def test_json_round_trip_with_parts():
     assert graph_from_json(doc) == g
 
 
+def test_json_round_trip_of_a_bool_vertex_count():
+    # make_graph reads n = True as 1 and stores a plain int, so the JSON it
+    # writes says 1, which graph_from_json accepts (it rejects a bool n)
+    g = make_graph(True, [])
+    doc = graph_to_json(g)
+    assert type(doc["n"]) is int
+    assert graph_from_json(doc) == g == make_graph(1, [])
+
+
 def test_fixture_files_parse():
     g = load_graph(str(FIXTURES / "k23.json"))
     assert g.n == 5 and g.parts is not None
