@@ -220,6 +220,8 @@ def transversal_trials(
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability p must lie in [0,1], got {p}")
+    # the trials run lazily, so the seed is read here, not at the first draw
+    seed, max_trials = as_int(seed, "seeds", ValueError), as_int(max_trials, "trial counts", ValueError)
     if max_trials < 1:
         raise ValueError(f"need max_trials >= 1, got {max_trials}")
     return _trials(normalize_lists(LA), normalize_lists(LQ), p, seed, max_trials)
@@ -268,9 +270,11 @@ def random_type2_assignment(
 ) -> tuple[ListAssignment, ListAssignment]:
     """Random type-II assignment: a lists of size r, q pairs, over a color
     universe of the given size (default 2q, widened to hold the lists)."""
+    a, q = as_int(a, "values of a", ValueError), as_int(q, "values of q", ValueError)
+    r = as_int(r, "values of r", ValueError)
     if a < 1 or q < 1 or r < 1:
         raise ValueError(f"need a, q and r >= 1, got a={a}, q={q}, r={r}")
-    universe = max(2 * q, r) if universe is None else universe
+    universe = max(2 * q, r) if universe is None else as_int(universe, "universe sizes", ValueError)
     if r > universe or universe < 2:
         raise ValueError(f"universe of {universe} colors cannot host lists of size {r}")
     rng = derive_rng(seed, "type2-assignment", a, q, r, universe)

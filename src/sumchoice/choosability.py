@@ -68,7 +68,10 @@ A budget runs out in one way.  Every private search (``_generic_search``,
 public entries report it: ``is_sufficient``, ``bipartite_is_sufficient``
 and ``split_is_sufficient`` as an ``undecided`` verdict,
 ``sum_choice_exact`` and ``type2_profile_search`` with the bracket of totals
-still open.
+still open.  The three oracles turn every search into a verdict through
+one constructor, ``Verdict._of``: it counts the units the search ticked,
+catches the meter's error, and gives an insufficient verdict the raw
+failure with the builder of its witness.
 
 Every witness in the package, here and in the constructions of the other
 modules, gives its free vertices fresh colors through one ``pad_witness``
@@ -106,8 +109,8 @@ class Verdict:
 
     ``status`` is one of ``sufficient``, ``insufficient``, ``undecided``;
     a witness (an f-assignment with no proper coloring) accompanies every
-    insufficient verdict.  The oracles' insufficient verdicts carry their
-    search's raw failure instead, and ``witness``, a ``cached_property``,
+    insufficient verdict.  The oracles' insufficient verdicts (``_of``) carry
+    their search's raw failure instead, and ``witness``, a ``cached_property``,
     builds the witness from it on first read and keeps it: a caller that
     reads only ``status`` builds none.  A witness given to the constructor
     sits where the property keeps its result, so it is returned as is.  The
@@ -126,11 +129,23 @@ class Verdict:
         vars(self).update(status=status, witness=witness, checked=checked)
 
     @classmethod
-    def _failed(cls, checked: int, builder: Callable[[tuple], ListAssignment], failure: tuple) -> Verdict:
-        """An insufficient verdict whose witness is ``builder(failure)``,
-        built on first read."""
+    def _of(
+        cls, meter: _Budget, search: Callable[..., tuple | None], build: Callable[[tuple], ListAssignment], *args
+    ) -> Verdict:
+        """``search(*args, meter)`` as a public oracle returns it, the one
+        place a search becomes a verdict: undecided when the meter runs out,
+        sufficient when the search returns None, else insufficient with the
+        witness ``build(failure)``, built on first read.  ``checked`` is
+        what the search ticked."""
+        start = meter.used
+        try:
+            failure = search(*args, meter)
+        except BudgetExceededError:
+            return cls("undecided", None, meter.used - start)
+        if failure is None:
+            return cls("sufficient", None, meter.used - start)
         verdict = cls.__new__(cls)
-        vars(verdict).update(status="insufficient", checked=checked, _build=(builder, failure))
+        vars(verdict).update(status="insufficient", checked=meter.used - start, _build=(build, failure))
         return verdict
 
     @functools.cached_property
@@ -323,12 +338,14 @@ def transversal_check(
     """A set T hitting every A-list with no Q-list fully inside T, or None.
 
     On K_{a,q} such a T exists iff the assignment is colorable: color A from
-    T and each Q-vertex from its list's leftover.  Any such T holds one of the
-    ``_minimal_transversal_masks`` of LA; the first holding no Q-list is T.
+    T and each Q-vertex from its list's leftover.  Any such T holds a minimal
+    transversal of LA.  They are walked lazily, in the order of
+    ``_minimal_transversal_stream`` (not by size), and the first holding no
+    Q-list is T, so a T found early costs no walk over the rest.
     """
     LA, LQ = list(map(frozenset, LA)), list(map(frozenset, LQ))
     palette, masks = _ranked(LA + LQ)
-    for T in _minimal_transversal_masks(masks[: len(LA)]):
+    for T in _minimal_transversal_stream(masks[: len(LA)]):
         if all(L & T != L for L in masks[len(LA):]):
             return frozenset(palette[c] for c in bits_of(T))
     return None
@@ -376,17 +393,20 @@ def _by_size_then_colors(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda T: (T.bit_count(), bits_of(T))))
 
 
-def _minimal_transversal_masks(LA: Sequence[int]) -> tuple[int, ...]:
-    """The minimal sets hitting every list mask of LA: one color of each
-    atom of a minimal cover of the atom patterns (a minimal transversal
-    never holds two colors of one atom)."""
+def _minimal_transversal_stream(LA: Sequence[int]) -> Iterator[int]:
+    """The minimal sets hitting every list mask of LA, lazily: one color of
+    each atom of a minimal cover of the atom patterns (a minimal transversal
+    never holds two colors of one atom), cover by cover."""
     atoms = _atoms(LA)
     groups = [[1 << c for c in colors] for colors in atoms.values()]
-    return _by_size_then_colors(
-        sum(pick)
-        for cover in _minimal_covers(tuple(atoms), len(LA))
-        for pick in itertools.product(*(groups[j] for j in bits_of(cover)))
-    )
+    for cover in _minimal_covers(tuple(atoms), len(LA)):
+        for pick in itertools.product(*(groups[j] for j in bits_of(cover))):
+            yield sum(pick)
+
+
+def _minimal_transversal_masks(LA: Sequence[int]) -> tuple[int, ...]:
+    """``_minimal_transversal_stream(LA)`` by size, then colors."""
+    return _by_size_then_colors(_minimal_transversal_stream(LA))
 
 
 def _sdr_image_masks(LA: Sequence[int]) -> tuple[int, ...]:
@@ -533,7 +553,7 @@ def bipartite_is_sufficient(
     the A universe, the core's sizes) blocking every minimal transversal.
     """
     a_sizes, q_sizes = validate_sizes(a_sizes), validate_sizes(q_sizes)
-    return _transversal_verdict(_meter(budget), _transversal_search, a_sizes, q_sizes, False)
+    return Verdict._of(_meter(budget), _transversal_search, _transversal_witness, a_sizes, q_sizes, False)
 
 
 def split_is_sufficient(
@@ -543,7 +563,7 @@ def split_is_sufficient(
     A-side is a clique, so candidate color sets are SDR images instead of
     minimal transversals."""
     a_sizes, q_sizes = validate_sizes(a_sizes), validate_sizes(q_sizes)
-    return _transversal_verdict(_meter(budget), _transversal_search, a_sizes, q_sizes, True)
+    return Verdict._of(_meter(budget), _transversal_search, _transversal_witness, a_sizes, q_sizes, True)
 
 
 # The raw failure of an insufficient transversal search: the A- and Q-sizes
@@ -628,21 +648,6 @@ def _transversal_witness(failure: _Failure) -> ListAssignment:
     return tuple(per_vertex[v] for v in range(len(witness)))
 
 
-def _transversal_verdict(meter: _Budget, search: Callable[..., _Failure | None], *args) -> Verdict:
-    """``search(*args, meter)``, the transversal search or ``_labeled_search``,
-    as the public oracles return it: undecided when the meter runs out, and
-    an insufficient verdict builds its witness from the raw failure on first
-    read."""
-    start = meter.used
-    try:
-        failure = search(*args, meter)
-    except BudgetExceededError:
-        return Verdict("undecided", None, meter.used - start)
-    if failure is None:
-        return Verdict("sufficient", None, meter.used - start)
-    return Verdict._failed(meter.used - start, _transversal_witness, failure)
-
-
 # ---------------------------------------------------------------------------
 # Structure detection and the peel reduction
 
@@ -718,18 +723,11 @@ def is_sufficient(
     """
     f = validate_sizes(f, g.n, minimum=0)
     meter = _meter(budget)
-    if any(s == 0 for s in f):
+    if 0 in f:
         return Verdict("insufficient", pad_witness({}, f, 0), 0)
     if detect_structure(g) is not None:
-        return _transversal_verdict(meter, _labeled_search, g, f)
-    start = meter.used
-    try:
-        failure = _generic_search(g.adj, f, meter)
-    except BudgetExceededError:
-        return Verdict("undecided", None, meter.used - start)
-    if failure is None:
-        return Verdict("sufficient", None, meter.used - start)
-    return Verdict._failed(meter.used - start, _generic_lift, failure)
+        return Verdict._of(meter, _labeled_search, _transversal_witness, g, f)
+    return Verdict._of(meter, _generic_search, _generic_lift, g.adj, f)
 
 
 # The raw failure of the generic search on (adj, f), one tuple per deletion

@@ -199,32 +199,33 @@ def make_graph(
 
 
 def complete_bipartite(a: int, q: int) -> Graph:
-    _require_positive(a=a, q=q)
+    a, q = _positive(a, "a"), _positive(q, "q")
     edges = [(u, a + v) for u in range(a) for v in range(q)]
     return make_graph(a + q, edges, parts=(range(a), range(a, a + q)))
 
 
 def complete_split(a: int, q: int) -> Graph:
     """K_{a,q} plus all edges inside the small part A."""
-    _require_positive(a=a, q=q)
+    a, q = _positive(a, "a"), _positive(q, "q")
     edges = [(u, a + v) for u in range(a) for v in range(q)]
     edges += [(u, w) for u in range(a) for w in range(u + 1, a)]
     return make_graph(a + q, edges, parts=(range(a), range(a, a + q)))
 
 
 def path(n: int) -> Graph:
-    _require_positive(n=n)
+    n = _positive(n, "n")
     return make_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
+    n = as_int(n, "family parameters")
     if n < 3:
         raise GraphError(f"cycle needs n >= 3, got {n}")
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
-    _require_positive(n=n)
+    n = _positive(n, "n")
     return make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -257,16 +258,16 @@ def prufer_edges(seq: Sequence[int], n: int) -> list[Edge]:
 
 
 def random_tree(n: int, seed: int) -> Graph:
-    _require_positive(n=n)
+    n = _positive(n, "n")
+    rng = derive_rng(seed, "random_tree", n)
     if n == 1:
         return make_graph(1, [])
-    rng = derive_rng(seed, "random_tree", n)
     return make_graph(n, prufer_edges([rng.randrange(n) for _ in range(n - 2)], n))
 
 
 def random_graph(n: int, m: int, seed: int) -> Graph:
     """Uniform graph with exactly m edges (m may be 0: the empty graph)."""
-    _require_positive(n=n)
+    n, m = _positive(n, "n"), as_int(m, "family parameters")
     if m < 0:
         raise GraphError(f"edge count must be nonnegative, got {m}")
     all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -279,7 +280,7 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
 def disjoint_cliques(*sizes: int) -> Graph:
     if not sizes:
         raise GraphError("need at least one clique size")
-    _require_positive(**{f"size{i}": s for i, s in enumerate(sizes)})
+    sizes = tuple(_positive(s, f"size{i}") for i, s in enumerate(sizes))
     edges = []
     base = 0
     for s in sizes:
@@ -397,7 +398,9 @@ def load_graph(path_or_text: str) -> Graph:
     return graph_from_json(json.loads(text))
 
 
-def _require_positive(**named: int) -> None:
-    for name, value in named.items():
-        if value <= 0:
-            raise GraphError(f"parameter {name} must be positive, got {value}")
+def _positive(value: object, name: str) -> int:
+    """A family size by ``as_int``, which must be positive."""
+    value = as_int(value, "family parameters")
+    if value <= 0:
+        raise GraphError(f"parameter {name} must be positive, got {value}")
+    return value

@@ -100,6 +100,8 @@ def atom_label(mask: int) -> str:
 def phi(x: Mapping[int, int], a: int) -> tuple[int, ...]:
     """List sizes induced by atom counts: f_i = sum of x_I over patterns I
     containing i."""
+    a = as_int(a, "values of a", ValueError)
+    x = {as_int(I, "atom masks", ValueError): as_int(c, "atom counts", ValueError) for I, c in x.items()}
     full = (1 << a) - 1
     for mask, count in x.items():
         if not 0 < mask <= full:
@@ -132,6 +134,7 @@ def is_blocking(r: ReducedGraph, a: int) -> bool:
     """True iff every vertex cover of the pattern hypergraph (S_i = atoms
     containing i) contains both endpoints of some edge of r.  Every cover
     contains a minimal one, so only the minimal covers are checked."""
+    a = as_int(a, "values of a", ValueError)
     _validate_reduced(r, a)
     index = {v: j for j, v in enumerate(r.vertices)}
     edge_masks = [(1 << index[u]) | (1 << index[v]) for u, v in r.edges]
@@ -676,6 +679,7 @@ def beta(a: int, tolerance: float = 1e-4, *, grid: int = 32, refine: bool = True
     Every cut is exact: the result is the one a full evaluation of every
     point would give.
     """
+    a, grid = as_int(a, "values of a", ValueError), as_int(grid, "grid sizes", ValueError)
     if a not in (2, 3):
         raise ValueError(f"beta is computed for a in {{2, 3}}, got {a}")
     if not math.isfinite(tolerance) or tolerance <= 0:

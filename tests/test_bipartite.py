@@ -20,8 +20,9 @@ from sumchoice.bipartite import (
     ub_bound,
 )
 from sumchoice.choosability import color_from_lists, transversal_check
-from sumchoice.graphs import generate
+from sumchoice.graphs import generate, random_graph, random_tree
 from sumchoice.turan import sharp_family, split_bounds, split_witness, t_balanced
+from sumchoice.type2 import ReducedGraph, beta, is_blocking, phi
 
 
 def test_closed_form_values():
@@ -222,6 +223,45 @@ def test_trials_are_reproducible():
     LA, LQ = random_type2_assignment(2, 8, 6, seed=3)
     runs = [list(transversal_trials(LA, LQ, 0.4, seed=9, max_trials=5)) for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda seed: random_graph(6, 5, seed),
+        lambda seed: random_tree(7, seed),
+        lambda seed: random_type2_assignment(2, 4, 2, seed=seed),
+        lambda seed: list(transversal_trials([{0, 1, 2}, {2, 3}], [{0, 2}, {1, 3}], 0.5, seed=seed, max_trials=4)),
+    ],
+)
+def test_seeds_follow_the_integer_rule(draw):
+    # a bool seed draws the stream of the int it equals; a float is an error
+    # (both were once keyed by their string, a stream of their own)
+    assert draw(True) == draw(1) and draw(False) == draw(0)
+    with pytest.raises(ValueError, match="seeds must be integers, got 1.0"):
+        draw(1.0)
+
+
+@pytest.mark.parametrize("bad", [2.5, "3"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: transversal_trials([{0}], [{1}], 0.5, max_trials=x),
+        lambda x: transversal_trials([{0}], [{1}], 0.5, seed=x),
+        lambda x: random_transversal([{0}], [{1}], 0.5, max_trials=x),
+        lambda x: random_type2_assignment(x, 4, 2),
+        lambda x: random_type2_assignment(2, 4, 2, universe=x),
+        lambda x: beta(3, grid=x),
+        lambda x: is_blocking(ReducedGraph(vertices=(1, 2), edges=((1, 2),)), x),
+        lambda x: phi({1: 2}, x),
+        lambda x: phi({1: x}, 1),
+    ],
+)
+def test_random_process_and_type2_entries_must_take_integers(call, bad):
+    # checked at the call (the trials run lazily); these raised a TypeError,
+    # and phi({1: 2.5}, 1) returned (2.5,)
+    with pytest.raises(ValueError, match=f"must be integers, got {bad!r}"):
+        call(bad)
 
 
 def test_bad_probability_rejected():

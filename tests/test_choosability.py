@@ -7,6 +7,7 @@ import itertools
 import operator
 import random
 import sys
+import time
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -543,6 +544,16 @@ def test_transversal_forced_containment():
 
 def test_transversal_longer_q_lists_allowed():
     assert transversal_check([{0}, {1}], [{0, 1, 2}]) == frozenset({0, 1})
+
+
+def test_transversal_check_stops_at_the_first_transversal():
+    # 16 disjoint 3-color A-lists have 3^16 minimal transversals; building
+    # and sorting all of them before testing one took about a minute
+    LA = [{3 * i, 3 * i + 1, 3 * i + 2} for i in range(16)]
+    start = time.perf_counter()
+    T = transversal_check(LA, [{0, 1}])
+    assert time.perf_counter() - start < 0.1
+    assert T is not None and all(T & L for L in LA) and not {0, 1} <= T
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from sumchoice.graphs import (
     GraphError,
     complete_bipartite,
     complete_split,
+    cycle,
     degeneracy_order,
     disjoint_cliques,
     generate,
@@ -107,6 +108,23 @@ def test_generate_parameters_must_be_integers(bad):
     with pytest.raises(GraphError, match=f"family parameters must be integers, got {bad!r}"):
         generate("cycle", [bad])
     assert generate("path", [True]) == generate("path", [1])
+
+
+@pytest.mark.parametrize("bad", [2.5, "3"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: complete_bipartite(x, 3),
+        lambda x: cycle(x),
+        lambda x: disjoint_cliques(2, x),
+        lambda x: random_graph(5, x, 1),
+        lambda x: path(x),
+    ],
+)
+def test_family_sizes_must_be_integers(build, bad):
+    # read by as_int, as generate reads them; these died with a TypeError
+    with pytest.raises(GraphError, match=f"family parameters must be integers, got {bad!r}"):
+        build(bad)
 
 
 @pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
