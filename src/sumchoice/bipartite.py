@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .choosability import ListAssignment, _int_size, normalize_lists, pad_witness
-from .graphs import Graph, as_int, complete_bipartite
+from .graphs import Graph, as_int, as_real, complete_bipartite
 from .rng import derive_rng
 
 _LOG = {"e": math.log, "2": math.log2}
@@ -215,9 +215,10 @@ def transversal_trials(
     some Q-list lies inside the working set, delete that list's lowest
     color; succeed when the remainder still meets every A-list.  Trials are
     seeded individually, so traces are reproducible and order-independent.
-    Bad arguments (p outside [0,1], max_trials < 1) raise ValueError at the
-    call, before any trial runs.
+    Bad arguments (p not a real number or outside [0,1], max_trials < 1)
+    raise ValueError at the call, before any trial runs.
     """
+    p = as_real(p, "probabilities")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability p must lie in [0,1], got {p}")
     # the trials run lazily, so the seed is read here, not at the first draw

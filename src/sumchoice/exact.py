@@ -1,13 +1,36 @@
 """Exact sum choice numbers at desk scale, plus the two general upper bounds.
 
-The search walks candidate totals k upward from n; the first sufficient size
-function wins, so the reported optimum is the lexicographically smallest
+The driver splits the graph into its blocks (``Graph.blocks``: maximal
+2-connected subgraphs, bridges and isolated vertices) and searches each
+one on its own.  If G1 and G2 share exactly one vertex v, chi_sc(G1 u G2)
+= chi_sc(G1) + chi_sc(G2) - 1, and components add (the sum-list-coloring
+rule of Berliner, Bostelmann, Brualdi and Deaett, 2006).  Both directions
+are short.  Upper: f(v) = f1(v) + f2(v) - 1 is sufficient, since the
+colors of L(v) that extend into G1 number at least f2(v), else G1 colors
+from the rest of L(v).  Lower: with t the least value at v that makes f
+restricted to G1 sufficient, failing lists of G1 at t - 1 and of G2 at
+f(v) - t + 1, on disjoint colors, fail the union.  So with b(v) the number
+of blocks holding v,
+
+    chi_sc(G) = sum_B chi_sc(B) - sum_v (b(v) - 1),
+    optimal_f(v) = sum_B f_B(v) - (b(v) - 1).
+
+The composed f is the lexicographically least optimal f of G.  By the
+lower bound, every optimal f of G1 u_v G2 is f1 (+) f2 for some optimal f1
+and f2 of the two parts, and the two sets of those are independent.  A
+lexicographic scan in vertex order therefore minimises each part's own
+coordinates, and at v it minimises f1(v) + f2(v) - 1, which holds only
+when both terms are at their minimum; induction over leaf blocks gives
+every block tree.  A graph of one block goes straight to the search below.
+
+The search of one block walks candidate totals k upward from n; the first
+sufficient size function wins, so it finds the lexicographically smallest
 sufficient f at the smallest achievable total.  Sufficiency is invariant
 under automorphisms, so only the lexicographically least f of each orbit
 under Aut(G) needs a test.  One size-vector generator yields the f
 nondecreasing along each twin class (``Graph.twin_classes``), taking the
-classes as blocks of interchangeable positions; the driver then skips every
-f that a lift of an automorphism of the twin quotient
+classes as blocks of interchangeable positions; the search then skips
+every f that a lift of an automorphism of the twin quotient
 (``Graph.twin_quotient_lifts``, found once per search) maps to a smaller
 one.  That costs every candidate one image per lift, so the search for
 quotient automorphisms stops after ``_MAX_QUOTIENT_GROUP`` - 1 lifts; on a
@@ -36,8 +59,9 @@ from .choosability import (
     _transversal_search,
     _transversal_witness,
     is_sufficient,
+    pad_witness,
 )
-from .graphs import Graph, as_int, degeneracy_order
+from .graphs import Graph, as_int, degeneracy_order, make_graph
 
 
 @dataclass(frozen=True)
@@ -134,27 +158,71 @@ _MAX_QUOTIENT_GROUP = 120
 def sum_choice_exact(
     g: Graph, *, budget: int = DEFAULT_BUDGET, record_witnesses: bool = False
 ) -> SumChoiceResult:
-    """Minimum of sum f over sufficient f, with the achieving f.
+    """Minimum of sum f over sufficient f, with the lexicographically least
+    achieving f: ``_search`` once per block of g, each relabeled ascending,
+    composed by the block rule of the module docstring.  A graph of one
+    block (or none) is searched as it is, parts and all.
+
+    All blocks tick one meter, so ``budget_used`` is its units over all of
+    them, and a block repeated up to labels meets the memos of the first.
+    An undecided result composes its bracket the same way: (k, k) for a
+    block decided at k, the open bracket of the block that ran out, and
+    (|B|, |B| + |E_B|) for each block not yet searched.
+    ``record_witnesses`` keeps every tested block candidate's witness lifted
+    to g by ``_lift_witnesses``.
+    """
+    meter = _Budget(budget)
+    witnesses: dict[SizeFunction, ListAssignment] | None = {} if record_witnesses else None
+    blocks = g.blocks
+    if len(blocks) < 2:
+        subs = [(g, range(g.n))]
+    else:
+        subs = [(_induced_graph(g, block), block) for block in blocks]
+    value, f = g.n - sum(sub.n for sub, _ in subs), [1] * g.n  # less sum_v (b(v) - 1)
+    for i, (sub, block) in enumerate(subs):
+        found = {} if witnesses is not None and sub is not g else witnesses
+        try:
+            k, f_block = _search(sub, meter, found)
+        except BudgetExceededError as exc:
+            _lift_witnesses(g, block, found, witnesses)
+            rest = subs[i + 1 :]
+            lo = value + exc.bracket[0] + sum(later.n for later, _ in rest)
+            hi = value + exc.bracket[1] + sum(later.n + later.m for later, _ in rest)
+            return SumChoiceResult(None, None, True, (lo, hi), meter.used, witnesses)
+        _lift_witnesses(g, block, found, witnesses)
+        value += k
+        for v, size in zip(block, f_block):
+            f[v] += size - 1
+    return SumChoiceResult(value, tuple(f), False, (value, value), meter.used, witnesses)
+
+
+def _search(
+    g: Graph, meter: _Budget, witnesses: dict[SizeFunction, ListAssignment] | None
+) -> tuple[int, SizeFunction]:
+    """(chi_sc(g), the lexicographically least optimal f) by the candidate
+    walk on all of g, ticking ``meter``; the witness of each tested
+    insufficient candidate goes into ``witnesses`` unless it is None.  A
+    BudgetExceededError carries the bracket (k, |V| + |E|) of the total k
+    under test.
 
     Candidates are capped at f(v) <= deg(v)+1 (a vertex with that many
     choices colors last, so the cap never moves the optimum), sorted within
     each twin class (twins share a cap), and tested in lexicographic order
-    for a deterministic optimal_f.  An f that a lift of a twin-quotient
+    for a deterministic optimal f.  An f that a lift of a twin-quotient
     automorphism maps to a lexicographically smaller one is skipped, for
-    that image has its verdict and comes earlier at the same total.  So
-    ``budget_used`` is the sum of the tested candidates' units, and
-    ``record_witnesses`` holds the tested candidates only.  The filter uses
-    the first ``_MAX_QUOTIENT_GROUP`` - 1 lifts: on a quotient group of at
-    most ``_MAX_QUOTIENT_GROUP`` elements those are all of them and only
-    orbit minima are tested; on a larger group some non-minima are tested
-    too, which moves neither the value nor optimal_f.  Budget exhaustion
-    returns an undecided bracket.
+    that image has its verdict and comes earlier at the same total.  So the
+    units are the tested candidates', and ``witnesses`` holds the tested
+    candidates only.  The filter uses the first ``_MAX_QUOTIENT_GROUP`` - 1
+    lifts: on a quotient group of at most ``_MAX_QUOTIENT_GROUP`` elements
+    those are all of them and only orbit minima are tested; on a larger
+    group some non-minima are tested too, which moves neither the value nor
+    the optimal f.
 
-    A candidate's witness is built only under ``record_witnesses``: on a
+    A candidate's witness is built only when ``witnesses`` is a dict: on a
     labeled K_{a,q} / G_{a,q} the transversal search yields the raw failure,
     and the padded witness is made from it on request; on any other graph
     the generic oracle's verdict builds it from its raw failure when
-    ``witness`` is first read, and the driver reads it only then.
+    ``witness`` is first read, and the search reads it only then.
 
     No candidate is skipped as dominated by a known-insufficient c: totals
     rise and each candidate is tested once, so every earlier c has
@@ -164,9 +232,8 @@ def sum_choice_exact(
     """
     caps = tuple(g.degree(v) + 1 for v in range(g.n))
     upper = edge_bound(g)
-    meter = _Budget(budget)
-    witnesses: dict[SizeFunction, ListAssignment] | None = {} if record_witnesses else None
     images = [itemgetter(*p) for p in islice(g.twin_quotient_lifts(), _MAX_QUOTIENT_GROUP - 1)]
+    k = g.n
     try:
         for k in range(g.n, upper + 1):
             for f in _vectors_with_sum(k, caps, g.twin_classes):
@@ -187,10 +254,39 @@ def sum_choice_exact(
                     if witnesses is not None and not sufficient:
                         witnesses[f] = verdict.witness
                 if sufficient:
-                    return SumChoiceResult(k, f, False, (k, k), meter.used, witnesses)
+                    return k, f
     except BudgetExceededError:
-        return SumChoiceResult(None, None, True, (k, upper), meter.used, witnesses)
+        raise BudgetExceededError("sufficiency search budget exceeded", bracket=(k, upper)) from None
     raise AssertionError("greedy sufficient f lies within the search space")
+
+
+def _induced_graph(g: Graph, vertices: Sequence[int]) -> Graph:
+    """The subgraph of g on ``vertices`` (ascending), relabeled 0, 1, ...
+    in their order, so that lexicographic order is kept."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return make_graph(len(vertices), [(index[u], index[v]) for u, v in g.edges if u in index and v in index])
+
+
+def _lift_witnesses(
+    g: Graph,
+    block: Sequence[int],
+    found: dict[SizeFunction, ListAssignment] | None,
+    witnesses: dict[SizeFunction, ListAssignment] | None,
+) -> None:
+    """Each witness in ``found``, of a block candidate f_B, into
+    ``witnesses`` as one of g: the block's lists on its vertices and a fresh
+    color alone at every other vertex (``pad_witness``), keyed by f_B there
+    and 1 elsewhere.  No coloring of g restricts to one of the block, so
+    none exists.  A key already present keeps its first entry.  Nothing to
+    do when ``found`` is ``witnesses`` itself: the block is g."""
+    if found is witnesses:
+        return
+    for f_block, lists in found.items():  # type: ignore[union-attr]
+        sizes = [1] * g.n
+        for v, size in zip(block, f_block):
+            sizes[v] = size
+        f, fresh = tuple(sizes), 1 + max((c for L in lists for c in L), default=-1)
+        witnesses.setdefault(f, pad_witness(dict(zip(block, lists)), f, fresh))  # type: ignore[union-attr]
 
 
 def type2_profile_search(a: int, q: int, insufficient: Callable[[SizeFunction], bool]) -> int:

@@ -67,6 +67,48 @@ class Graph:
             classes.setdefault((True, mask | 1 << v), []).append(v)
         return tuple(tuple(c) for c in classes.values() if len(c) > 1)
 
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks, ascending, each its vertices ascending: the maximal
+        2-connected subgraphs, the bridges, and each isolated vertex alone.
+        Every edge lies in exactly one block, and two blocks share at most
+        one vertex, a cut vertex.  Tarjan's depth-first walk, iterative: a
+        vertex v whose subtree reaches no higher than its parent u (low[v]
+        >= disc[u]) closes the block of u and the vertices found since v."""
+        adj, disc, low = self.adj, [0] * self.n, [0] * self.n  # disc 0: not yet found
+        found: list[tuple[int, ...]] = []
+        clock = 0
+        for root in range(self.n):
+            if disc[root]:
+                continue
+            clock += 1
+            disc[root] = low[root] = clock
+            if not adj[root]:
+                found.append((root,))
+                continue
+            pending, frames = [root], [(root, iter(bits_of(adj[root])))]
+            while frames:
+                v, todo = frames[-1]
+                for w in todo:
+                    if not disc[w]:
+                        clock += 1
+                        disc[w] = low[w] = clock
+                        pending.append(w)
+                        frames.append((w, iter(bits_of(adj[w]))))
+                        break
+                    low[v] = min(low[v], disc[w])
+                else:
+                    frames.pop()
+                    if frames:
+                        u = frames[-1][0]
+                        low[u] = min(low[u], low[v])
+                        if low[v] >= disc[u]:
+                            block = [u]
+                            while block[-1] != v:
+                                block.append(pending.pop())
+                            found.append(tuple(sorted(block)))
+        return tuple(sorted(found))
+
     def twin_quotient_lifts(self) -> Iterator[tuple[int, ...]]:
         """Yield one vertex permutation ``p`` per non-identity automorphism
         of the twin quotient, lazily, so a caller can stop early on a large
@@ -165,6 +207,17 @@ def as_int(value: object, what: str, error: type[ValueError] = GraphError) -> in
         return operator.index(value)
     except TypeError:
         raise error(f"{what} must be integers, got {value!r}") from None
+
+
+def as_real(value: object, what: str) -> float:
+    """value as a float: real numbers pass; a string (which ``float`` would
+    parse), None or anything else ``float`` refuses is a ValueError."""
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            return float(value)  # type: ignore[arg-type]
+        except (TypeError, OverflowError):
+            pass
+    raise ValueError(f"{what} must be real numbers, got {value!r}")
 
 
 def make_graph(

@@ -74,7 +74,7 @@ from .choosability import (
     transversal_check,
 )
 from .exact import type2_profile_search
-from .graphs import Graph, as_int, bits_of, complete_bipartite
+from .graphs import Graph, as_int, as_real, bits_of, complete_bipartite
 
 
 @dataclass(frozen=True)
@@ -682,6 +682,7 @@ def beta(a: int, tolerance: float = 1e-4, *, grid: int = 32, refine: bool = True
     a, grid = as_int(a, "values of a", ValueError), as_int(grid, "grid sizes", ValueError)
     if a not in (2, 3):
         raise ValueError(f"beta is computed for a in {{2, 3}}, got {a}")
+    tolerance = as_real(tolerance, "tolerances")
     if not math.isfinite(tolerance) or tolerance <= 0:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if grid < 2:

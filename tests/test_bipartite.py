@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -267,6 +268,17 @@ def test_random_process_and_type2_entries_must_take_integers(call, bad):
 def test_bad_probability_rejected():
     with pytest.raises(ValueError):
         next(transversal_trials([{0}], [{0, 1}], p=1.5))
+
+
+@pytest.mark.parametrize("bad", ["0.5", None])
+def test_probability_must_be_a_real_number(bad):
+    # read by as_real at the call: these raised a TypeError at 0.0 <= p
+    with pytest.raises(ValueError, match=f"probabilities must be real numbers, got {bad!r}"):
+        transversal_trials([{0}], [{0, 1}], bad)
+    with pytest.raises(ValueError, match=f"probabilities must be real numbers, got {bad!r}"):
+        random_transversal([{0}], [{0, 1}], bad)
+    # a real number of any type runs as its float
+    assert list(transversal_trials([{0}], [{1}], Fraction(1, 2))) == list(transversal_trials([{0}], [{1}], 0.5))
 
 
 @pytest.mark.parametrize("max_trials", [0, -1])

@@ -24,6 +24,7 @@ from sumchoice.choosability import (
 )
 from sumchoice.exact import (
     _MAX_QUOTIENT_GROUP,
+    SumChoiceResult,
     _vectors_with_sum,
     edge_bound,
     greedy_sufficient_f,
@@ -40,6 +41,7 @@ from sumchoice.graphs import (
     disjoint_cliques,
     generate,
     make_graph,
+    path,
     random_graph,
     star,
 )
@@ -65,6 +67,18 @@ def brute_force_chi_sc(g, max_size):
         for f in itertools.product(range(1, max_size + 1), repeat=g.n):
             if sum(f) == total and sufficient(f):
                 return total, f
+
+
+def whole_graph(g, *, budget=DEFAULT_BUDGET, record_witnesses=False):
+    """The candidate walk that the driver runs once per block, run on all of
+    g with no block split, as the driver's result type."""
+    meter = _Budget(budget)
+    witnesses = {} if record_witnesses else None
+    try:
+        k, f = exact._search(g, meter, witnesses)
+    except BudgetExceededError as exc:
+        return SumChoiceResult(None, None, True, exc.bracket, meter.used, witnesses)
+    return SumChoiceResult(k, f, False, (k, k), meter.used, witnesses)
 
 
 def test_path3_value():
@@ -99,10 +113,23 @@ def test_optimal_f_is_sufficient_and_tight():
 
 
 def test_record_witnesses():
-    res = sum_choice_exact(generate("path", [3]), record_witnesses=True)
+    res = whole_graph(generate("path", [3]), record_witnesses=True)
     assert res.witnesses
     for f, witness in res.witnesses.items():
         assert tuple(len(L) for L in witness) == f
+
+
+def test_record_witnesses_by_blocks():
+    # P_3 is two K_2 blocks sharing vertex 1.  Each block's candidate (1, 1)
+    # fails, and both lift to the key (1, 1, 1): the first block's entry is
+    # kept, its lists on {0, 1} and a fresh color at 2.
+    g = path(3)
+    res = sum_choice_exact(g, record_witnesses=True)
+    assert (res.value, res.optimal_f, res.budget_used) == (5, (1, 2, 2), 4)
+    assert list(res.witnesses) == [(1, 1, 1)]
+    (lists,) = res.witnesses.values()
+    assert lists[0] == lists[1] and lists[2].isdisjoint(lists[0])
+    assert color_from_lists(g, lists) is None
 
 
 def relabeled(g, perm):
@@ -130,16 +157,19 @@ def forget_memos(monkeypatch):
     monkeypatch.setattr(_Budget, "__init__", forgetful)
 
 
-# (value, optimal_f, budget_used) of the exact search, pinned so that a change
-# to the driver cannot move the answer, the tie-break or the oracle calls.
-# The value and optimal_f of random_graph(7, 10, 0) were first computed by
-# the oracle without the exact removal of f = 1 vertices (about 45 s).
-# budget_used is that of the search with both memos patched never to hit,
-# which is what a run read while a memo hit ticked the units of its first
-# run again; ``UNITS_AS_RUN`` pins the runs as they are.  The five
-# unlabeled rows' units are generic search calls plus classes walked; when
-# only classes ticked and the walk kept every class whose patterns all span
-# an edge, they were 68, 10, 0, 0 and 6,177.
+# (value, optimal_f, budget_used) of the candidate walk over the whole graph,
+# pinned so that a change to it cannot move the answer, the tie-break or the
+# oracle calls.  The driver runs that walk once per block; on a graph of one
+# block it is the driver's run, and on the three graphs of more than one
+# block ``BY_BLOCKS`` pins the driver's units.  The value and optimal_f of
+# random_graph(7, 10, 0) were first computed by the oracle without the exact
+# removal of f = 1 vertices (about 45 s).  budget_used is that of the search
+# with both memos patched never to hit, which is what a run read while a
+# memo hit ticked the units of its first run again; ``UNITS_AS_RUN`` pins
+# the runs as they are.  The five unlabeled rows' units are generic search
+# calls plus classes walked; when only classes ticked and the walk kept
+# every class whose patterns all span an edge, they were 68, 10, 0, 0 and
+# 6,177.
 GOLDEN = [
     (complete_bipartite(2, 10), 27, (3, 4) + (2,) * 10, 4681),
     (complete_bipartite(3, 6), 21, (3, 3, 3, 2, 2, 2, 2, 2, 2), 5903),
@@ -156,9 +186,20 @@ GOLDEN = [
 @pytest.mark.parametrize("g, value, optimal_f, budget_used", GOLDEN)
 def test_exact_golden(g, value, optimal_f, budget_used, monkeypatch):
     forget_memos(monkeypatch)
-    res = sum_choice_exact(g)
+    assert_walk_and_driver(g, value, optimal_f, budget_used)
+
+
+def assert_walk_and_driver(g, value, optimal_f, budget_used):
+    """The whole-graph walk gives (value, optimal_f, budget_used), and the
+    driver the same value and optimal_f; on a graph of one block the driver
+    runs that walk, so its units are the same too."""
+    res = whole_graph(g)
     assert (res.value, res.optimal_f, res.budget_used) == (value, optimal_f, budget_used)
     assert res.bracket == (value, value) and not res.undecided
+    driver = sum_choice_exact(g)
+    assert (driver.value, driver.optimal_f, driver.bracket, driver.undecided) == (value, optimal_f, res.bracket, False)
+    if len(g.blocks) == 1:
+        assert driver.budget_used == budget_used
 
 
 # (value, optimal_f, budget_used with no memo hit, witnesses); see below.
@@ -167,7 +208,7 @@ CERTIFIED = [
     (random_graph(9, 12, 0), 21, (1, 2, 1, 2, 3, 2, 2, 2, 6), 58163, 19305),
 ]
 
-# budget_used of the GOLDEN searches, in order, then of the CERTIFIED ones,
+# budget_used of the GOLDEN walks, in order, then of the CERTIFIED ones,
 # as they run: a memo hit costs only the tick of the call that finds it.
 # Each is at most its memo-free pin, and every value and optimal_f is the
 # same with the memos as without.
@@ -179,9 +220,31 @@ UNITS_AS_RUN = [2189, 3368, 3462, 6946, 1166, 398, 94, 116, 3590, 16153, 24446]
     [(row[0], row[1], row[2], units) for row, units in zip(GOLDEN + CERTIFIED, UNITS_AS_RUN, strict=True)],
 )
 def test_exact_units_as_run(g, value, optimal_f, budget_used):
+    assert_walk_and_driver(g, value, optimal_f, budget_used)
+
+
+# (row of GOLDEN or CERTIFIED, budget_used memo-free, as run) of the driver
+# on each graph of more than one block, where it searches each block on its
+# own and composes; the walk over the whole graph reads the units above.
+BY_BLOCKS = [
+    (GOLDEN[4], 555, 331),
+    (GOLDEN[5], 45, 37),
+    (GOLDEN[6], 14, 13),
+    (CERTIFIED[0], 35921, 7662),
+    (CERTIFIED[1], 3935, 1718),
+]
+
+
+@pytest.mark.parametrize("row, memo_free, as_run", BY_BLOCKS)
+def test_exact_units_by_blocks(row, memo_free, as_run, monkeypatch):
+    g, value, optimal_f = row[:3]
+    assert len(g.blocks) > 1
     res = sum_choice_exact(g)
-    assert (res.value, res.optimal_f, res.budget_used) == (value, optimal_f, budget_used)
+    assert (res.value, res.optimal_f, res.budget_used) == (value, optimal_f, as_run)
     assert res.bracket == (value, value) and not res.undecided
+    forget_memos(monkeypatch)
+    res = sum_choice_exact(g)
+    assert (res.value, res.optimal_f, res.budget_used) == (value, optimal_f, memo_free)
 
 
 @pytest.mark.parametrize("g, value, optimal_f, budget_used, witnesses", CERTIFIED)
@@ -199,7 +262,7 @@ def test_exact_value_certified_without_the_class_walk(g, value, optimal_f, budge
     # call run with no memo hit; it was 8,858 and 5,344 when only classes
     # walked ticked.
     assert next(g.twin_quotient_lifts(), None) is None
-    res = sum_choice_exact(g, record_witnesses=True)
+    res = whole_graph(g, record_witnesses=True)
     assert (res.value, res.optimal_f) == (value, optimal_f) and res.budget_used < budget_used
     assert peel_order(g.adj, optimal_f) == []
     caps = tuple(g.degree(v) + 1 for v in range(g.n))
@@ -217,9 +280,26 @@ def test_exact_value_certified_without_the_class_walk(g, value, optimal_f, budge
         assert tuple(len(L) for L in lists) == f
         assert color_from_lists(g, lists) is None, f
     forget_memos(monkeypatch)
-    memo_free = sum_choice_exact(g, record_witnesses=True)
+    memo_free = whole_graph(g, record_witnesses=True)
     assert (memo_free.value, memo_free.optimal_f, memo_free.budget_used) == (value, optimal_f, budget_used)
     assert memo_free.witnesses == res.witnesses
+
+
+@pytest.mark.parametrize("row, witnesses", zip(CERTIFIED, (4899, 830), strict=True))
+def test_exact_value_certified_by_blocks(row, witnesses, monkeypatch):
+    # The driver's twin of the proof above: random_graph(8, 12, 1) is a
+    # 7-vertex block and a bridge, random_graph(9, 12, 0) a 6-vertex block
+    # and three bridges.  The driver's value and optimal_f are the
+    # whole-graph walk's, and every lifted witness fails on g; with no memo
+    # hit the same witnesses are lifted.
+    g, value, optimal_f = row[:3]
+    res = sum_choice_exact(g, record_witnesses=True)
+    assert (res.value, res.optimal_f) == (value, optimal_f) and len(res.witnesses) == witnesses
+    for f, lists in res.witnesses.items():
+        assert tuple(len(L) for L in lists) == f
+        assert color_from_lists(g, lists) is None, f
+    forget_memos(monkeypatch)
+    assert sum_choice_exact(g, record_witnesses=True).witnesses == res.witnesses
 
 
 def reference_optimum(g):
@@ -390,32 +470,32 @@ def test_shared_search_matches_fresh_calls_on_relabeled_graphs(make, a, q, seed)
         assert color_from_lists(g, witness) is None
 
 
-def exact_outcome(g, budget):
-    res = sum_choice_exact(g, budget=budget, record_witnesses=True)
+def exact_outcome(g, budget, run=sum_choice_exact):
+    res = run(g, budget=budget, record_witnesses=True)
     return res.value, res.optimal_f, res.undecided, res.bracket, res.budget_used, res.witnesses
 
 
 def assert_matches_fresh_calls(g):
-    """The search at the default budget against ``reference_exact``'s fresh
-    oracle call per candidate: the same outcome and witnesses, for at most
-    their units, since the candidates share one meter and its memos.
-    Returns the search's result."""
-    res = sum_choice_exact(g, record_witnesses=True)
+    """The whole-graph walk at the default budget against
+    ``reference_exact``'s fresh oracle call per candidate: the same outcome
+    and witnesses, for at most their units, since the candidates share one
+    meter and its memos.  Returns the walk's result."""
+    res = whole_graph(g, record_witnesses=True)
     value, optimal_f, undecided, bracket, used, witnesses = reference_exact(g, DEFAULT_BUDGET)
     assert (res.value, res.optimal_f, res.undecided, res.bracket) == (value, optimal_f, undecided, bracket), g.edges
     assert res.witnesses == witnesses and res.budget_used <= used, g.edges
     return res
 
 
-def assert_cut_short_like_the_full_run(g, full, budget):
-    """A run at ``budget`` takes the steps of ``full``, the run at the
-    default budget, until its units run out: it is that run when budget
+def assert_cut_short_like_the_full_run(g, full, budget, run=sum_choice_exact):
+    """A run of ``run`` at ``budget`` takes the steps of ``full``, its run at
+    the default budget, until its units run out: it is that run when budget
     covers its budget_used, and otherwise undecided after budget + 1 units,
     with a bracket around the value and the witnesses recorded so far.
-    Returns ``exact_outcome(g, budget)``."""
-    got = exact_outcome(g, budget)
+    Returns ``exact_outcome(g, budget, run)``."""
+    got = exact_outcome(g, budget, run)
     if budget >= full.budget_used:
-        assert got == exact_outcome(g, DEFAULT_BUDGET), (g.edges, budget)
+        assert got == exact_outcome(g, DEFAULT_BUDGET, run), (g.edges, budget)
         return got
     value, optimal_f, undecided, (lo, hi), used, witnesses = got
     assert (value, optimal_f, undecided, used) == (None, None, True, budget + 1), (g.edges, budget)
@@ -437,13 +517,11 @@ def test_orbit_filter_past_the_cap_is_sound(monkeypatch):
         return is_sufficient(g, f, **kw)
 
     monkeypatch.setattr("sumchoice.exact.is_sufficient", recording_is_sufficient)
-    c5 = cycle(5).edges
-    two_c5 = make_graph(10, [*c5, *((u + 5, v + 5) for u, v in c5)])
-    for g in (disjoint_cliques(*(2,) * 6), disjoint_cliques(*(2,) * 7), two_c5):
+    for g in (disjoint_cliques(*(2,) * 6), disjoint_cliques(*(2,) * 7), two_c5()):
         lifts = list(itertools.islice(g.twin_quotient_lifts(), _MAX_QUOTIENT_GROUP))
         assert len(lifts) == _MAX_QUOTIENT_GROUP, g.edges
         tested.clear()
-        res = sum_choice_exact(g, record_witnesses=True)
+        res = whole_graph(g, record_witnesses=True)
         value, optimal_f, undecided, bracket, _, walk_witnesses = fresh_walk(g, DEFAULT_BUDGET)
         assert (res.value, res.optimal_f, res.undecided, res.bracket) == (value, optimal_f, undecided, bracket)
         walked = {*walk_witnesses, optimal_f}
@@ -459,8 +537,37 @@ def test_orbit_filter_past_the_cap_is_sound(monkeypatch):
     # Ten disjoint K_2 have 10! = 3,628,800; listing their lifts would take
     # about a gigabyte, so this returns only because the search stops early.
     # Every generic search call ticks, so it runs at the default budget.
-    res = sum_choice_exact(disjoint_cliques(*(2,) * 10))
+    res = whole_graph(disjoint_cliques(*(2,) * 10))
     assert (res.value, res.optimal_f, res.undecided, res.budget_used) == (30, (1, 2) * 10, False, 2553)
+
+
+def two_c5():
+    c5 = cycle(5).edges
+    return make_graph(10, [*c5, *((u + 5, v + 5) for u, v in c5)])
+
+
+@pytest.mark.parametrize(
+    "g, budget_used",
+    [
+        (disjoint_cliques(*(2,) * 6), 12),
+        (disjoint_cliques(*(2,) * 7), 14),
+        (two_c5(), 44),
+        (disjoint_cliques(*(2,) * 10), 20),
+    ],
+)
+def test_past_the_cap_by_blocks(g, budget_used):
+    # The driver's twin of the test above: the same graphs reach it as
+    # components of one block each, whose quotient groups are tiny, so no
+    # filter is capped.  Each K_2 costs two units, (1, 1) failing and (1, 2)
+    # sufficient, and the second C_5 meets the first one's memos.  The outcome
+    # is the whole-graph walk's, and every lifted witness fails on g.
+    res = sum_choice_exact(g, record_witnesses=True)
+    value, optimal_f, undecided, bracket, _, _ = fresh_walk(g, DEFAULT_BUDGET)
+    assert (res.value, res.optimal_f, res.undecided, res.bracket) == (value, optimal_f, undecided, bracket)
+    assert res.budget_used == budget_used
+    for f, witness in res.witnesses.items():
+        assert tuple(len(L) for L in witness) == f
+        assert color_from_lists(g, witness) is None
 
 
 def test_three_disjoint_c5_at_budget_zero_stop_at_once():
@@ -558,6 +665,28 @@ def test_shared_memo_matches_fresh_calls_on_every_small_graph():
         assert_matches_fresh_calls(g)
 
 
+def test_block_split_matches_the_whole_graph_walk_on_every_small_graph():
+    # All 1,099 labeled graphs on one to five vertices (848 of more than one
+    # block): the driver, block by block, gives the whole-graph walk's value
+    # and optimal_f, so the composed f is the lexicographically least
+    # optimal one; cut short at half its units, its bracket holds the value.
+    # Every lifted witness fails on g and has the sizes of its key.
+    split = 0
+    for g in every_small_graph():
+        res = sum_choice_exact(g, record_witnesses=True)
+        whole = whole_graph(g)
+        assert (res.value, res.optimal_f, res.undecided) == (whole.value, whole.optimal_f, False), g.edges
+        cut = sum_choice_exact(g, budget=res.budget_used // 2)
+        if cut.undecided:
+            assert cut.bracket[0] <= res.value <= cut.bracket[1], g.edges
+        if len(g.blocks) > 1:
+            split += 1
+            for f, lists in res.witnesses.items():
+                assert tuple(len(L) for L in lists) == f, g.edges
+                assert color_from_lists(g, lists) is None, (g.edges, f)
+    assert split == 848
+
+
 @pytest.mark.parametrize(
     "g", [random_graph(7, 10, 0), make_graph(6, complete_bipartite(2, 4).edges), random_graph(6, 8, 1)]
 )
@@ -565,6 +694,20 @@ def test_shared_memo_matches_fresh_calls_at_every_budget(g):
     # A memo hit only saves steps, so a search cut short stops where the
     # full run would have reached budget + 1 units.
     res = assert_matches_fresh_calls(g)
+    full = res.budget_used
+    for budget in sorted({0, 1, 7, full // 3, full // 2, full - 1, full}):
+        assert_cut_short_like_the_full_run(g, res, budget, whole_graph)
+
+
+@pytest.mark.parametrize("g", [random_graph(6, 8, 1), random_graph(6, 8, 7), disjoint_cliques(3, 3, 2)])
+def test_block_split_cut_short_like_its_full_run(g):
+    # The driver's twin of the test above on graphs of more than one block:
+    # the blocks share one meter, so a run cut short stops where the full
+    # run reached budget + 1 units, with the witnesses lifted so far and a
+    # bracket composed from the blocks that holds the value.
+    res = sum_choice_exact(g, record_witnesses=True)
+    whole = whole_graph(g)
+    assert len(g.blocks) > 1 and (res.value, res.optimal_f) == (whole.value, whole.optimal_f)
     full = res.budget_used
     for budget in sorted({0, 1, 7, full // 3, full // 2, full - 1, full}):
         assert_cut_short_like_the_full_run(g, res, budget)
@@ -778,9 +921,11 @@ def test_status_only_paths_build_no_witness(monkeypatch):
     assert sum_choice_type2_exact(3, 5) == 19
     # the generic path: nearly every candidate is insufficient, none is read
     res = sum_choice_exact(random_graph(6, 8, 1))
-    assert (res.value, res.optimal_f, res.budget_used) == (14, (1, 1, 1, 3, 3, 5), 1166)
+    assert (res.value, res.optimal_f, res.budget_used) == (14, (1, 1, 1, 3, 3, 5), 331)
     res = sum_choice_exact(disjoint_cliques(3, 3, 2))
-    assert (res.value, res.optimal_f, res.budget_used) == (15, (1, 2, 3, 1, 2, 3, 1, 2), 94)
+    assert (res.value, res.optimal_f, res.budget_used) == (15, (1, 2, 3, 1, 2, 3, 1, 2), 13)
+    res = whole_graph(random_graph(6, 8, 1))
+    assert (res.value, res.optimal_f, res.budget_used) == (14, (1, 1, 1, 3, 3, 5), 1166)
 
 
 def test_sorted_profiles_cover_all_multisets():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from sumchoice.choosability import lists_from_json
 from sumchoice.graphs import (
     GraphError,
+    as_real,
     complete_bipartite,
     complete_split,
     cycle,
@@ -165,6 +167,83 @@ def test_twin_classes_are_the_swappable_pairs(g, classes):
         swap = {u: v, v: u}
         image = {tuple(sorted((swap.get(x, x), swap.get(y, y)))) for x, y in edges}
         assert (image == edges) == ((u, v) in together), (g.edges, u, v)
+
+
+def components(n, edges, gone=()):
+    """The number of connected components of the graph on range(n) less the
+    vertices ``gone``, by repeated union."""
+    label = {v: v for v in range(n) if v not in gone}
+    for u, v in edges:
+        if u in label and v in label:
+            old, new = label[u], label[v]
+            for w in label:
+                if label[w] == old:
+                    label[w] = new
+    return len(set(label.values()))
+
+
+def test_blocks_match_brute_force_on_every_small_graph():
+    # All 1,100 labeled graphs on zero to five vertices.
+    seen = split = 0
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            g = make_graph(n, itertools.compress(pairs, chosen))
+            seen += 1
+            blocks = g.blocks
+            assert list(blocks) == sorted(blocks) and all(list(b) == sorted(b) for b in blocks), g.edges
+            # the cut vertices, those in two or more blocks, are exactly the
+            # vertices whose deletion raises the component count
+            count = [0] * n
+            for b in blocks:
+                for v in b:
+                    count[v] += 1
+            whole = components(n, g.edges)
+            cut = {v for v in range(n) if components(n, g.edges, {v}) > whole}
+            assert {v for v in range(n) if count[v] > 1} == cut, g.edges
+            # the blocks partition the edge set
+            owners = [[b for b in blocks if u in b and v in b] for u, v in g.edges]
+            assert all(len(o) == 1 for o in owners), g.edges
+            for b in blocks:
+                inside = [(u, v) for u, v in g.edges if u in b and v in b]
+                if len(b) == 1:  # an isolated vertex is its own block
+                    assert not g.adj[b[0]], g.edges
+                else:  # connected, and with three or more vertices no cut vertex
+                    assert components(n, inside, set(range(n)) - set(b)) == 1, (g.edges, b)
+                    if len(b) >= 3:
+                        for v in b:
+                            assert components(n, inside, set(range(n)) - set(b) | {v}) == 1, (g.edges, b, v)
+            assert all((v,) in blocks for v in range(n) if not g.adj[v]), g.edges
+            split += len(blocks) > 1
+    assert (seen, split) == (1100, 848)
+
+
+@pytest.mark.parametrize(
+    "g, blocks",
+    [
+        (make_graph(0, []), ()),
+        (make_graph(3, []), ((0,), (1,), (2,))),
+        (path(4), ((0, 1), (1, 2), (2, 3))),
+        (cycle(5), ((0, 1, 2, 3, 4),)),
+        (star(3), ((0, 1), (0, 2), (0, 3))),
+        (disjoint_cliques(3, 1, 2), ((0, 1, 2), (3,), (4, 5))),
+        (random_graph(6, 8, 7), ((0, 1), (1, 3, 4, 5), (2, 5))),
+    ],
+)
+def test_blocks_of_named_graphs(g, blocks):
+    assert g.blocks == blocks
+
+
+@pytest.mark.parametrize("value, want", [(0.5, 0.5), (1, 1.0), (True, 1.0), (Fraction(1, 4), 0.25)])
+def test_as_real_reads_real_numbers(value, want):
+    got = as_real(value, "probabilities")
+    assert got == want and type(got) is float
+
+
+@pytest.mark.parametrize("bad", ["0.5", b"0.5", None, 1j, 10**400])
+def test_as_real_rejects_what_is_no_real_number(bad):
+    with pytest.raises(ValueError, match="probabilities must be real numbers"):
+        as_real(bad, "probabilities")
 
 
 def test_generate_deterministic():

@@ -768,6 +768,13 @@ def test_beta_rejects_non_finite_tolerance(tol):
         beta(2, tol)
 
 
+@pytest.mark.parametrize("tol", ["1e-4", None])
+def test_beta_tolerance_must_be_a_real_number(tol):
+    # read by as_real: beta(3, "1e-4") raised a TypeError in math.isfinite
+    with pytest.raises(ValueError, match=f"tolerances must be real numbers, got {tol!r}"):
+        beta(3, tol)
+
+
 def test_beta_too_coarse_grid():
     with pytest.raises(ValueError, match="too coarse"):
         beta(3, grid=2)
