@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .choosability import ListAssignment, _int_size, normalize_lists, pad_witness
+from .choosability import ListAssignment, normalize_lists, pad_witness, validate_sizes
 from .graphs import Graph, as_int, as_real, complete_bipartite
 from .rng import derive_rng
 
@@ -301,11 +301,8 @@ def lb_witness(
     the exact sizes (shrinking keeps an assignment insufficient), and pad
     everything else with fresh colors.
     """
-    f_A, f_Q = tuple(map(_int_size, f_A)), tuple(map(_int_size, f_Q))
-    if len(f_Q) != q:
-        raise ValueError(f"f_Q has {len(f_Q)} entries but q={q}")
-    if any(s < 1 for s in f_A + f_Q):
-        raise ValueError("list sizes must be positive")
+    q = as_int(q, "values of q", ValueError)
+    f_A, f_Q = validate_sizes(f_A), validate_sizes(f_Q, q)
     a = len(f_A)
 
     singleton_q = [i for i, s in enumerate(f_Q) if s == 1]

@@ -181,17 +181,12 @@ def normalize_lists(lists: Iterable[Iterable[int]], n: int | None = None) -> Lis
     return out
 
 
-def _int_size(s: object) -> int:
-    """s by ``as_int``: a float or a string is a ValueError, never truncated."""
-    return as_int(s, "list sizes", ValueError)
-
-
 def validate_sizes(f: Sequence[int], n: int | None = None, minimum: int = 1) -> SizeFunction:
     vals = tuple(f)
     try:
         out = tuple(map(operator.index, vals))
-    except TypeError:  # name the first bad entry, as ``_int_size`` words it
-        out = tuple(map(_int_size, vals))
+    except TypeError:  # name the first bad entry: a float or a string is never truncated
+        out = tuple(as_int(s, "list sizes", ValueError) for s in vals)
     if n is not None and len(out) != n:
         raise ValueError(f"expected {n} list sizes, got {len(out)}")
     if any(s < minimum for s in out):
@@ -343,7 +338,7 @@ def transversal_check(
     ``_minimal_transversal_stream`` (not by size), and the first holding no
     Q-list is T, so a T found early costs no walk over the rest.
     """
-    LA, LQ = list(map(frozenset, LA)), list(map(frozenset, LQ))
+    LA, LQ = normalize_lists(LA), normalize_lists(LQ)
     palette, masks = _ranked(LA + LQ)
     for T in _minimal_transversal_stream(masks[: len(LA)]):
         if all(L & T != L for L in masks[len(LA):]):

@@ -21,7 +21,8 @@ and f2 of the two parts, and the two sets of those are independent.  A
 lexicographic scan in vertex order therefore minimises each part's own
 coordinates, and at v it minimises f1(v) + f2(v) - 1, which holds only
 when both terms are at their minimum; induction over leaf blocks gives
-every block tree.  A graph of one block goes straight to the search below.
+every block tree.  An isolated vertex has chi_sc 1 = |B| and f = 1, so it
+adds nothing to either sum and is not searched.
 
 The search of one block walks candidate totals k upward from n; the first
 sufficient size function wins, so it finds the lexicographically smallest
@@ -152,6 +153,13 @@ def sorted_profiles(total: int, length: int, cap: int) -> Iterator[tuple[int, ..
 # against the plain twin-sorted walk, six K_2 (720 automorphisms) ran 11.2
 # -> 6.6 ms, C_5 + C_5 (200) 0.77 -> 0.10 s and C_6 + C_6 (288) 7.1 ->
 # 0.99 s, where all 199 lifts of C_5 + C_5 took 0.22 s (best of 3, 2-core VM).
+# Those three graphs have several blocks, so the driver searches each
+# component on its own; they reach ``_search`` whole only through the
+# tests' whole-graph walk.  Blocks that do pass the cap: the theta graph
+# of five paths of length 3 between two poles (12 vertices, 15 edges, 240
+# quotient automorphisms; decided at 26 with 67,313 units in 5.9 s on a
+# 2-core Xeon VM), the crown graph K_{5,5} minus a perfect matching (240),
+# and the Petersen graph at exactly 120.
 _MAX_QUOTIENT_GROUP = 120
 
 
@@ -160,8 +168,9 @@ def sum_choice_exact(
 ) -> SumChoiceResult:
     """Minimum of sum f over sufficient f, with the lexicographically least
     achieving f: ``_search`` once per block of g, each relabeled ascending,
-    composed by the block rule of the module docstring.  A graph of one
-    block (or none) is searched as it is, parts and all.
+    composed by the block rule of the module docstring.  A block that is
+    all of g is g itself, parts and all; an isolated vertex, a block
+    without an edge, is not searched.
 
     All blocks tick one meter, so ``budget_used`` is its units over all of
     them, and a block repeated up to labels meets the memos of the first.
@@ -173,14 +182,10 @@ def sum_choice_exact(
     """
     meter = _Budget(budget)
     witnesses: dict[SizeFunction, ListAssignment] | None = {} if record_witnesses else None
-    blocks = g.blocks
-    if len(blocks) < 2:
-        subs = [(g, range(g.n))]
-    else:
-        subs = [(_induced_graph(g, block), block) for block in blocks]
+    subs = [(g if len(b) == g.n else _induced_graph(g, b), b) for b in g.blocks if len(b) > 1]
     value, f = g.n - sum(sub.n for sub, _ in subs), [1] * g.n  # less sum_v (b(v) - 1)
     for i, (sub, block) in enumerate(subs):
-        found = {} if witnesses is not None and sub is not g else witnesses
+        found = None if witnesses is None else {}
         try:
             k, f_block = _search(sub, meter, found)
         except BudgetExceededError as exc:
@@ -277,11 +282,10 @@ def _lift_witnesses(
     ``witnesses`` as one of g: the block's lists on its vertices and a fresh
     color alone at every other vertex (``pad_witness``), keyed by f_B there
     and 1 elsewhere.  No coloring of g restricts to one of the block, so
-    none exists.  A key already present keeps its first entry.  Nothing to
-    do when ``found`` is ``witnesses`` itself: the block is g."""
-    if found is witnesses:
+    none exists.  A key already present keeps its first entry."""
+    if found is None:
         return
-    for f_block, lists in found.items():  # type: ignore[union-attr]
+    for f_block, lists in found.items():
         sizes = [1] * g.n
         for v, size in zip(block, f_block):
             sizes[v] = size

@@ -163,13 +163,6 @@ class VertexOrder:
     order: tuple[int, ...]
     back_degree: tuple[int, ...]
 
-    @property
-    def max_back_degree(self) -> int:
-        return max(self.back_degree, default=0)
-
-    def back_degrees_along_order(self) -> tuple[int, ...]:
-        return tuple(self.back_degree[v] for v in self.order)
-
 
 def _automorphisms(
     qadj: Sequence[int], key: Sequence[object], image: list[int], used: int

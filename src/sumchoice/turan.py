@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .choosability import ListAssignment, _int_size, pad_witness
+from .choosability import ListAssignment, pad_witness, validate_sizes
 from .graphs import Graph, as_int, bits_of, disjoint_cliques
 
 
@@ -154,9 +154,7 @@ def split_witness(s_vec: Sequence[int], q: int) -> ListAssignment | None:
     q >= C(s_1,2) + s_1 (s_2 - s_1), the first color block dominates the
     rest, pinning the first two A-vertices against each other.
     """
-    s_vec = tuple(map(_int_size, s_vec))
-    if any(s < 1 for s in s_vec):
-        raise ValueError("A-list sizes must be positive")
+    s_vec = validate_sizes(s_vec)
     if list(s_vec) != sorted(s_vec):
         raise ValueError(f"s_vec must be sorted ascending, got {s_vec}")
     q = as_int(q, "values of q", ValueError)
@@ -167,23 +165,16 @@ def split_witness(s_vec: Sequence[int], q: int) -> ListAssignment | None:
     for i in range(2, a + 1):
         si = s_vec[i - 1]
         if q >= t_balanced(si, i - 1):
-            parts = balanced_parts(si, i - 1)
-            edges: list[frozenset[int]] = []
-            base = 0
-            for size in parts:
-                edges += [
-                    frozenset((base + x, base + y))
-                    for x in range(size)
-                    for y in range(x + 1, size)
-                ]
-                base += size
+            # every part is positive, as disjoint_cliques needs: s_i < i-1 would
+            # give t(s_{i-1}, i-2) = 0 <= q, and the loop would have returned at i-1
+            edges = disjoint_cliques(*balanced_parts(si, i - 1)).edges
             return _assemble_split_witness(s_vec, q, nested_upto=i, ncolors=si, edges=edges)
 
     if a >= 2:
         s1, s2 = s_vec[0], s_vec[1]
         if q >= math.comb(s1, 2) + s1 * (s2 - s1):
             edges = [
-                frozenset((x, y))
+                (x, y)
                 for x in range(s2)
                 for y in range(x + 1, s2)
                 if not (x >= s1 and y >= s1)
@@ -198,11 +189,11 @@ def _assemble_split_witness(
     q: int,
     nested_upto: int,
     ncolors: int,
-    edges: list[frozenset[int]],
+    edges: Sequence[tuple[int, int]],
 ) -> ListAssignment:
     a = len(s_vec)
     if len(edges) > q:
         raise AssertionError("construction produced more conflict pairs than q")
     lists = {j: frozenset(range(s_vec[j])) for j in range(nested_upto)}
-    lists.update((a + k, e) for k, e in enumerate(edges))
+    lists.update((a + k, frozenset(e)) for k, e in enumerate(edges))
     return pad_witness(lists, s_vec + (2,) * q, ncolors)

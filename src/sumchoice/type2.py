@@ -65,13 +65,13 @@ from .choosability import (
     ListAssignment,
     _atoms,
     _Budget,
-    _int_size,
     _meter,
     _minimal_covers,
     _ranked,
     normalize_lists,
     pad_witness,
     transversal_check,
+    validate_sizes,
 )
 from .exact import type2_profile_search
 from .graphs import Graph, as_int, as_real, bits_of, complete_bipartite
@@ -116,7 +116,7 @@ def _validate_reduced(r: ReducedGraph, a: int) -> None:
     if len(set(r.vertices)) != len(r.vertices):
         raise ValueError("duplicate reduced-graph vertices")
     for v in r.vertices:
-        if not 0 < v <= full:
+        if not 0 < as_int(v, "vertex masks", ValueError) <= full:
             raise ValueError(f"vertex mask {v} out of range for a={a}")
     vs = set(r.vertices)
     for u, v in r.edges:
@@ -177,6 +177,7 @@ def _blocking_edge_sets(a: int) -> Iterator[tuple[tuple[int, ...], list[tuple[in
     a=4 would mean walking every graph on up to 14 atoms, beyond any
     budget, so a > 3 is a ValueError, as in ``beta``.
     """
+    a = as_int(a, "values of a", ValueError)
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
     if a > 3:
@@ -433,9 +434,7 @@ def type2_insufficient(
     ``budget`` caps the search nodes; a meter shared by several calls may
     be passed instead, and each call draws it down.
     """
-    f = tuple(map(_int_size, f_A))
-    if any(s < 1 for s in f):
-        raise ValueError("A-list sizes must be positive")
+    f = validate_sizes(f_A)
     q = as_int(q, "values of q", ValueError)
     if q < 0:
         raise ValueError(f"need q >= 0, got {q}")
@@ -455,7 +454,7 @@ def materialize_reduced_witness(
     K_{a,q}: atoms become color blocks, each reduced edge becomes the full
     set of cross pairs as Q-lists, A-lists shrink to the exact sizes, and
     surplus Q-vertices get fresh pairs."""
-    f = tuple(map(_int_size, f_A))
+    f, q = validate_sizes(f_A), as_int(q, "values of q", ValueError)
     a = len(f)
     counts = dict(witness.atoms)
     start: dict[int, int] = {}

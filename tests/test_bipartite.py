@@ -1,6 +1,8 @@
 """Closed forms, bounds, the doubling construction, and the random process."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -336,5 +338,29 @@ def test_lb_witness_validates_lengths():
 def test_lb_witness_sizes_must_be_integers(f_A, f_Q):
     with pytest.raises(ValueError, match="list sizes must be integers"):
         lb_witness(f_A, f_Q, 2)
-    with pytest.raises(ValueError, match="list sizes must be positive"):
+    with pytest.raises(ValueError, match="list sizes must be >= 1"):
         lb_witness((0, 5), (1, 2), 2)
+
+
+@pytest.mark.parametrize("bad", [2.0, "2"])
+def test_lb_witness_q_must_be_an_integer(bad):
+    # "2" failed as "f_Q has 2 entries but q=2", and 2.0 passed as 2
+    with pytest.raises(ValueError, match=f"values of q must be integers, got {bad!r}"):
+        lb_witness((2, 2), (1, 1), bad)
+
+
+# sha256 over lb_witness on sorted A- and Q-size vectors at a = 4 and 8:
+# both lower-bound cases (case (ii) at t = 2 and 3) and no witness.
+LB_WITNESS_DIGEST = "656890becd0016c62630b4d8967c1753c59bbda0975efd0273e56fdc69c6cef5"
+
+
+def test_lb_witness_outputs_pinned():
+    h = hashlib.sha256()
+    for a in (4, 8):
+        for f_A in itertools.combinations_with_replacement(range(1, 5), a):
+            for q in (2, 4, 6, 12):
+                for f_Q in itertools.combinations_with_replacement((3, 2, 1), q):
+                    w = lb_witness(f_A, f_Q, q)
+                    line = [f_A, f_Q, q, None if w is None else [sorted(L) for L in w]]
+                    h.update(json.dumps(line).encode() + b"\n")
+    assert h.hexdigest() == LB_WITNESS_DIGEST

@@ -546,6 +546,16 @@ def test_transversal_longer_q_lists_allowed():
     assert transversal_check([{0}, {1}], [{0, 1, 2}]) == frozenset({0, 1})
 
 
+@pytest.mark.parametrize("bad", ["a", 1.0])
+def test_transversal_colors_must_be_integers(bad):
+    # lists were read as any frozenset: [{"a", "b"}], [{"a"}] gave frozenset({'b'})
+    message = f"colors must be integers, got {bad!r}"
+    with pytest.raises(ValueError, match=message):
+        transversal_check([{bad, 2}], [{bad}])
+    with pytest.raises(ValueError, match=message):
+        transversal_check([{0, 2}], [{bad}])
+
+
 def test_transversal_check_stops_at_the_first_transversal():
     # 16 disjoint 3-color A-lists have 3^16 minimal transversals; building
     # and sorting all of them before testing one took about a minute

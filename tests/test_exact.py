@@ -739,13 +739,23 @@ def test_budget_sweep_pinned():
 
 
 def test_empty_graph():
-    # The one candidate, f = (), costs its one generic search call.
+    # No vertices, so no block: the driver searches nothing and spends no unit.
     res = sum_choice_exact(make_graph(0, []))
-    assert (res.value, res.optimal_f, res.bracket, res.budget_used) == (0, (), (0, 0), 1)
+    assert (res.value, res.optimal_f, res.bracket, res.budget_used) == (0, (), (0, 0), 0)
     assert res.witnesses is None
     res = sum_choice_exact(make_graph(0, []), record_witnesses=True)
     assert (res.value, res.optimal_f, res.undecided, res.bracket) == (0, (), False, (0, 0))
-    assert (res.budget_used, res.witnesses) == (1, {})
+    assert (res.budget_used, res.witnesses) == (0, {})
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_edgeless_graph_is_decided_at_budget_0(n):
+    # Each isolated vertex is a block with chi_sc 1 = |B|, which adds nothing
+    # to the block sum, so none is searched.  Each one used to cost a generic
+    # search call, and budget 0 left the closed bracket (n, n) undecided.
+    res = sum_choice_exact(make_graph(n, []), budget=0, record_witnesses=True)
+    assert (res.value, res.optimal_f, res.undecided, res.bracket) == (n, (1,) * n, False, (n, n))
+    assert (res.budget_used, res.witnesses) == (0, {})
 
 
 def test_undecided_bracket():

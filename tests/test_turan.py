@@ -1,6 +1,8 @@
 """Turán counts, the greedy independent SDR, and split-graph machinery."""
 
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -228,8 +230,24 @@ def test_split_witness_requires_sorted_input():
 def test_split_witness_sizes_must_be_integers(bad):
     with pytest.raises(ValueError, match=f"list sizes must be integers, got {bad!r}"):
         split_witness((bad, 3), 4)
-    with pytest.raises(ValueError, match="A-list sizes must be positive"):
+    with pytest.raises(ValueError, match="list sizes must be >= 1"):
         split_witness((0, 3), 4)
+
+
+# sha256 over split_witness for a <= 4, sorted entries <= 8 and q <= 30:
+# both constructions, the nested cliques with up to three of them.
+SPLIT_WITNESS_DIGEST = "21f34e8b23bdfb50475a12b3efde386690d097c1327444cf98f9953df5ee279d"
+
+
+def test_split_witness_outputs_pinned():
+    h = hashlib.sha256()
+    for a in range(1, 5):
+        for s_vec in itertools.combinations_with_replacement(range(1, 9), a):
+            for q in range(1, 31):
+                w = split_witness(s_vec, q)
+                line = [s_vec, q, None if w is None else [sorted(L) for L in w]]
+                h.update(json.dumps(line).encode() + b"\n")
+    assert h.hexdigest() == SPLIT_WITNESS_DIGEST
 
 
 def test_split_witness_always_insufficient_sweep():

@@ -80,6 +80,12 @@ def test_is_blocking_uncovered_index_rejected():
         is_blocking(ReducedGraph((1,), ()), 2)
 
 
+def test_is_blocking_vertex_masks_must_be_integers():
+    # float masks passed validation, then died with TypeError in the cover search
+    with pytest.raises(ValueError, match=re.escape("vertex masks must be integers, got 1.0")):
+        is_blocking(ReducedGraph((1.0, 2.0, 3.0), ((1.0, 2.0),)), 2)
+
+
 def test_is_blocking_permutation_invariant():
     perms = list(itertools.permutations(range(3)))
 
@@ -170,6 +176,16 @@ def test_blocking_never_contains_the_full_atom():
     full = 0b111
     assert all(full not in r.vertices for r in blocking_orbits(3))
     assert not is_blocking(ReducedGraph((1, 2, 0b111), ((1, 2),)), 3)
+
+
+@pytest.mark.parametrize("enumerate_", [blocking_orbits, enumerate_blocking, _minimal_blocking])
+@pytest.mark.parametrize("bad", ["2", 2.0, None])
+def test_blocking_a_must_be_an_integer(enumerate_, bad):
+    # each raised TypeError; 2.0 equals 2, so the cache must not answer it
+    # with the result for 2
+    enumerate_(2)
+    with pytest.raises(ValueError, match=re.escape(f"values of a must be integers, got {bad!r}")):
+        enumerate_(bad)
 
 
 def test_enumerate_blocking_a4_exceeds_budget():
@@ -369,7 +385,7 @@ def test_type2_sizes_must_be_integers(bad):
     w = type2_insufficient((2, 2), 4)
     with pytest.raises(ValueError, match=message):
         materialize_reduced_witness(w, (2, bad), 4)
-    with pytest.raises(ValueError, match="A-list sizes must be positive"):
+    with pytest.raises(ValueError, match="list sizes must be >= 1"):
         type2_insufficient((0, 2), 3)
 
 
@@ -382,6 +398,9 @@ def test_type2_q_must_be_an_integer(bad):
         type2_insufficient((2, 2, 2), bad)
     with pytest.raises(ValueError, match=message):
         chi_sc2_reduced(3, bad)
+    w = type2_insufficient((2, 2, 2), 4)
+    with pytest.raises(ValueError, match=message):
+        materialize_reduced_witness(w, (2, 2, 2), bad)
 
 
 def test_type2_phi_dominates_f():
